@@ -5,8 +5,8 @@ index order with ascending values, so the first point attaining the optimal
 value is the lexicographically smallest optimum.  Feasibility pruning uses
 per-row interval arithmetic over the unassigned suffix (precomputed, since
 the assignment order is fixed).  Objective pruning depends on the form:
-suffix minima for linear and separable convex objectives, an optional exact
-LP bound for linear objectives, and nothing at all (pure enumeration) for
+suffix minima for linear and separable convex objectives (plus the model's
+optional remainder hook), and nothing at all (pure enumeration) for
 quadratic and general convex objectives.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
@@ -21,12 +21,11 @@ by doubling, as in the Graver-best search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetError
 from .graver import augment_to_optimum, g_inf_norm, graver_basis, _kernel_vectors_within
 from .ipmodel import EQ, GE, LE, MIN, IpModel, Linear, SeparableConvex
-from .lp import LpProblem, solve_lp
+from .lp import solve_lp  # noqa: F401  (bench/run.py and bench/spans.py hook this name)
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,6 @@ class SolveResult:
         return self.status == "optimal"
 
 
-def _floor_div(a, b):
-    return a // b
-
-
 def _ceil_div(a, b):
     return -((-a) // b)
 
@@ -68,7 +63,31 @@ def _unary_min(f, lo, hi):
     return f(a)
 
 
-def solve_boxed(model: IpModel, budget: Budget | None = None, lp_prune="auto") -> SolveResult:
+def _min_objective(model: IpModel):
+    """The objective in minimize orientation, as (terms, value).
+
+    ``terms`` are the per-variable evaluation rules, or None when the
+    objective does not separate; ``value`` evaluates a whole point.  This is
+    the only place a MAX objective is negated: MIN models get the model's
+    own rules, with no wrapper call per evaluation.
+    """
+    obj = model.objective
+    if isinstance(obj, Linear):
+        terms = [(lambda v, c=c: c * v) for c in obj.coeffs]
+    elif isinstance(obj, SeparableConvex):
+        terms = list(obj.terms)
+    else:
+        terms = None
+    if model.sense == MIN:
+        return terms, obj.value
+
+    def negated(f):
+        return lambda x: -f(x)
+
+    return (None if terms is None else [negated(f) for f in terms]), negated(obj.value)
+
+
+def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Exact optimum over the box by depth-first branch-and-bound.
 
     Returns the lexicographically smallest optimal point; raises BudgetError
@@ -78,26 +97,8 @@ def solve_boxed(model: IpModel, budget: Budget | None = None, lp_prune="auto") -
     budget = budget or Budget()
     n = model.n_vars
     lower, upper = model.lower, model.upper
-    obj = model.objective
-    minimize = model.sense == MIN
-
-    # Incremental objective machinery, in minimize orientation.
-    if isinstance(obj, Linear):
-        coeffs = obj.coeffs if minimize else tuple(-c for c in obj.coeffs)
-        contrib = [None] * n
-        for j in range(n):
-            c = coeffs[j]
-            contrib[j] = (lambda v, c=c: c * v)
-        has_partial = True
-    elif isinstance(obj, SeparableConvex):
-        if minimize:
-            contrib = list(obj.terms)
-        else:
-            contrib = [(lambda v, f=f: -f(v)) for f in obj.terms]
-        has_partial = True
-    else:
-        contrib = None
-        has_partial = False
+    contrib, min_value = _min_objective(model)
+    has_partial = contrib is not None
 
     if has_partial:
         suffix_min = [0] * (n + 1)
@@ -134,29 +135,6 @@ def solve_boxed(model: IpModel, budget: Budget | None = None, lp_prune="auto") -
             rmin[r][j] = rmin[r][j + 1] + alo
             rmax[r][j] = rmax[r][j + 1] + ahi
 
-    use_lp = isinstance(obj, Linear) and (
-        lp_prune is True or (lp_prune == "auto" and 0 < n <= 30 and m > 0)
-    )
-    lp_depth = max(1, min(6, n // 3)) if use_lp else 0
-    if use_lp:
-        lp_cons = tuple(
-            (
-                tuple(dict(row.coeffs).get(j, 0) for j in range(n)),
-                row.rel,
-                row.rhs,
-            )
-            for row in rows
-        )
-        lp_obj = coeffs
-
-    def lp_bound(lo, hi):
-        res = solve_lp(LpProblem.make(MIN, lp_obj, lp_cons, lower=lo, upper=hi))
-        if res.status == "infeasible":
-            return None
-        # integer objective on integer points: round the bound up
-        v = res.value
-        return -((-v.numerator) // v.denominator) if isinstance(v, Fraction) else v
-
     acts = [0] * m
     point = [0] * n
     lo_box = list(lower)
@@ -174,10 +152,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None, lp_prune="auto") -
             for cr in model.convex_rows:
                 if cr.fn(point) > 0:
                     return
-            if has_partial:
-                val = partial
-            else:
-                val = obj.value(point) if minimize else -obj.value(point)
+            val = partial if has_partial else min_value(point)
             if best_val is None or val < best_val:
                 best_val = val
                 best_pt = tuple(point)
@@ -192,7 +167,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None, lp_prune="auto") -
             if row.rel != GE:  # upper side: c*v <= base - rest_lo
                 room = base - rest_lo
                 if c > 0:
-                    vhi = min(vhi, _floor_div(room, c))
+                    vhi = min(vhi, room // c)
                 else:
                     vlo = max(vlo, _ceil_div(room, c))
             if row.rel != LE:  # lower side: c*v >= base - rest_hi
@@ -200,14 +175,9 @@ def solve_boxed(model: IpModel, budget: Budget | None = None, lp_prune="auto") -
                 if c > 0:
                     vlo = max(vlo, _ceil_div(need, c))
                 else:
-                    vhi = min(vhi, _floor_div(need, c))
+                    vhi = min(vhi, need // c)
         if vlo > vhi:
             return
-
-        if use_lp and 1 <= depth <= lp_depth and best_val is not None:
-            b = lp_bound(lo_box, hi_box)
-            if b is None or b >= best_val:
-                return
 
         for v in range(vlo, vhi + 1):
             for r, c in rows_by_var[depth]:
@@ -241,28 +211,12 @@ def solve_boxed(model: IpModel, budget: Budget | None = None, lp_prune="auto") -
     rec(0, 0)
     if best_val is None:
         return SolveResult("infeasible", None, None, nodes)
-    value = best_val if minimize else -best_val
-    return SolveResult("optimal", best_pt, value, nodes)
+    return SolveResult("optimal", best_pt, model.objective_value(best_pt), nodes)
 
 
 # ---------------------------------------------------------------------------
 # n-fold augmentation backend
 # ---------------------------------------------------------------------------
-
-def _brick_objective(model: IpModel):
-    """Per-variable evaluation rules in minimize orientation."""
-    obj = model.objective
-    minimize = model.sense == MIN
-    if isinstance(obj, Linear):
-        fns = [(lambda v, c=c: c * v) for c in obj.coeffs]
-    elif isinstance(obj, SeparableConvex):
-        fns = list(obj.terms)
-    else:
-        raise ValueError("n-fold backend needs a linear or separable convex objective")
-    if not minimize:
-        fns = [(lambda v, f=f: -f(v)) for f in fns]
-    return fns
-
 
 def _initial_point(model: IpModel, budget: Budget):
     if model.initial_point is not None:
@@ -277,7 +231,7 @@ def _initial_point(model: IpModel, budget: Budget):
         rows=model.rows,
         convex_rows=model.convex_rows,
     )
-    res = solve_boxed(feas, budget=budget, lp_prune=False)
+    res = solve_boxed(feas, budget=budget)
     return res.point if res.optimal else None
 
 
@@ -294,7 +248,9 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
         raise ValueError("model carries no n-fold annotation")
     budget = budget or Budget()
     nf = model.nfold
-    fns = _brick_objective(model)
+    fns, _ = _min_objective(model)
+    if fns is None:
+        raise ValueError("n-fold backend needs a linear or separable convex objective")
     lower, upper = model.lower, model.upper
 
     x = _initial_point(model, budget)
@@ -434,11 +390,8 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     budget = budget or Budget()
     if any(row.rel != EQ for row in model.rows) or model.convex_rows:
         raise ValueError("augmentation needs a pure equality standard form")
-    obj = model.objective
-    minimize = model.sense == MIN
-    if isinstance(obj, (Linear, SeparableConvex)):
-        f = obj.value if minimize else (lambda p: -obj.value(p))
-    else:
+    terms, f = _min_objective(model)
+    if terms is None:
         raise ValueError("augmentation needs a linear or separable convex objective")
 
     x0 = _initial_point(model, budget)
@@ -449,5 +402,4 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     res = augment_to_optimum(
         matrix, x0, f, (model.lower, model.upper), basis=basis, max_steps=budget.max_steps
     )
-    value = res.value if minimize else -res.value
-    return SolveResult("optimal", res.point, value, res.steps)
+    return SolveResult("optimal", res.point, model.objective_value(res.point), res.steps)

@@ -35,7 +35,7 @@ from .algorithms import (
     sumcol_brute,
 )
 from .backends import Budget, solve_augment, solve_boxed, solve_nfold
-from .errors import BudgetError, IncompleteBasisError
+from .errors import BudgetError
 from .graphs import type_graph
 from .graver import g1_norm, graver_basis, stacking_check
 from .instances import Instance, ParseError, generate_blowup, random_template, read_instance, write_instance
@@ -54,29 +54,23 @@ from .models import (
 )
 
 OK, INFEASIBLE, BUDGET, INPUT_ERROR = 0, 1, 2, 3
-PROBLEM_CHOICES = ("cds", "sumcol", "maxqcut")
 
-MODELS = {
-    "cds": ("convex", "ilp"),
-    "sumcol": ("nfold", "convexfd", "graver"),
-    "maxqcut": ("quadratic",),
-}
-DEFAULT_MODEL = {"cds": "ilp", "sumcol": "nfold", "maxqcut": "quadratic"}
-BACKENDS = {
-    ("cds", "convex"): ("boxed",),
-    ("cds", "ilp"): ("boxed",),
-    ("sumcol", "nfold"): ("boxed", "nfold"),
-    ("sumcol", "convexfd"): ("boxed",),
-    ("sumcol", "graver"): ("boxed", "augment"),
-    ("maxqcut", "quadratic"): ("boxed",),
-}
-BUILDERS = {
-    ("cds", "convex"): lambda t, q: build_cds_convex(t),
-    ("cds", "ilp"): lambda t, q: build_cds_ilp(t),
-    ("sumcol", "nfold"): lambda t, q: build_sumcol_nfold(t),
-    ("sumcol", "convexfd"): lambda t, q: build_sumcol_convex(t),
-    ("sumcol", "graver"): lambda t, q: build_sumcol_graver(t),
-    ("maxqcut", "quadratic"): lambda t, q: build_maxqcut(t, q),
+# problem -> (default model, {model: (builder, backends)}).  Dict order is the
+# order in which verify and bench run a problem's models.  The builders are
+# lambdas so that each build_* name is looked up in this module at call time.
+ROUTES = {
+    "cds": ("ilp", {
+        "convex": (lambda t, q: build_cds_convex(t), ("boxed",)),
+        "ilp": (lambda t, q: build_cds_ilp(t), ("boxed",)),
+    }),
+    "sumcol": ("nfold", {
+        "nfold": (lambda t, q: build_sumcol_nfold(t), ("boxed", "nfold")),
+        "convexfd": (lambda t, q: build_sumcol_convex(t), ("boxed",)),
+        "graver": (lambda t, q: build_sumcol_graver(t), ("boxed", "augment")),
+    }),
+    "maxqcut": ("quadratic", {
+        "quadratic": (lambda t, q: build_maxqcut(t, q), ("boxed",)),
+    }),
 }
 SOLVERS = {"boxed": solve_boxed, "nfold": solve_nfold, "augment": solve_augment}
 
@@ -88,7 +82,7 @@ def _print_stats(inst: Instance, t):
     print(f"nd: {t.k} [{kinds}]")
 
 
-def _witness(inst, t, res, model_name):
+def _witness(inst, t, res, model_tag):
     g = inst.graph
     if res.point is None:
         return "none"
@@ -100,10 +94,7 @@ def _witness(inst, t, res, model_name):
         pairs = " ".join(f"{x + 1}->{y + 1}" for x, y in sol.assignment)
         return f"D={{{dom}}} {pairs}"
     if inst.problem == "sumcol":
-        tag = {"nfold": "sumcol_nfold", "convexfd": "sumcol_convex", "graver": "sumcol_graver"}[
-            model_name
-        ]
-        coloring = decode_coloring(t, g, res.point, tag)
+        coloring = decode_coloring(t, g, res.point, model_tag)
         return " ".join(f"{v + 1}:{coloring[v]}" for v in range(g.n))
     partition = decode_partition(t, g, res.point)
     return " ".join(f"{v + 1}:{partition[v]}" for v in range(g.n))
@@ -169,16 +160,18 @@ def run_solve(args) -> int:
             dom = ",".join(str(v + 1) for v in sorted(sol.dominators))
             print(f"algo: {args.algo} value: {value} witness: D={{{dom}}}")
     else:
-        model_name = args.model or DEFAULT_MODEL[inst.problem]
-        if model_name not in MODELS[inst.problem]:
+        default_model, routes = ROUTES[inst.problem]
+        model_name = args.model or default_model
+        if model_name not in routes:
             print(f"model {model_name!r} does not fit problem {inst.problem!r}", file=sys.stderr)
             return INPUT_ERROR
+        build, backends = routes[model_name]
         backend = args.backend or "boxed"
-        if backend not in BACKENDS[(inst.problem, model_name)]:
+        if backend not in backends:
             print(f"backend {backend!r} does not fit model {model_name!r}", file=sys.stderr)
             return INPUT_ERROR
         label_model, label_backend = model_name, backend
-        model = BUILDERS[(inst.problem, model_name)](t, inst.q)
+        model = build(t, inst.q)
         res = SOLVERS[backend](model, budget=budget)
         if res.status == "infeasible":
             print("infeasible")
@@ -186,7 +179,7 @@ def run_solve(args) -> int:
         value, nodes = res.value, res.nodes
         print(f"model: {inst.problem}/{model_name} backend: {backend}")
         print(f"value: {value}")
-        print(f"witness: {_witness(inst, t, res, model_name)}")
+        print(f"witness: {_witness(inst, t, res, model.tag)}")
     millis = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
     print(f"nodes: {nodes} millis: {millis}")
     if args.csv:
@@ -203,9 +196,9 @@ def cmd_verify(args) -> int:
     expected = _brute_value(inst)
     print(f"oracle: {expected}")
     ok = True
-    for model_name in MODELS[inst.problem]:
-        model = BUILDERS[(inst.problem, model_name)](t, inst.q)
-        for backend in BACKENDS[(inst.problem, model_name)]:
+    for model_name, (build, backends) in ROUTES[inst.problem][1].items():
+        model = build(t, inst.q)
+        for backend in backends:
             res = SOLVERS[backend](model)
             agree = res.optimal and res.value == expected
             ok = ok and agree
@@ -267,9 +260,9 @@ def cmd_bench(args) -> int:
         inst = Instance(g, args.problem, q)
         t = type_graph(g)
         name = f"blowup-{args.seed}-{idx}"
-        for model_name in MODELS[args.problem]:
-            model = BUILDERS[(args.problem, model_name)](t, q)
-            for backend in BACKENDS[(args.problem, model_name)]:
+        for model_name, (build, backends) in ROUTES[args.problem][1].items():
+            model = build(t, q)
+            for backend in backends:
                 started = time.perf_counter()
                 res = SOLVERS[backend](model)
                 millis = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
@@ -294,12 +287,11 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_solve.add_argument("file")
-    p_solve.add_argument("--problem", choices=PROBLEM_CHOICES, help="must match the file header")
-    p_solve.add_argument("--model", choices=["convex", "ilp", "nfold", "convexfd", "graver", "quadratic"])
-    p_solve.add_argument("--backend", choices=["boxed", "nfold", "augment"])
+    p_solve.add_argument("--problem", choices=list(ROUTES), help="must match the file header")
+    p_solve.add_argument("--model", choices=[m for _, routes in ROUTES.values() for m in routes])
+    p_solve.add_argument("--backend", choices=list(SOLVERS))
     p_solve.add_argument("--algo", choices=["proximity", "rounding", "brute"])
     p_solve.add_argument("--q", type=int, help="override part count (maxqcut)")
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--budget", type=int)
     p_solve.add_argument("--csv")
     p_solve.add_argument("--no-timing", action="store_true")
@@ -313,7 +305,7 @@ def build_parser():
     p_graver.add_argument("--max-elements", type=int, default=200_000)
 
     p_bench = sub.add_parser("bench", help="bulk seeded run")
-    p_bench.add_argument("--problem", choices=PROBLEM_CHOICES, required=True)
+    p_bench.add_argument("--problem", choices=list(ROUTES), required=True)
     p_bench.add_argument("--count", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--max-n", type=int, default=8)
@@ -340,7 +332,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (BudgetError, IncompleteBasisError) as exc:
+    except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return BUDGET
 

@@ -3,7 +3,3 @@
 
 class BudgetError(RuntimeError):
     """A configured resource cap (nodes, states, basis size) was exceeded."""
-
-
-class IncompleteBasisError(RuntimeError):
-    """An operation requiring a certified-complete Graver basis got a partial one."""

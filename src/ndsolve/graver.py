@@ -2,15 +2,10 @@
 
 The Graver basis of an integer matrix A is the set of conformally minimal
 non-zero integer kernel vectors: x is conformal to y when they lie in the
-same orthant and |x_i| <= |y_i| coordinatewise.  Two computation routes are
-provided:
-
-* a bounded enumeration (all kernel vectors with infinity-norm <= cap,
-  filtered to minimal ones), certified complete by a decomposition pass one
-  norm level above the cap;
-* a completion procedure in the style of Pottier's normal-form algorithm,
-  which starts from a lattice basis of the kernel and closes the set under
-  conformal reduction of pairwise sums; this one is always complete.
+same orthant and |x_i| <= |y_i| coordinatewise.  The basis is computed by a
+completion procedure in the style of Pottier's normal-form algorithm, which
+starts from a lattice basis of the kernel and closes the set under conformal
+reduction of pairwise sums; the result is always complete.
 
 Optimization over a fixed matrix proceeds by iterative augmentation: from a
 feasible point, repeatedly apply the best improving step lambda * g with g a
@@ -23,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import BudgetError, IncompleteBasisError
+from .errors import BudgetError
 from .matrices import IntMatrix
 
 
@@ -92,15 +87,10 @@ def kernel_lattice_basis(a: IntMatrix):
 
 @dataclass(frozen=True)
 class GraverBasis:
-    """A set of kernel vectors closed under negation, minimal among themselves.
-
-    ``complete`` records whether the set is certified to be the whole Graver
-    basis; norm queries refuse to answer for uncertified sets.
-    """
+    """The Graver basis of ``matrix``: closed under negation, conformally minimal."""
 
     matrix: IntMatrix
     elements: frozenset
-    complete: bool
 
     def __len__(self):
         return len(self.elements)
@@ -223,74 +213,23 @@ def _pottier_completion(a: IntMatrix, max_elements: int):
     return _minimal_filter(basis)
 
 
-def _closure_certificate(a: IntMatrix, elems) -> bool:
-    """Conclusive completeness check for a candidate symmetric minimal set.
+def graver_basis(a: IntMatrix, max_elements: int = 200_000) -> GraverBasis:
+    """Compute the Graver basis of a by the completion procedure.
 
-    The set is the whole Graver basis iff every kernel lattice generator and
-    every pairwise sum of elements conformally reduces to zero over it (the
-    termination criterion of the completion procedure).
-    """
-    elems = sorted(elems)
-    for gen in kernel_lattice_basis(a):
-        if any(_conformal_normal_form(gen, elems)):
-            return False
-    for f in elems:
-        for g in elems:
-            s = _add(f, g)
-            if any(s) and any(_conformal_normal_form(s, elems)):
-                return False
-    return True
-
-
-def graver_basis(
-    a: IntMatrix,
-    norm_cap: int | None = None,
-    max_elements: int = 200_000,
-    max_nodes: int = 20_000_000,
-) -> GraverBasis:
-    """Compute the Graver basis of a.
-
-    With ``norm_cap`` the basis is found by exhaustive enumeration up to the
-    cap, then certified: every kernel vector one norm level above the cap
-    must conformally decompose over it, and the closure certificate must
-    hold (the decomposition pass alone is vacuous when the enlarged box
-    contains no kernel vectors at all).  A failed certificate yields
-    ``complete=False`` rather than a silently truncated basis.  Without a
-    cap the completion procedure runs, which is always complete.  Exceeding
-    ``max_elements``/``max_nodes`` raises BudgetError.
+    Exceeding ``max_elements`` raises BudgetError.
     """
     if a.n == 0:
-        return GraverBasis(a, frozenset(), True)
-    if norm_cap is None:
-        elems = _pottier_completion(a, max_elements)
-        return GraverBasis(a, frozenset(elems), True)
-    if norm_cap < 1:
-        raise ValueError("norm_cap must be at least 1")
-    vecs = _kernel_vectors_within(a, norm_cap, max_nodes)
-    elems = _minimal_filter(vecs)
-    if len(elems) > max_elements:
-        raise BudgetError("Graver basis size budget exceeded")
-    complete = all(
-        not any(_conformal_normal_form(v, elems))
-        for v in _kernel_vectors_within(a, norm_cap + 1, max_nodes)
-    ) and _closure_certificate(a, elems)
-    return GraverBasis(a, frozenset(elems), complete)
-
-
-def _require_complete(b: GraverBasis):
-    if not b.complete:
-        raise IncompleteBasisError("operation requires a certified-complete basis")
+        return GraverBasis(a, frozenset())
+    return GraverBasis(a, frozenset(_pottier_completion(a, max_elements)))
 
 
 def g1_norm(b: GraverBasis) -> int:
     """Largest l1-norm over the basis (0 for a trivial kernel)."""
-    _require_complete(b)
     return max((_l1(v) for v in b.elements), default=0)
 
 
 def g_inf_norm(b: GraverBasis) -> int:
     """Largest infinity-norm over the basis."""
-    _require_complete(b)
     return max((max(abs(x) for x in v) for v in b.elements), default=0)
 
 
@@ -301,12 +240,15 @@ def g_inf_norm(b: GraverBasis) -> int:
 def _smallest_minimizer(phi, lam_max: int) -> int:
     """Smallest integer minimizer of a convex phi on [1, lam_max].
 
-    Doubling brackets the minimizer, bisection on the discrete slope pins it.
+    Doubling stops at lam_max or at the first hi with phi(2*hi) >= phi(hi).
+    By convexity the smallest minimizer then lies in [hi//2, 2*hi]: phi fell
+    on the last doubling step, which started at hi//2 or above, and does not
+    fall past 2*hi.  Bisection on the discrete slope pins it in that bracket.
     """
     hi = 1
     while hi < lam_max and phi(min(2 * hi, lam_max)) < phi(hi):
         hi = min(2 * hi, lam_max)
-    lo = 1
+    lo, hi = max(1, hi // 2), min(2 * hi, lam_max)
     while lo < hi:
         mid = (lo + hi) // 2
         if phi(mid + 1) >= phi(mid):
@@ -316,7 +258,7 @@ def _smallest_minimizer(phi, lam_max: int) -> int:
     return lo
 
 
-def graver_best_step(a: IntMatrix, basis: GraverBasis, x, f, bounds):
+def graver_best_step(basis: GraverBasis, x, f, bounds):
     """Best augmenting pair (g, lambda), or None when x is Graver-optimal.
 
     f must be linear or separable convex so that f(x + lambda*g) is convex
@@ -367,11 +309,10 @@ def augment_to_optimum(a: IntMatrix, x0, f, bounds, basis=None, max_steps=100_00
     """Apply Graver-best steps until none improves; the fixpoint is optimal."""
     if basis is None:
         basis = graver_basis(a)
-    _require_complete(basis)
     x = tuple(x0)
     steps = 0
     while True:
-        move = graver_best_step(a, basis, x, f, bounds)
+        move = graver_best_step(basis, x, f, bounds)
         if move is None:
             return AugmentResult(x, f(x), steps)
         g, lam = move

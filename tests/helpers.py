@@ -4,6 +4,7 @@ import itertools
 import random
 
 from ndsolve.graphs import Graph
+from ndsolve.graver import _kernel_vectors_within, _minimal_filter
 
 
 def complete_graph(n, capacity=None):
@@ -60,3 +61,10 @@ def brute_min_twin_partition(g: Graph):
             if best is None or len(part) < best:
                 best = len(part)
     return 0 if best is None else best
+
+
+def graver_by_enumeration(a, cap):
+    """Independent oracle: the conformally minimal non-zero kernel vectors of
+    a with infinity-norm <= cap.  It equals the Graver basis once cap
+    reaches the basis' largest infinity-norm."""
+    return set(_minimal_filter(_kernel_vectors_within(a, cap, 10**7)))

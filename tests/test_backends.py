@@ -36,8 +36,9 @@ def simple_model(sense, objective, n, lower, upper, rows=(), **kw):
 
 
 def brute_optimum(model):
-    """Exhaustive oracle over the whole box."""
-    best = None
+    """Exhaustive oracle over the whole box: (value, lexicographically
+    smallest optimal point), or (None, None) when infeasible."""
+    best = best_pt = None
     ranges = [range(l, u + 1) for l, u in zip(model.lower, model.upper)]
     for pt in itertools.product(*ranges):
         ok = True
@@ -59,8 +60,8 @@ def brute_optimum(model):
             if best is None or (model.sense == MIN and val < best) or (
                 model.sense == MAX and val > best
             ):
-                best = val
-    return best
+                best, best_pt = val, pt
+    return best, best_pt
 
 
 class TestSolveBoxed:
@@ -131,12 +132,12 @@ class TestSolveBoxed:
         sense = rng.choice([MIN, MAX])
         obj = Linear(tuple(rng.randint(-3, 3) for _ in range(n)))
         m = simple_model(sense, obj, n, [0] * n, [4] * n, rows=rows)
-        expected = brute_optimum(m)
+        expected, expected_pt = brute_optimum(m)
         res = solve_boxed(m)
         if expected is None:
             assert res.status == "infeasible"
         else:
-            assert res.value == expected
+            assert res.value == expected and res.point == expected_pt
 
     @pytest.mark.parametrize("seed", range(8))
     def test_value_invariant_under_variable_permutation(self, seed):

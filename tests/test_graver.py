@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ndsolve.errors import BudgetError, IncompleteBasisError
+from ndsolve.errors import BudgetError
 from ndsolve.graver import (
+    _smallest_minimizer,
     augment_to_optimum,
     conformal,
     g1_norm,
@@ -15,6 +16,8 @@ from ndsolve.graver import (
     stacking_check,
 )
 from ndsolve.matrices import IntMatrix
+
+from helpers import graver_by_enumeration
 
 
 vectors = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
@@ -87,17 +90,16 @@ class TestGraverBasis:
         assert g1_norm(b) == 2 and g_inf_norm(b) == 1
 
     def test_sum_matrix_enumeration_oracle(self):
-        # independent oracle: kernel vectors up to norm 2, minimality filtered
+        # the oracle itself, against a hand count of the kernel up to norm 2
         a = IntMatrix.from_rows([[1, 1, -1]])
-        b = graver_basis(a, norm_cap=2)
         expected = {(1, 0, 1), (0, 1, 1), (1, -1, 0)}
-        assert b.complete
-        assert b.elements == expected | {tuple(-x for x in v) for v in expected}
+        assert graver_by_enumeration(a, 2) == expected | {tuple(-x for x in v) for v in expected}
+        b = graver_basis(a)
         assert g1_norm(b) == 2 and g_inf_norm(b) == 1
 
     def test_completion_agrees_with_enumeration(self):
         a = IntMatrix.from_rows([[1, 1, -1]])
-        assert graver_basis(a).elements == graver_basis(a, norm_cap=2).elements
+        assert graver_basis(a).elements == graver_by_enumeration(a, 2)
 
     def test_chain_recurrence_block(self):
         # rows a1 = b1, a2 = a1 + b2; columns (a1, a2, b1, b2)
@@ -116,15 +118,8 @@ class TestGraverBasis:
 
     def test_trivial_kernel_empty_basis(self):
         b = graver_basis(IntMatrix.from_rows([[1, 0], [0, 1]]))
-        assert b.elements == frozenset() and b.complete
+        assert b.elements == frozenset()
         assert g1_norm(b) == 0
-
-    def test_low_cap_is_reported_incomplete(self):
-        # kernel of [2 -3] is generated by (3, 2); cap 1 sees nothing
-        b = graver_basis(IntMatrix.from_rows([[2, -3]]), norm_cap=1)
-        assert not b.complete
-        with pytest.raises(IncompleteBasisError):
-            g1_norm(b)
 
     def test_budget_error(self):
         a = IntMatrix.from_dict(1, 4, {})
@@ -141,9 +136,8 @@ class TestGraverBasis:
         )
         b = graver_basis(a)
         b.validate()
-        cap = max(g_inf_norm(b), 1)
-        b2 = graver_basis(a, norm_cap=cap)
-        assert b2.complete and b2.elements == b.elements
+        # one norm level above the basis: a missed element would show up here
+        assert graver_by_enumeration(a, g_inf_norm(b) + 1) == b.elements
 
     @pytest.mark.parametrize("seed", range(8))
     def test_conformal_decomposition_property(self, seed):
@@ -174,7 +168,7 @@ class TestAugmentation:
         a = IntMatrix.from_rows([[1, -1]])
         basis = graver_basis(a)
         f = lambda p: p[0] + p[1]
-        assert graver_best_step(a, basis, (0, 0), f, ((0, 0), (5, 5))) is None
+        assert graver_best_step(basis, (0, 0), f, ((0, 0), (5, 5))) is None
 
     def test_one_dim_quadratic_descent(self):
         a = IntMatrix.from_dict(1, 1, {})
@@ -188,27 +182,39 @@ class TestAugmentation:
         a = IntMatrix.from_dict(1, 1, {})
         basis = graver_basis(a)
         f = lambda p: -p[0]
-        g, lam = graver_best_step(a, basis, (1,), f, ((0,), (4,)))
+        g, lam = graver_best_step(basis, (1,), f, ((0,), (4,)))
         assert g == (1,) and lam == 3
 
     def test_infeasible_point_rejected(self):
         a = IntMatrix.from_dict(1, 1, {})
         basis = graver_basis(a)
         with pytest.raises(ValueError):
-            graver_best_step(a, basis, (9,), lambda p: 0, ((0,), (5,)))
+            graver_best_step(basis, (9,), lambda p: 0, ((0,), (5,)))
 
-    def test_incomplete_basis_propagates(self):
-        a = IntMatrix.from_rows([[2, -3]])
-        partial = graver_basis(a, norm_cap=1)
-        with pytest.raises(IncompleteBasisError):
-            augment_to_optimum(a, (0, 0), lambda p: 0, ((0, 0), (9, 9)), basis=partial)
+    def test_best_step_length_past_last_doubling(self):
+        # doubling stops at lambda 2 (phi(4) == phi(2)); the best length is 3
+        a = IntMatrix.from_dict(1, 1, {})
+        basis = graver_basis(a)
+        f = lambda p: (p[0] - 3) ** 2
+        assert graver_best_step(basis, (0,), f, ((0,), (20,))) == ((1,), 3)
 
     def test_tie_broken_by_lex_smallest_direction(self):
         a = IntMatrix.from_dict(1, 2, {})
         basis = graver_basis(a)  # unit vectors
         f = lambda p: -(p[0] + p[1])
-        g, lam = graver_best_step(a, basis, (0, 0), f, ((0, 0), (1, 1)))
+        g, lam = graver_best_step(basis, (0, 0), f, ((0, 0), (1, 1)))
         assert g == (0, 1) and lam == 1  # (0,1) sorts before (1,0)
+
+
+class TestSmallestMinimizer:
+    def test_agrees_with_brute_force_on_quadratics(self):
+        # c = 3, 5, 6, 11, 12 over [1, 20] have their minimizer in (hi, 2*hi]
+        # of the doubling bracket
+        for lam_max in range(1, 21):
+            for c in range(-2, 24):
+                phi = lambda lam: (lam - c) ** 2
+                expected = min(range(1, lam_max + 1), key=lambda lam: (phi(lam), lam))
+                assert _smallest_minimizer(phi, lam_max) == expected, (c, lam_max)
 
 
 class TestStacking:
