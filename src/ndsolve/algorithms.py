@@ -364,6 +364,5 @@ def cds_rounding_approx(t: TypeGraph, g: Graph) -> CdsSolution:
             x_hat[j] = max(x_hat[j], t.weights[j] - cover)
         sol = decode_cds(t, g, tuple(x_hat))
         if sol is None:
-            # unreachable for model-feasible roundings; take the full set
-            sol = decode_cds(t, g, tuple(t.weights))
+            raise RuntimeError(f"rounded class sizes {x_hat} do not decode to a dominating set")
         return sol

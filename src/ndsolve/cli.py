@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import random
 import sys
@@ -278,7 +279,13 @@ def cmd_bench(args) -> int:
     return OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process.
+
+    It reads only the keys of ROUTES and SOLVERS; commands look up builders
+    and solvers in those tables when they run.
+    """
     parser = argparse.ArgumentParser(prog="ndsolve")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,10 @@ For capacitated instances each class additionally keeps its vertices sorted
 by non-increasing capacity, so that "the first l vertices of class i" is a
 well-defined prefix.  The domination capacity f_i(l) is the total capacity
 of that prefix; it is concave piecewise-linear in l.
+
+Costs: the twin partition groups vertices by hashing their open and closed
+neighborhoods, O(n + m) for a graph with m edges; the type graph adds
+O(k^2) edge probes and the capacity sort.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ class Graph:
     capacity: tuple | None = None
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge {e!r} for n={self.n}")
+        if not all(0 <= u < v < n for u, v in self.edges):
+            bad = next(e for e in self.edges if not 0 <= e[0] < e[1] < n)
+            raise ValueError(f"bad edge {bad!r} for n={n}")
         if self.capacity is not None:
             if len(self.capacity) != self.n:
                 raise ValueError("capacity must be defined on all vertices or none")
@@ -93,24 +97,32 @@ class TypePartition:
 
 
 def twin_partition(g: Graph) -> TypePartition:
-    """Compute the coarsest twin partition; class count equals nd(g)."""
-    reps = []        # one representative vertex per class
+    """Compute the coarsest twin partition; class count equals nd(g).
+
+    One pass in O(n + m): false twins share their open neighborhood N(v),
+    true twins their closed neighborhood N[v].  A vertex never has both a
+    true and a false twin (if N(u) = N(v) and N[w] = N[v], then w is in
+    N(u), so u is in N[w] = N[v], contradicting u not adjacent to v), so
+    each vertex joins the class of the first earlier vertex sharing either
+    key, or starts a new class.
+    """
     classes = []
-    for v in range(g.n):
-        for idx, r in enumerate(reps):
-            if are_twins(g, r, v):
-                classes[idx].append(v)
-                break
-        else:
-            reps.append(v)
-            classes.append([v])
     kinds = []
-    for cls in classes:
-        if len(cls) >= 2 and g.has_edge(cls[0], cls[1]):
-            kinds.append(CLIQUE)
-        else:
-            kinds.append(INDEPENDENT)
-    return TypePartition(tuple(tuple(c) for c in classes), tuple(kinds))
+    by_open = {}     # N(v) of each class's first vertex -> class index
+    by_closed = {}   # N[v] of each class's first vertex -> class index
+    for v, nbrs in enumerate(g.adj):
+        idx = by_open.get(nbrs)
+        if idx is None:
+            closed = nbrs | {v}
+            idx = by_closed.get(closed)
+            if idx is None:
+                by_open[nbrs] = by_closed[closed] = len(classes)
+                classes.append([v])
+                kinds.append(INDEPENDENT)
+                continue
+            kinds[idx] = CLIQUE
+        classes[idx].append(v)
+    return TypePartition(tuple(map(tuple, classes)), tuple(kinds))
 
 
 @dataclass(frozen=True)
@@ -166,7 +178,16 @@ def build_type_graph(g: Graph, p: TypePartition) -> TypeGraph:
     for c, knd in zip(p.classes, p.kinds):
         if canon_kind[frozenset(c)] != knd:
             raise ValueError(f"class {c!r} has kind {knd!r}, expected {canon_kind[frozenset(c)]!r}")
+    return _compress(g, p)
 
+
+def type_graph(g: Graph) -> TypeGraph:
+    """The type graph of g: build_type_graph(g, twin_partition(g)) without
+    re-deriving the partition to check it."""
+    return _compress(g, twin_partition(g))
+
+
+def _compress(g: Graph, p: TypePartition) -> TypeGraph:
     k = p.k
     if g.capacity is not None:
         classes = tuple(tuple(sorted(c, key=lambda v: (-g.capacity[v], v))) for c in p.classes)
@@ -192,11 +213,6 @@ def build_type_graph(g: Graph, p: TypePartition) -> TypeGraph:
         edges=frozenset(edges),
         sorted_capacities=caps,
     )
-
-
-def type_graph(g: Graph) -> TypeGraph:
-    """Shorthand for build_type_graph(g, twin_partition(g))."""
-    return build_type_graph(g, twin_partition(g))
 
 
 def domination_capacity(t: TypeGraph, i: int, ell: int) -> int:

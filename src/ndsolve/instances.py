@@ -9,7 +9,10 @@ identity on bytes):
     q <parts>                    # maxqcut only
 
 Vertices are 1-indexed in files, 0-indexed in memory.  Parsing is strict:
-unknown or out-of-order lines are errors carrying their line number.
+unknown or out-of-order lines are errors carrying their line number.  It
+is one pass over the lines: each edge line is split, converted and checked
+once and becomes its 0-based pair, and the graph's edge set is built from
+those pairs directly.
 
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
@@ -40,24 +43,26 @@ class Instance:
     q: int | None = None
 
 
+def _integer(line_no, text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(line_no, f"bad {what}: {text!r}") from None
+
+
+def _fields(lines, line_no, expect_tag, n_fields):
+    if line_no > len(lines):
+        raise ParseError(line_no, f"unexpected end of file, wanted a '{expect_tag}' line")
+    parts = lines[line_no - 1].split(" ")
+    if parts[0] != expect_tag or len(parts) != n_fields:
+        raise ParseError(line_no, f"expected '{expect_tag}' line with {n_fields} fields")
+    return parts[1:]
+
+
 def parse_instance(text: str) -> Instance:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty file")
-
-    def fields(line_no, expect_tag, n_fields):
-        if line_no > len(lines):
-            raise ParseError(line_no, f"unexpected end of file, wanted a '{expect_tag}' line")
-        parts = lines[line_no - 1].split(" ")
-        if parts[0] != expect_tag or len(parts) != n_fields:
-            raise ParseError(line_no, f"expected '{expect_tag}' line with {n_fields} fields")
-        return parts[1:]
-
-    def integer(line_no, text_value, what):
-        try:
-            return int(text_value)
-        except ValueError:
-            raise ParseError(line_no, f"bad {what}: {text_value!r}") from None
 
     head = lines[0].split(" ")
     if len(head) != 4 or head[0] != "p":
@@ -65,8 +70,8 @@ def parse_instance(text: str) -> Instance:
     problem = head[1]
     if problem not in PROBLEMS:
         raise ParseError(1, f"unknown problem {problem!r}")
-    n = integer(1, head[2], "vertex count")
-    m = integer(1, head[3], "edge count")
+    n = _integer(1, head[2], "vertex count")
+    m = _integer(1, head[3], "edge count")
     if n < 0 or m < 0:
         raise ParseError(1, "negative counts")
 
@@ -75,31 +80,46 @@ def parse_instance(text: str) -> Instance:
     if problem == "cds":
         capacity = []
         for v in range(1, n + 1):
-            got = fields(at, "c", 3)
-            if integer(at, got[0], "vertex") != v:
+            got = _fields(lines, at, "c", 3)
+            if _integer(at, got[0], "vertex") != v:
                 raise ParseError(at, f"capacity lines must cover vertices in order; wanted {v}")
-            cap = integer(at, got[1], "capacity")
+            cap = _integer(at, got[1], "capacity")
             if cap < 0:
                 raise ParseError(at, "negative capacity")
             capacity.append(cap)
             at += 1
+        capacity = tuple(capacity)
 
+    # Each edge line is split, converted and checked in this one loop and
+    # kept as its 0-based pair, so the edge set needs no normalising pass;
+    # strict order makes the pairs distinct.
     edges = []
-    for _ in range(m):
-        got = fields(at, "e", 3)
-        u = integer(at, got[0], "endpoint")
-        v = integer(at, got[1], "endpoint")
-        if not (1 <= u < v <= n):
-            raise ParseError(at, f"edge ({u},{v}) not sorted or out of range")
-        if edges and (u, v) <= edges[-1]:
-            raise ParseError(at, "edges must be strictly sorted (duplicates forbidden)")
-        edges.append((u, v))
-        at += 1
+    prev = (-1, -1)
+    block = lines[at - 1 : at - 1 + m]
+    for line_no, line in enumerate(block, at):
+        parts = line.split(" ")
+        if len(parts) != 3 or parts[0] != "e":
+            raise ParseError(line_no, "expected 'e' line with 3 fields")
+        _, a, b = parts
+        try:
+            u, v = int(a) - 1, int(b) - 1
+        except ValueError:
+            _integer(line_no, a, "endpoint")  # raises if the first endpoint is the bad one
+            raise ParseError(line_no, f"bad endpoint: {b!r}") from None
+        if not 0 <= u < v < n:
+            raise ParseError(line_no, f"edge ({u + 1},{v + 1}) not sorted or out of range")
+        if (u, v) <= prev:
+            raise ParseError(line_no, "edges must be strictly sorted (duplicates forbidden)")
+        prev = (u, v)
+        edges.append(prev)
+    if len(block) < m:
+        raise ParseError(at + len(block), "unexpected end of file, wanted a 'e' line")
+    at += m
 
     q = None
     if problem == "maxqcut":
-        got = fields(at, "q", 2)
-        q = integer(at, got[0], "part count")
+        got = _fields(lines, at, "q", 2)
+        q = _integer(at, got[0], "part count")
         if q < 2:
             raise ParseError(at, "need at least two parts")
         at += 1
@@ -107,8 +127,7 @@ def parse_instance(text: str) -> Instance:
     if at - 1 != len(lines):
         raise ParseError(at, f"unexpected trailing line {lines[at - 1]!r}")
 
-    graph = Graph.from_edges(n, [(u - 1, v - 1) for u, v in edges], capacity)
-    return Instance(graph, problem, q)
+    return Instance(Graph(n, frozenset(edges), capacity), problem, q)
 
 
 def format_instance(inst: Instance) -> str:

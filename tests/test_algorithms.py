@@ -240,3 +240,10 @@ class TestRounding:
         assert check_cds(g, sol)
         gap = sol.size - cds_brute(g).size
         assert 0 <= gap <= t.k * t.k
+
+    def test_undecodable_rounding_is_loud(self, monkeypatch):
+        g = star_graph(3, capacity=[3, 0, 0, 0])
+        t = type_graph(g)
+        monkeypatch.setattr("ndsolve.algorithms.decode_cds", lambda t, g, x: None)
+        with pytest.raises(RuntimeError, match="do not decode"):
+            cds_rounding_approx(t, g)

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from ndsolve.cli import main
+from ndsolve.cli import build_parser, main
 from ndsolve.instances import Instance, write_instance
 
 from helpers import complete_graph, path_graph, star_graph
@@ -88,6 +88,19 @@ class TestSolve:
         first = capsys.readouterr().out
         assert main(["solve", "--no-timing", p3_sumcol]) == 0
         assert capsys.readouterr().out == first
+
+    def test_parser_keeps_no_state_after_a_rejected_command_line(self, p3_sumcol, capsys):
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--budget", "3", "--model", "no-such-model", p3_sumcol])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(["solve", "--no-timing", p3_sumcol]) == 0
+        after_rejection = capsys.readouterr().out
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        assert main(["solve", "--no-timing", p3_sumcol]) == 0
+        assert capsys.readouterr().out == after_rejection
 
 
 class TestVerify:

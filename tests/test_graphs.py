@@ -88,6 +88,46 @@ class TestTwinPartition:
                 )
 
 
+def _random_gnp(seed):
+    rng = random.Random(seed)
+    return random_graph(rng, n=rng.randint(0, 9), p=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+
+
+def pairwise_twin_classes(g):
+    """The equivalence classes of are_twins, by definition: each vertex with
+    every vertex it is a twin of, classes ordered by smallest member."""
+    classes = sorted(
+        {tuple(v for v in range(g.n) if v == u or are_twins(g, u, v)) for u in range(g.n)}
+    )
+    kinds = tuple(
+        CLIQUE
+        if len(c) >= 2 and all(g.has_edge(u, v) for u in c for v in c if u < v)
+        else INDEPENDENT
+        for c in classes
+    )
+    return tuple(classes), kinds
+
+
+class TestTwinPartitionByDefinition:
+    @pytest.mark.parametrize("seed", range(80))
+    def test_equals_pairwise_twin_classes(self, seed):
+        g = _random_gnp(seed)
+        p = twin_partition(g)
+        assert (p.classes, p.kinds) == pairwise_twin_classes(g)
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_type_graph_matches_checked_build(self, seed):
+        g = _random_gnp(seed)
+        assert type_graph(g) == build_type_graph(g, twin_partition(g))
+
+    def test_seeds_reach_both_kinds_of_twins(self):
+        kinds = set()
+        for seed in range(80):
+            p = twin_partition(_random_gnp(seed))
+            kinds.update(knd for c, knd in zip(p.classes, p.kinds) if len(c) >= 2)
+        assert kinds == {CLIQUE, INDEPENDENT}
+
+
 class TestTypeGraph:
     def test_complete_graph(self):
         t = type_graph(complete_graph(5))

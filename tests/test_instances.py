@@ -74,6 +74,64 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_instance("p maxqcut 2 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("", 1, "empty file"),
+            ("p sumcol 3\n", 1, "expected header 'p <problem> <n> <m>'"),
+            ("x sumcol 3 0\n", 1, "expected header 'p <problem> <n> <m>'"),
+            ("p tsp 3 0\n", 1, "unknown problem 'tsp'"),
+            ("p sumcol three 0\n", 1, "bad vertex count: 'three'"),
+            ("p sumcol 3 1.5\n", 1, "bad edge count: '1.5'"),
+            ("p sumcol -1 0\n", 1, "negative counts"),
+            ("p sumcol 3 -2\n", 1, "negative counts"),
+            ("p cds 2 0\nc 1 1\n", 3, "unexpected end of file, wanted a 'c' line"),
+            ("p cds 1 0\nc 1\n", 2, "expected 'c' line with 3 fields"),
+            ("p cds 1 0\nx 1 1\n", 2, "expected 'c' line with 3 fields"),
+            ("p cds 1 0\nc one 1\n", 2, "bad vertex: 'one'"),
+            ("p cds 2 0\nc 2 1\nc 1 1\n", 2, "capacity lines must cover vertices in order; wanted 1"),
+            ("p cds 1 0\nc 1 x\n", 2, "bad capacity: 'x'"),
+            ("p cds 1 0\nc 1 -1\n", 2, "negative capacity"),
+            ("p sumcol 3 2\ne 1 2\n", 3, "unexpected end of file, wanted a 'e' line"),
+            ("p sumcol 3 1\n", 2, "unexpected end of file, wanted a 'e' line"),
+            ("p sumcol 3 1\nf 1 2\n", 2, "expected 'e' line with 3 fields"),
+            ("p sumcol 3 1\ne 1 2 3\n", 2, "expected 'e' line with 3 fields"),
+            ("p sumcol 3 1\ne 1\n", 2, "expected 'e' line with 3 fields"),
+            ("p sumcol 3 1\ne  1 2\n", 2, "expected 'e' line with 3 fields"),
+            ("p sumcol 3 2\ne 1 2\ne x 3\n", 3, "bad endpoint: 'x'"),
+            ("p sumcol 3 1\ne 1 2.0\n", 2, "bad endpoint: '2.0'"),
+            ("p sumcol 3 1\ne a b\n", 2, "bad endpoint: 'a'"),
+            ("p sumcol 3 1\ne 2 1\n", 2, "edge (2,1) not sorted or out of range"),
+            ("p sumcol 3 1\ne 1 1\n", 2, "edge (1,1) not sorted or out of range"),
+            ("p sumcol 3 1\ne 0 1\n", 2, "edge (0,1) not sorted or out of range"),
+            ("p sumcol 3 1\ne 2 4\n", 2, "edge (2,4) not sorted or out of range"),
+            ("p sumcol 3 2\ne 1 3\ne 1 2\n", 3, "edges must be strictly sorted (duplicates forbidden)"),
+            ("p sumcol 3 2\ne 1 2\ne 1 2\n", 3, "edges must be strictly sorted (duplicates forbidden)"),
+            ("p maxqcut 2 0\n", 2, "unexpected end of file, wanted a 'q' line"),
+            ("p maxqcut 2 0\nq\n", 2, "expected 'q' line with 2 fields"),
+            ("p maxqcut 2 0\nq two\n", 2, "bad part count: 'two'"),
+            ("p maxqcut 2 0\nq 1\n", 2, "need at least two parts"),
+            ("p sumcol 1 0\nhello\n", 2, "unexpected trailing line 'hello'"),
+            ("p sumcol 2 1\ne 1 2\ne 1 2\n", 3, "unexpected trailing line 'e 1 2'"),
+        ],
+    )
+    def test_error_line_and_message(self, text, line_no, message):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: {message}"
+
+    @pytest.mark.parametrize("problem", ["cds", "sumcol", "maxqcut"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_blowup_text_roundtrip(self, problem, seed):
+        rng = random.Random(seed)
+        template = random_template(rng, max_k=4, max_n=12, with_capacities=problem == "cds")
+        graph = generate_blowup(template, seed=seed)
+        text = format_instance(Instance(graph, problem, 3 if problem == "maxqcut" else None))
+        inst = parse_instance(text)
+        assert inst.graph == graph
+        assert format_instance(inst) == text
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "star.cds"
         inst = Instance(star_graph(3, capacity=[3, 0, 0, 0]), "cds")
