@@ -245,10 +245,13 @@ def cmd_bench(args) -> int:
     """Seeded bulk run; one CSV row per (instance, model, backend).
 
     Rows are emitted in instance order (solves could run in parallel, the
-    report order would not change).
+    report order would not change).  A route that raises ValueError,
+    RuntimeError or BudgetError gets the value "error" and its message on
+    stderr, the run goes on, and the exit code is INPUT_ERROR.
     """
     rng_master = random.Random(args.seed)
     rows = []
+    failed = False
     for idx in range(args.count):
         template = random_template(
             rng_master,
@@ -262,21 +265,27 @@ def cmd_bench(args) -> int:
         t = type_graph(g)
         name = f"blowup-{args.seed}-{idx}"
         for model_name, (build, backends) in ROUTES[args.problem][1].items():
-            model = build(t, q)
+            model = None
             for backend in backends:
                 started = time.perf_counter()
-                res = SOLVERS[backend](model)
+                try:
+                    if model is None:
+                        model = build(t, q)
+                        started = time.perf_counter()
+                    res = SOLVERS[backend](model)
+                    value, nodes = res.value, res.nodes
+                except (ValueError, RuntimeError, BudgetError) as exc:
+                    print(f"{name} {model_name}/{backend}: {exc}", file=sys.stderr)
+                    value, nodes, failed = "error", "-", True
                 millis = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
-                rows.append(
-                    [name, args.problem, model_name, backend, res.value, res.nodes, millis]
-                )
+                rows.append([name, args.problem, model_name, backend, value, nodes, millis])
         if args.out_dir:
             write_instance(inst, os.path.join(args.out_dir, f"{name}.txt"))
     for row in rows:
         if args.csv:
             _csv_row(args.csv, row)
         print(" ".join(str(x) for x in row))
-    return OK
+    return INPUT_ERROR if failed else OK
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,10 +9,15 @@ identity on bytes):
     q <parts>                    # maxqcut only
 
 Vertices are 1-indexed in files, 0-indexed in memory.  Parsing is strict:
-unknown or out-of-order lines are errors carrying their line number.  It
-is one pass over the lines: each edge line is split, converted and checked
-once and becomes its 0-based pair, and the graph's edge set is built from
-those pairs directly.
+unknown or out-of-order lines are errors carrying their line number, and so
+is every integer not written canonically (``0``, or an optional ``-`` and
+ASCII digits without a leading zero), since int() also takes ``+1``,
+``0_3``, ``03``, ``-0``, a tab after the digits and non-ASCII digits, which
+would write back as other bytes.  It is one pass over the lines: each edge
+line is split, converted and checked once and becomes its 0-based pair, and
+the graph's edge set is built from those pairs directly.  One scan of the
+whole text tells whether any integer can be non-canonical; only then is
+each integer matched against the canonical form, which names its line.
 
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
@@ -23,11 +28,15 @@ seed so class structure does not align with index order.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .graphs import CLIQUE, INDEPENDENT, Graph
 
 PROBLEMS = ("cds", "sumcol", "maxqcut")
+
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+_ZERO_LED = re.compile(r" 0[^ \n]")
 
 
 class ParseError(ValueError):
@@ -43,11 +52,32 @@ class Instance:
     q: int | None = None
 
 
-def _integer(line_no, text, what):
+def _suspect(text):
+    """Whether text may hold a non-canonical integer that int() accepts.
+
+    Every integer field follows a space, so ASCII text without '+', '_', a
+    tab, ' -0' or a zero-led field holds none.  Substring tests keep this
+    scan cheap next to the parse.
+    """
+    return (
+        not text.isascii()
+        or "+" in text
+        or "_" in text
+        or "\t" in text
+        or " -0" in text
+        or _ZERO_LED.search(text) is not None
+    )
+
+
+def _integer(line_no, text, what, suspect):
+    """int(text); when the file is suspect, text must also be canonical."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {text!r}") from None
+    if suspect and not _CANONICAL_INT.fullmatch(text):
+        raise ParseError(line_no, f"non-canonical {what}: {text!r}")
+    return value
 
 
 def _fields(lines, line_no, expect_tag, n_fields):
@@ -63,6 +93,7 @@ def parse_instance(text: str) -> Instance:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty file")
+    suspect = _suspect(text)
 
     head = lines[0].split(" ")
     if len(head) != 4 or head[0] != "p":
@@ -70,8 +101,8 @@ def parse_instance(text: str) -> Instance:
     problem = head[1]
     if problem not in PROBLEMS:
         raise ParseError(1, f"unknown problem {problem!r}")
-    n = _integer(1, head[2], "vertex count")
-    m = _integer(1, head[3], "edge count")
+    n = _integer(1, head[2], "vertex count", suspect)
+    m = _integer(1, head[3], "edge count", suspect)
     if n < 0 or m < 0:
         raise ParseError(1, "negative counts")
 
@@ -81,9 +112,9 @@ def parse_instance(text: str) -> Instance:
         capacity = []
         for v in range(1, n + 1):
             got = _fields(lines, at, "c", 3)
-            if _integer(at, got[0], "vertex") != v:
+            if _integer(at, got[0], "vertex", suspect) != v:
                 raise ParseError(at, f"capacity lines must cover vertices in order; wanted {v}")
-            cap = _integer(at, got[1], "capacity")
+            cap = _integer(at, got[1], "capacity", suspect)
             if cap < 0:
                 raise ParseError(at, "negative capacity")
             capacity.append(cap)
@@ -104,8 +135,11 @@ def parse_instance(text: str) -> Instance:
         try:
             u, v = int(a) - 1, int(b) - 1
         except ValueError:
-            _integer(line_no, a, "endpoint")  # raises if the first endpoint is the bad one
+            _integer(line_no, a, "endpoint", suspect)  # raises if the first endpoint is the bad one
             raise ParseError(line_no, f"bad endpoint: {b!r}") from None
+        if suspect:
+            _integer(line_no, a, "endpoint", True)
+            _integer(line_no, b, "endpoint", True)
         if not 0 <= u < v < n:
             raise ParseError(line_no, f"edge ({u + 1},{v + 1}) not sorted or out of range")
         if (u, v) <= prev:
@@ -119,7 +153,7 @@ def parse_instance(text: str) -> Instance:
     q = None
     if problem == "maxqcut":
         got = _fields(lines, at, "q", 2)
-        q = _integer(at, got[0], "part count")
+        q = _integer(at, got[0], "part count", suspect)
         if q < 2:
             raise ParseError(at, "need at least two parts")
         at += 1

@@ -1,14 +1,20 @@
 """Exact rational linear programming via two-phase simplex with Bland's rule.
 
-All arithmetic is over fractions.Fraction, so reported optima are exact and
-the three outcomes (optimal / infeasible / unbounded) are decided without
-tolerances.  Bland's pivoting rule (smallest eligible index enters, ties on
-the ratio test broken by smallest basic variable) guarantees termination.
-Deliberately dense-tableau and unoptimized: these LPs have tens of rows.
+The tableau is kept in integer rows: every row, the reduced-cost rows
+included, is a list of Python ints over one positive int denominator, and
+after each update it is divided by the gcd of its ints and denominator (the
+integer-preserving elimination of Edmonds and Bareiss, in per-row form).
+Every value is exact, so the three outcomes (optimal / infeasible /
+unbounded) are decided without tolerances, and only the returned point and
+value are built as fractions.Fraction.  Bland's pivoting rule (smallest
+eligible index enters, ties on the ratio test broken by smallest basic
+variable) guarantees termination.  The tableau is dense: these LPs have
+tens of rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,42 +86,76 @@ INFEASIBLE = LpResult("infeasible")
 UNBOUNDED = LpResult("unbounded")
 
 
+def _scaled(values):
+    """Integer row and positive denominator whose quotients are values (ints
+    or Fractions); the denominator is the lcm of theirs, so it shares no
+    factor with all of the row."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _normalized(ints, den):
+    g = math.gcd(den, *ints)
+    if g > 1:
+        return [x // g for x in ints], den // g
+    return ints, den
+
+
+def _eliminate(row, prow, p, c):
+    """Clear column c of row ([ints, den], in place) with the pivot row prow/p,
+    whose column c holds p, that is, the value 1."""
+    ints, den = row
+    f = ints[c]
+    if f:
+        row[0], row[1] = _normalized([a * p - f * b for a, b in zip(ints, prow)], den * p)
+
+
 def _pivot(tab, basis, r, c):
-    """Row-reduce the tableau so column c becomes the unit vector of row r."""
-    prow = tab[r]
-    piv = prow[c]
-    inv = Fraction(1) / piv
-    tab[r] = [x * inv for x in prow]
-    prow = tab[r]
+    """Row-reduce the tableau so column c becomes the unit vector of row r.
+
+    Each row of tab is [ints, den].  The pivot row's new denominator is its
+    own column-c entry, negated with the row when that entry is negative."""
+    prow = tab[r][0]
+    p = prow[c]
+    if p < 0:
+        prow, p = [-x for x in prow], -p
+    prow, p = _normalized(prow, p)
+    tab[r] = [prow, p]
     for i, row in enumerate(tab):
-        if i != r and row[c]:
-            f = row[c]
-            tab[i] = [a - f * b for a, b in zip(row, prow)]
+        if i != r:
+            _eliminate(row, prow, p, c)
     basis[r] = c
 
 
 def _bland_min(tab, basis, cost, ncols):
-    """Minimize cost (a mutable reduced-cost row, rhs last) over the tableau.
+    """Minimize cost (a mutable [ints, den] reduced-cost row, rhs last) over
+    the tableau.
 
     Returns "optimal" or "unbounded"; tab/basis/cost are updated in place.
+    The ratio test compares rhs_i/a_i across rows by cross-multiplying, as a
+    row's denominator cancels from its own ratio.
     """
     m = len(tab)
     while True:
-        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        reduced = cost[0]
+        enter = next((j for j in range(ncols) if reduced[j] < 0), None)
         if enter is None:
             return "optimal"
-        leave, best = None, None
+        leave = best_rhs = best_a = None
         for i in range(m):
-            a = tab[i][enter]
+            row = tab[i][0]
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                rhs = row[-1]
+                if leave is not None:
+                    mine, best = rhs * best_a, best_rhs * a
+                    if mine > best or (mine == best and basis[i] > basis[leave]):
+                        continue
+                leave, best_rhs, best_a = i, rhs, a
         if leave is None:
             return "unbounded"
         _pivot(tab, basis, leave, enter)
-        f = cost[enter]
-        cost[:] = [a - f * b for a, b in zip(cost, tab[leave])]
+        _eliminate(cost, *tab[leave], enter)
 
 
 def solve_lp(p: LpProblem) -> LpResult:
@@ -131,7 +171,7 @@ def solve_lp(p: LpProblem) -> LpResult:
     cols = []      # per structural variable: ("shift", j, l) | ("flip", j, u) | ("split", j, j2)
     col_cost = []
     const = Fraction(0)
-    extra_rows = []  # (dense-coeffs-over-z, rel, rhs) for finite upper bounds
+    extra_rows = []  # (z, u - l) for finite upper bounds
     for j in range(n):
         l, u = p.lower[j], p.upper[j]
         if l is not None:
@@ -149,30 +189,32 @@ def solve_lp(p: LpProblem) -> LpResult:
             col_cost.append(obj[j])
             col_cost.append(-obj[j])
 
+    # Each structural variable owns its own z columns, so a row's entries are
+    # assigned, not summed; ints stand for the zeros.
     rows = []
     for con in p.constraints:
-        dense = [Fraction(0)] * len(col_cost)
+        dense = [0] * len(col_cost)
         rhs = con.rhs
         for j, a in enumerate(con.coeffs):
             if not a:
                 continue
             kind, z1, arg = cols[j]
-            if kind == "shift":
-                dense[z1] += a
+            if kind == "split":
+                dense[z1] = a
+                dense[arg] = -a
+                continue
+            dense[z1] = a if kind == "shift" else -a
+            if arg:
                 rhs -= a * arg
-            elif kind == "flip":
-                dense[z1] -= a
-                rhs -= a * arg
-            else:
-                dense[z1] += a
-                dense[arg] -= a
         rows.append((dense, con.rel, rhs))
     for z, ub in extra_rows:
-        dense = [Fraction(0)] * len(col_cost)
-        dense[z] = Fraction(1)
+        dense = [0] * len(col_cost)
+        dense[z] = 1
         rows.append((dense, LE, ub))
 
-    # Slack variables, then one artificial per row (rhs made non-negative).
+    # Integer rows: the structural part of each row scaled by the lcm of its
+    # denominators, then slack variables, then one artificial per row (rhs
+    # made non-negative); the unit entries become the row's denominator.
     nz = len(col_cost)
     nslack = sum(1 for _, rel, _ in rows if rel != EQ)
     m = len(rows)
@@ -180,54 +222,60 @@ def solve_lp(p: LpProblem) -> LpResult:
     tab = []
     s = 0
     for i, (dense, rel, rhs) in enumerate(rows):
-        row = dense + [Fraction(0)] * (nslack + m) + [rhs]
+        ints, den = _scaled(dense + [rhs])
+        row = ints[:-1] + [0] * (nslack + m) + ints[-1:]
         if rel == LE:
-            row[nz + s] = Fraction(1)
+            row[nz + s] = den
             s += 1
         elif rel == GE:
-            row[nz + s] = Fraction(-1)
+            row[nz + s] = -den
             s += 1
         if row[-1] < 0:
             row = [-x for x in row]
-        row[nz + nslack + i] = Fraction(1)
-        tab.append(row)
+        row[nz + nslack + i] = den
+        tab.append([row, den])
     basis = [nz + nslack + i for i in range(m)]
 
-    # Phase 1: minimize the sum of artificials.
-    cost1 = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        cost1 = [a - b for a, b in zip(cost1, tab[i])]
+    # Phase 1: minimize the sum of artificials.  Its reduced costs are minus
+    # the sum of the rows, taken over their common denominator.
+    den1 = math.lcm(*(den for _, den in tab))
+    ints1 = [0] * (ncols + 1)
+    for row, den in tab:
+        f = den1 // den
+        ints1 = [a - f * b for a, b in zip(ints1, row)]
     for j in range(nz + nslack, ncols):
-        cost1[j] = Fraction(0)
-    if _bland_min(tab, basis, cost1, ncols) != "optimal" or -cost1[-1] != 0:
+        ints1[j] = 0
+    cost1 = list(_normalized(ints1, den1))
+    if _bland_min(tab, basis, cost1, ncols) != "optimal" or cost1[0][-1] != 0:
         return INFEASIBLE
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
+    # Drive leftover artificials out of the basis; drop redundant rows.  The
+    # entry pivoted on here may be negative.
     keep = []
     for i in range(m):
         if basis[i] >= nz + nslack:
-            c = next((j for j in range(nz + nslack) if tab[i][j] != 0), None)
+            row = tab[i][0]
+            c = next((j for j in range(nz + nslack) if row[j] != 0), None)
             if c is None:
                 continue  # redundant row
             _pivot(tab, basis, i, c)
         keep.append(i)
-    tab = [tab[i] for i in keep]
-    basis = [basis[i] for i in keep]
     ncols = nz + nslack
-    tab = [row[:ncols] + [row[-1]] for row in tab]
+    tab = [[tab[i][0][:ncols] + tab[i][0][-1:], tab[i][1]] for i in keep]
+    basis = [basis[i] for i in keep]
 
     # Phase 2.
-    cost2 = [Fraction(c) for c in col_cost] + [Fraction(0)] * (nslack + 1)
+    ints2, den2 = _scaled(col_cost)
+    cost2 = [ints2 + [0] * (nslack + 1), den2]
     for i, b in enumerate(basis):
-        if cost2[b]:
-            f = cost2[b]
-            cost2 = [a - f * v for a, v in zip(cost2, tab[i])]
+        _eliminate(cost2, *tab[i], b)
     if _bland_min(tab, basis, cost2, ncols) == "unbounded":
         return UNBOUNDED
 
     z = [Fraction(0)] * ncols
     for i, b in enumerate(basis):
-        z[b] = tab[i][-1]
+        row, den = tab[i]
+        z[b] = Fraction(row[-1], den)
     point = []
     for j in range(n):
         kind, z1, arg = cols[j]
@@ -237,7 +285,7 @@ def solve_lp(p: LpProblem) -> LpResult:
             point.append(arg - z[z1])
         else:
             point.append(z[z1] - z[arg])
-    value = -cost2[-1] + const
+    value = const - Fraction(cost2[0][-1], cost2[1])
     if not minimize:
         value = -value
 

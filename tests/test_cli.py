@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from ndsolve import cli
 from ndsolve.cli import build_parser, main
 from ndsolve.instances import Instance, write_instance
 
@@ -138,3 +139,20 @@ class TestBench:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "instance"
         assert len(rows) == 1 + 2 * 2  # two instances x two cds models
+
+    def test_bench_survives_a_failing_route(self, monkeypatch, capsys):
+        def broken(model, budget=None):
+            raise RuntimeError("solver broke")
+
+        monkeypatch.setitem(cli.SOLVERS, "nfold", broken)
+        args = ["bench", "--problem", "sumcol", "--count", "2", "--seed", "5", "--no-timing"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        rows = [line.split(" ") for line in captured.out.splitlines()]
+        assert len(rows) == 2 * 5  # two instances x five sumcol routes
+        for row in rows:
+            if row[3] == "nfold":
+                assert row[4:6] == ["error", "-"]
+            else:
+                assert row[4].isdigit()
+        assert captured.err.count("nfold/nfold: solver broke") == 2

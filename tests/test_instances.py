@@ -113,6 +113,17 @@ class TestParsing:
             ("p maxqcut 2 0\nq 1\n", 2, "need at least two parts"),
             ("p sumcol 1 0\nhello\n", 2, "unexpected trailing line 'hello'"),
             ("p sumcol 2 1\ne 1 2\ne 1 2\n", 3, "unexpected trailing line 'e 1 2'"),
+            ("p sumcol 3 1\ne +1 2\n", 2, "non-canonical endpoint: '+1'"),
+            ("p sumcol 3 1\ne 1 0_3\n", 2, "non-canonical endpoint: '0_3'"),
+            ("p sumcol 3 2\ne 1 2\ne 1 03\n", 3, "non-canonical endpoint: '03'"),
+            ("p sumcol 3 1\ne 1 2\t\n", 2, "non-canonical endpoint: '2\\t'"),
+            ("p sumcol 3 1\ne 1 ٢\n", 2, "non-canonical endpoint: '٢'"),
+            ("p sumcol 03 0\n", 1, "non-canonical vertex count: '03'"),
+            ("p sumcol -0 0\n", 1, "non-canonical vertex count: '-0'"),
+            ("p sumcol 2 +0\n", 1, "non-canonical edge count: '+0'"),
+            ("p cds 1 0\nc 1 -0\n", 2, "non-canonical capacity: '-0'"),
+            ("p cds 1 0\nc １ 1\n", 2, "non-canonical vertex: '１'"),
+            ("p maxqcut 2 0\nq 0_2\n", 2, "non-canonical part count: '0_2'"),
         ],
     )
     def test_error_line_and_message(self, text, line_no, message):
