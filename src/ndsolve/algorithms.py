@@ -28,7 +28,7 @@ from .graphs import Graph, TypeGraph, domination_capacity, twin_partition
 from .ipmodel import Linear
 from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
-from .models import CdsSolution, build_cds_ilp, cds_pairs, decode_cds
+from .models import CdsSolution, _match_subset, build_cds_ilp, cds_pairs, check_coloring, decode_cds
 
 CDS_SIZE_GUARD = 10
 COLORING_SIZE_GUARD = 9
@@ -72,14 +72,6 @@ def check_cds(g: Graph, sol: CdsSolution) -> bool:
     return all(loads[y] <= g.capacity[y] for y in loads)
 
 
-def check_coloring(g: Graph, coloring) -> bool:
-    if set(coloring) != set(range(g.n)):
-        return False
-    if any(c < 1 for c in coloring.values()):
-        return False
-    return all(coloring[u] != coloring[v] for u, v in g.edges)
-
-
 def cut_value(g: Graph, partition) -> int:
     """Number of edges whose endpoints land in distinct parts."""
     return sum(1 for u, v in g.edges if partition[u] != partition[v])
@@ -96,15 +88,6 @@ def coloring_cost(coloring) -> int:
 def _guard(g, limit, what):
     if g.n > limit:
         raise ValueError(f"{what} oracle guard: {g.n} > {limit}")
-
-
-def _match_subset(g: Graph, dominators):
-    """Assignment for an explicit dominator set, or None."""
-    outside = [v for v in range(g.n) if v not in dominators]
-    adj = {v: sorted(set(g.adj[v]) & dominators) for v in outside}
-    cap = {v: g.capacity[v] for v in dominators}
-    size, assignment = max_bipartite_matching(outside, adj, cap)
-    return assignment if size == len(outside) else None
 
 
 def cds_brute(g: Graph, max_n: int = CDS_SIZE_GUARD) -> CdsSolution:

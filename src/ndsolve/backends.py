@@ -10,12 +10,12 @@ optional remainder hook), and nothing at all (pure enumeration) for
 quadratic and general convex objectives.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
-annotation.  Each step is found by dynamic programming over bricks: the
-per-brick candidate moves are the A2-kernel vectors with infinity-norm at
-most g_inf(A2), the DP state is the running partial sum of A1 times the
-chosen moves, and a step is accepted only when the total A1-sum is zero,
-bounds hold, and the objective strictly decreases.  Step lengths are scaled
-by doubling, as in the Graver-best search.
+annotation.  Each step is a DP over bricks: the moves per brick are the
+A2-kernel vectors with infinity-norm at most the largest box width W, the DP
+state is the running sum of A1 times the chosen moves, and a step is taken
+only when that sum ends at zero, the box holds, and the objective strictly
+decreases.  This is exact, since every Graver element of the full n-fold
+matrix that moves a point within the box is such a step (see solve_nfold).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .graver import augment_to_optimum, g_inf_norm, graver_basis, _kernel_vectors_within
+from .graver import augment_to_optimum, graver_basis, _kernel_vectors_within
 from .ipmodel import EQ, GE, LE, MIN, IpModel, Linear, SeparableConvex
 from .lp import solve_lp  # noqa: F401  (bench/run.py and bench/spans.py hook this name)
 
@@ -45,6 +45,11 @@ class SolveResult:
     @property
     def optimal(self):
         return self.status == "optimal"
+
+
+def _holds(row, lhs) -> bool:
+    """Whether a row whose left-hand side is lhs is satisfied."""
+    return (row.rel == GE or lhs <= row.rhs) and (row.rel == LE or lhs >= row.rhs)
 
 
 def _ceil_div(a, b):
@@ -109,16 +114,9 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
 
     # Row machinery: activity plus precomputed suffix ranges per depth.
     rows = model.rows
-    for row in rows:
-        if not row.coeffs:  # constant row, never reached by interval checks
-            lhs = 0
-            ok = (
-                (row.rel == LE and lhs <= row.rhs)
-                or (row.rel == GE and lhs >= row.rhs)
-                or (row.rel == EQ and lhs == row.rhs)
-            )
-            if not ok:
-                return SolveResult("infeasible", None, None, 0)
+    # constant rows are never reached by the interval checks
+    if not all(_holds(row, 0) for row in rows if not row.coeffs):
+        return SolveResult("infeasible", None, None, 0)
     m = len(rows)
     rows_by_var = [[] for _ in range(n)]
     for r, row in enumerate(rows):
@@ -218,8 +216,19 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
 # n-fold augmentation backend
 # ---------------------------------------------------------------------------
 
+def _is_feasible(model: IpModel, point) -> bool:
+    """Whether point lies in the boxes and satisfies every row and convex row."""
+    if not all(lo <= v <= hi for v, lo, hi in zip(point, model.lower, model.upper)):
+        return False
+    return all(
+        _holds(row, sum(c * point[i] for i, c in row.coeffs)) for row in model.rows
+    ) and all(cr.fn(point) <= 0 for cr in model.convex_rows)
+
+
 def _initial_point(model: IpModel, budget: Budget):
     if model.initial_point is not None:
+        if not _is_feasible(model, model.initial_point):
+            raise ValueError("initial point breaks a box, a row or a convex row")
         return model.initial_point
     # fall back to a feasibility search; desk-scale but explicit
     feas = IpModel(
@@ -236,16 +245,27 @@ def _initial_point(model: IpModel, budget: Budget):
 
 
 def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
-    """Augmentation over the n-fold block structure.
+    """Exact augmentation over the n-fold block structure.
 
-    The candidate per-brick moves are all h with A2 h = 0 and
-    ||h||_inf <= g_inf(A2); the DP accepts a combined step only when the
-    A1-contributions cancel.  Acceptance needs a strict objective decrease,
-    so the loop terminates; the fixpoint is returned as the optimum.
+    Let W be the largest box width max(u - l).  The moves per brick are the
+    zero vector and every h with A2 h = 0 and ||h||_inf <= W; each step is
+    the best choice of one move per brick that stays in the box and whose
+    A1-parts cancel, found by a DP over bricks, at step length 1.
+
+    Why the fixpoint is optimal: if x is feasible and x* is a better point,
+    x* - x is a conformal sum of Graver elements g_i of the full n-fold
+    matrix, each x + g_i is feasible, and for a separable convex objective
+    some g_i improves on x.  Each brick of g_i is an A2-kernel vector with
+    ||.||_inf <= W, as |g_i| <= |x* - x| <= u - l, and the A1-parts of its
+    bricks sum to zero, so the DP sees g_i.  A longer feasible step
+    lambda*h is itself such a move, so no step length needs a search.  Each
+    step strictly lowers the objective over a finite box, so the loop ends.
     """
     model.validate()
     if model.nfold is None:
         raise ValueError("model carries no n-fold annotation")
+    if model.convex_rows:
+        raise ValueError("n-fold backend needs linear rows only")
     budget = budget or Budget()
     nf = model.nfold
     fns, _ = _min_objective(model)
@@ -258,49 +278,33 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
         return SolveResult("infeasible", None, None, 0)
     x = list(x)
 
-    basis2 = graver_basis(nf.a2)
-    cap = g_inf_norm(basis2)
-    moves = [tuple([0] * nf.t)]
-    if cap > 0:
-        moves += _kernel_vectors_within(nf.a2, cap, 50_000_000)
-    moves.sort()
+    width = max((u - l for l, u in zip(lower, upper)), default=0)
+    moves = sorted([(0,) * nf.t] + _kernel_vectors_within(nf.a2, width, 50_000_000))
     a1_rows = nf.a1.to_rows()
     a1h = {h: tuple(sum(r[j] * h[j] for j in range(nf.t)) for r in a1_rows) for h in moves}
-    state_cap = nf.r * nf.n * max(cap, 1) * max(nf.a1.max_abs(), 1)
-    lam_top = max((upper[j] - lower[j] for j in range(model.n_vars)), default=0)
+    zero = (0,) * nf.r
 
-    def brick_candidates(lam):
-        """Per brick: projected move -> (delta, move), keeping the best delta."""
-        per_brick = []
+    def improve():
+        """Take the best strictly improving step, if there is one."""
+        per_brick = []  # per brick: A1-part -> (objective change, move), best change kept
         for b in range(nf.n):
             base = b * nf.t
             cands = {}
             for h in moves:
                 delta = 0
-                ok = True
                 for j in range(nf.t):
                     if h[j]:
-                        v = x[base + j] + lam * h[j]
+                        v = x[base + j] + h[j]
                         if not lower[base + j] <= v <= upper[base + j]:
-                            ok = False
                             break
                         delta += fns[base + j](v) - fns[base + j](x[base + j])
-                if not ok:
-                    continue
-                key = a1h[h]
-                if key not in cands or delta < cands[key][0]:
-                    cands[key] = (delta, h)
+                else:
+                    key = a1h[h]
+                    if key not in cands or delta < cands[key][0]:
+                        cands[key] = (delta, h)
             per_brick.append(cands)
-        return per_brick
-
-    def best_step(lam):
-        """DP over bricks; best strict improvement reaching total A1-sum zero."""
-        per_brick = brick_candidates(lam)
-        if all(
-            len(c) == 1 and next(iter(c.values()))[0] >= 0 for c in per_brick
-        ):
-            return None  # every brick is pinned to a non-improving move
-        zero = tuple([0] * nf.r)
+        if all(len(c) == 1 and next(iter(c.values()))[0] >= 0 for c in per_brick):
+            return False  # every brick is pinned to a non-improving move
         layers = []
         states = {zero: 0}
         for b in range(nf.n):
@@ -311,8 +315,6 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
                 for key in sorted(per_brick[b]):
                     delta, h = per_brick[b][key]
                     new = tuple(a + d for a, d in zip(sigma, key))
-                    if any(abs(v) > state_cap for v in new):
-                        continue
                     cand = sdelta + delta
                     if new not in nxt or cand < nxt[new]:
                         nxt[new] = cand
@@ -322,35 +324,16 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
             layers.append(back)
             states = nxt
         if zero not in states or states[zero] >= 0:
-            return None
-        movesback = []
+            return False
         sigma = zero
         for b in range(nf.n - 1, -1, -1):
-            prev, h = layers[b][sigma]
-            movesback.append(h)
-            sigma = prev
-        movesback.reverse()
-        return states[zero], movesback
+            sigma, h = layers[b][sigma]
+            for j, d in enumerate(h):
+                x[b * nf.t + j] += d
+        return True
 
     steps = 0
-    while True:
-        best = None
-        lam = 1
-        while lam <= max(lam_top, 1):
-            found = best_step(lam)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = (found[0], lam, found[1])
-            lam *= 2
-            if lam_top == 0:
-                break
-        if best is None:
-            break
-        _, lam, bricks = best
-        for b, h in enumerate(bricks):
-            base = b * nf.t
-            for j in range(nf.t):
-                if h[j]:
-                    x[base + j] += lam * h[j]
+    while improve():
         steps += 1
         if steps > budget.max_steps:
             raise BudgetError("n-fold augmentation step budget exceeded")

@@ -13,11 +13,14 @@ unknown or out-of-order lines are errors carrying their line number, and so
 is every integer not written canonically (``0``, or an optional ``-`` and
 ASCII digits without a leading zero), since int() also takes ``+1``,
 ``0_3``, ``03``, ``-0``, a tab after the digits and non-ASCII digits, which
-would write back as other bytes.  It is one pass over the lines: each edge
-line is split, converted and checked once and becomes its 0-based pair, and
-the graph's edge set is built from those pairs directly.  One scan of the
-whole text tells whether any integer can be non-canonical; only then is
-each integer matched against the canonical form, which names its line.
+would write back as other bytes.  For the same reason every line ends in a
+newline, the last one included, no line holds a carriage return or another
+character that str.splitlines breaks on, and files are read as bytes, so a
+non-ASCII byte is an error on its line.  It is one pass over the lines:
+each edge line is split, converted and checked once and becomes its 0-based
+pair, and the graph's edge set is built from those pairs directly.  One scan
+of the whole text tells whether any integer can be non-canonical; only then
+is each integer matched against the canonical form, which names its line.
 
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
@@ -37,6 +40,7 @@ PROBLEMS = ("cds", "sumcol", "maxqcut")
 
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 _ZERO_LED = re.compile(r" 0[^ \n]")
+_OTHER_BREAK = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 class ParseError(ValueError):
@@ -89,10 +93,21 @@ def _fields(lines, line_no, expect_tag, n_fields):
     return parts[1:]
 
 
-def parse_instance(text: str) -> Instance:
-    lines = text.splitlines()
-    if not lines:
+def _lines(text):
+    """The lines of text, each ended by a newline and holding no other break."""
+    if not text:
         raise ParseError(1, "empty file")
+    brk = _OTHER_BREAK.search(text)
+    if brk is not None:
+        raise ParseError(text.count("\n", 0, brk.start()) + 1, f"bad line break {brk.group()!r}")
+    lines = text.split("\n")
+    if lines.pop():
+        raise ParseError(len(lines) + 1, "missing final newline")
+    return lines
+
+
+def parse_instance(text: str) -> Instance:
+    lines = _lines(text)
     suspect = _suspect(text)
 
     head = lines[0].split(" ")
@@ -180,8 +195,14 @@ def format_instance(inst: Instance) -> str:
 
 
 def read_instance(path) -> Instance:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_instance(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"non-ASCII byte {data[exc.start]:#04x}") from None
+    return parse_instance(text)
 
 
 def write_instance(inst: Instance, path):

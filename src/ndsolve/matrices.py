@@ -88,9 +88,6 @@ class IntMatrix:
             d[(self.m + r, c)] = v
         return IntMatrix.from_dict(self.m + other.m, self.n, d)
 
-    def max_abs(self):
-        return max((abs(v) for _, v in self.entries), default=0)
-
 
 def primal_graph(a: IntMatrix) -> Graph:
     """Graph over columns; i ~ j when some row is non-zero in both."""

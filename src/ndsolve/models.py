@@ -177,6 +177,15 @@ class CdsSolution:
         return cls(frozenset(dominators), tuple(sorted(assignment.items())))
 
 
+def _match_subset(g: Graph, dominators):
+    """Assignment for an explicit dominator set, or None."""
+    outside = [v for v in range(g.n) if v not in dominators]
+    adj = {v: sorted(set(g.adj[v]) & dominators) for v in outside}
+    cap = {v: g.capacity[v] for v in dominators}
+    size, assignment = max_bipartite_matching(outside, adj, cap)
+    return assignment if size == len(outside) else None
+
+
 def decode_cds(t: TypeGraph, g: Graph, point) -> CdsSolution | None:
     """Materialize x into capacity-ordered prefixes and check by matching.
 
@@ -191,11 +200,8 @@ def decode_cds(t: TypeGraph, g: Graph, point) -> CdsSolution | None:
         if not 0 <= x_i <= t.weights[i]:
             raise DecodeError(f"x_{i}={x_i} outside class bounds")
         dominators.update(t.classes[i][:x_i])
-    outside = sorted(v for v in range(g.n) if v not in dominators)
-    adj = {v: sorted(set(g.adj[v]) & dominators) for v in outside}
-    cap = {v: g.capacity[v] for v in dominators}
-    size, assignment = max_bipartite_matching(outside, adj, cap)
-    if size < len(outside):
+    assignment = _match_subset(g, dominators)
+    if assignment is None:
         return None
     return CdsSolution.make(dominators, assignment)
 
@@ -525,10 +531,14 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
 # decoders
 # ---------------------------------------------------------------------------
 
-def _is_proper(g: Graph, coloring) -> bool:
-    return all(v in coloring and coloring[v] >= 1 for v in range(g.n)) and all(
-        coloring[u] != coloring[v] for u, v in g.edges
-    )
+def check_coloring(g: Graph, coloring) -> bool:
+    """Whether coloring gives exactly the vertices of g colours >= 1, and
+    the two ends of every edge different colours."""
+    if set(coloring) != set(range(g.n)):
+        return False
+    if any(c < 1 for c in coloring.values()):
+        return False
+    return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
 def decode_coloring(t: TypeGraph, g: Graph, point, model_tag: str) -> dict:
@@ -576,7 +586,7 @@ def decode_coloring(t: TypeGraph, g: Graph, point, model_tag: str) -> dict:
     else:
         raise DecodeError(f"unknown sum-coloring model tag {model_tag!r}")
 
-    if not _is_proper(g, coloring):
+    if not check_coloring(g, coloring):
         raise DecodeError("decoded point is not a proper coloring")
     return coloring
 

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from ndsolve.backends import Budget, solve_boxed, solve_nfold
+from ndsolve.backends import Budget, solve_augment, solve_boxed, solve_nfold
 from ndsolve.errors import BudgetError
+from ndsolve.graphs import type_graph
+from ndsolve.instances import generate_blowup, random_template
 from ndsolve.ipmodel import (
     EQ,
     GE,
@@ -21,6 +24,7 @@ from ndsolve.ipmodel import (
     SeparableConvex,
 )
 from ndsolve.matrices import IntMatrix
+from ndsolve.models import build_sumcol_nfold
 
 
 def simple_model(sense, objective, n, lower, upper, rows=(), **kw):
@@ -169,6 +173,15 @@ class TestSolveBoxed:
         assert solve_boxed(hooked).value == solve_boxed(m).value == 4
 
 
+class TestSolveAugment:
+    def test_rejects_initial_point_off_the_rows(self):
+        # min x + 2y, x + y = 2: (0, 0) breaks the row, so it is no start
+        m = simple_model(MIN, Linear((1, 2)), 2, [0, 0], [3, 3],
+                         rows=[({0: 1, 1: 1}, EQ, 2)], initial_point=(0, 0))
+        with pytest.raises(ValueError, match="initial point"):
+            solve_augment(m)
+
+
 def nfold_model(sense, obj, a1, a2, n_bricks, rhs_top, rhs_brick, lower, upper, initial=None):
     r, s, t = a1.m, a2.m, a1.n
     rows = []
@@ -232,21 +245,56 @@ class TestSolveNFold:
         res = solve_nfold(m)
         assert res.optimal and res.value == solve_boxed(m).value
 
-    def test_lambda_doubling_long_step(self):
-        # independent bricks want to travel 8; one nonzero A1 row keeps them coupled
+    def test_long_step(self):
+        # independent bricks want to travel 8; A1 is a single zero row
         a1 = IntMatrix.from_dict(1, 1, {})
         a2 = IntMatrix.from_dict(0, 1, {})
         m = nfold_model(MAX, Linear((1, 1)), a1, a2, 2, [0], [[], []],
                         [0, 0], [8, 8], initial=(0, 0))
         res = solve_nfold(m)
         assert res.value == 16
-        assert res.nodes <= 2  # one long doubled step per direction at most
+        assert res.nodes <= 2  # one long step per direction at most
 
     def test_infeasible(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
         m = nfold_model(MIN, Linear((1, 1)), a1, a2, 2, [9], [[], []], [0, 0], [3, 3])
         assert solve_nfold(m).status == "infeasible"
+
+    def test_brick_move_longer_than_a2_graver_norm(self):
+        # A1 = [1 2], A2 empty, brick 2 boxed to 0, start (0,1,0,0): reaching
+        # (2,0,0,0) takes the brick move (2,-1), longer than g_inf(A2) = 1
+        a1 = IntMatrix.from_rows([[1, 2]])
+        a2 = IntMatrix.from_dict(0, 2, {})
+        terms = (lambda v: (v - 2) ** 2, lambda v: v * v, lambda v: 0, lambda v: 0)
+        m = nfold_model(MIN, SeparableConvex(terms), a1, a2, 2, [2], [[], []],
+                        [0] * 4, [3, 3, 0, 0], initial=(0, 1, 0, 0))
+        res = solve_nfold(m)
+        assert res.optimal and res.value == 0 and res.point == (2, 0, 0, 0)
+
+    def test_rejects_convex_rows(self):
+        a1 = IntMatrix.from_rows([[1]])
+        a2 = IntMatrix.from_dict(0, 1, {})
+        m = nfold_model(MIN, Linear((1, 2)), a1, a2, 2, [2], [[], []], [0, 0], [3, 3])
+        m = IpModel(**{**m.__dict__, "convex_rows": (ConvexRow(sum, lambda lo, hi: sum(lo)),)})
+        with pytest.raises(ValueError, match="linear rows only"):
+            solve_nfold(m)
+
+    def test_rejects_initial_point_off_the_rows(self):
+        a1 = IntMatrix.from_rows([[1]])
+        a2 = IntMatrix.from_dict(0, 1, {})
+        m = nfold_model(MIN, Linear((1, 2)), a1, a2, 2, [2], [[], []],
+                        [0, 0], [3, 3], initial=(0, 0))
+        with pytest.raises(ValueError, match="initial point"):
+            solve_nfold(m)
+
+    def test_rejects_initial_point_off_the_box(self):
+        a1 = IntMatrix.from_rows([[1]])
+        a2 = IntMatrix.from_dict(0, 1, {})
+        m = nfold_model(MIN, Linear((1, 2)), a1, a2, 2, [2], [[], []],
+                        [0, 0], [3, 3], initial=(4, -2))
+        with pytest.raises(ValueError, match="initial point"):
+            solve_nfold(m)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_agrees_with_boxed_on_random_instances(self, seed):
@@ -267,3 +315,55 @@ class TestSolveNFold:
         m = nfold_model(MIN, SeparableConvex(terms), a1, a2, n_bricks, rhs_top,
                         [[] for _ in range(n_bricks)], lower, upper, initial=x0)
         assert solve_nfold(m).value == solve_boxed(m).value
+
+    def test_agrees_with_boxed_on_widened_instances(self):
+        # A1 entries in [-2,2], one A2 row, negative lower bounds, box widths
+        # up to 3 and targets outside the box
+        bad = []
+        for seed in range(300):
+            m = widened_nfold_model(seed)
+            if solve_nfold(m).value != solve_boxed(m).value:
+                bad.append(seed)
+        assert bad == []
+
+    def test_sumcol_results_are_pinned(self):
+        h = hashlib.sha256()
+        for i in range(200):
+            rng = random.Random(22_000 + i)
+            template = random_template(rng, max_k=4, max_n=8, with_capacities=False,
+                                       max_capacity=4)
+            g = generate_blowup(template, seed=rng.randrange(2**30))
+            res = solve_nfold(build_sumcol_nfold(type_graph(g)))
+            h.update(repr((res.status, res.point, res.value, res.nodes)).encode())
+        assert h.hexdigest() == PINNED_SUMCOL_DIGEST
+
+
+# sha256 over the repr of (status, point, value, nodes) of solve_nfold on the
+# 200 sum-coloring instances of the acceptance gate (its criterion 2), as
+# computed by the brick DP whose moves stopped at g_inf(A2) and whose step
+# lengths were scaled by doubling.  On these 0/1 boxes both move sets agree.
+PINNED_SUMCOL_DIGEST = "793b851d84d83cb0676debf5922ddc1657f02a606fbd0e820bc0ad6c532f2148"
+
+
+def widened_nfold_model(seed):
+    rng = random.Random(seed)
+    n_bricks = rng.randint(2, 3)
+    t = rng.randint(2, 3)
+    r = rng.randint(1, 2)
+    a1 = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(t)] for _ in range(r)])
+    a2 = IntMatrix.from_rows([[rng.randint(-1, 1) for _ in range(t)]])
+    lower = [rng.randint(-2, 0) for _ in range(n_bricks * t)]
+    upper = [lo + rng.randint(0, 3) for lo in lower]
+    x0 = [rng.randint(lo, hi) for lo, hi in zip(lower, upper)]
+    rhs_top = [
+        sum(row[j] * x0[b * t + j] for b in range(n_bricks) for j in range(t))
+        for row in a1.to_rows()
+    ]
+    rhs_brick = [
+        [sum(row[j] * x0[b * t + j] for j in range(t)) for row in a2.to_rows()]
+        for b in range(n_bricks)
+    ]
+    targets = [rng.randint(lo - 1, hi + 1) for lo, hi in zip(lower, upper)]
+    terms = tuple((lambda v, c=c: (v - c) ** 2) for c in targets)
+    return nfold_model(MIN, SeparableConvex(terms), a1, a2, n_bricks, rhs_top, rhs_brick,
+                       lower, upper, initial=tuple(x0))

@@ -1,0 +1,52 @@
+"""The names that the benchmark hooks exist, and its hooks put them back.
+
+While a pass runs, ``bench/run.py`` (``PieceClock``) and ``bench/spans.py``
+(``Tracer``) replace functions of ``ndsolve`` by timing wrappers, looked up
+by name.  A renamed or deleted name would only break the benchmark; here it
+fails the test suite instead.
+"""
+
+import os
+import sys
+
+import pytest
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+
+import run  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+from ndsolve import algorithms, backends, cli  # noqa: E402
+
+
+def snapshot():
+    """Every name of the hooked namespaces, bound to its current object."""
+    owners = {"algorithms": algorithms, "backends": backends, "cli": cli, "workloads": workloads}
+    snap = {owner: dict(vars(module)) for owner, module in owners.items()}
+    snap["cli.SOLVERS"] = dict(cli.SOLVERS)
+    return snap
+
+
+def rebound(before, after):
+    return {
+        f"{owner}.{name}"
+        for owner, names in before.items()
+        for name, value in names.items()
+        if after[owner].get(name) is not value
+    }
+
+
+@pytest.mark.parametrize(
+    "hooks, some_hooked",
+    [
+        (spans.Tracer, {"backends.solve_lp", "backends.graver_basis", "cli.SOLVERS.nfold",
+                        "cli.read_instance", "algorithms.solve_lp"}),
+        (run.PieceClock, {"backends.solve_lp", "algorithms.solve_lp", "workloads._case"}),
+    ],
+)
+def test_hooks_patch_and_restore(hooks, some_hooked):
+    before = snapshot()
+    with hooks():
+        inside = snapshot()
+    assert some_hooked <= rebound(before, inside)
+    assert rebound(before, snapshot()) == set()

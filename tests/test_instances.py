@@ -124,13 +124,42 @@ class TestParsing:
             ("p cds 1 0\nc 1 -0\n", 2, "non-canonical capacity: '-0'"),
             ("p cds 1 0\nc １ 1\n", 2, "non-canonical vertex: '１'"),
             ("p maxqcut 2 0\nq 0_2\n", 2, "non-canonical part count: '0_2'"),
+            ("p sumcol 3 1\r\ne 1 2\r\n", 1, "bad line break '\\r'"),
+            ("p sumcol 3 1\ne 1 2\r\n", 2, "bad line break '\\r'"),
+            ("p sumcol 3 1\ne 1 2", 2, "missing final newline"),
+            ("p sumcol 1 0", 1, "missing final newline"),
+            ("p sumcol 3 1\ne 1 2\n\n", 3, "unexpected trailing line ''"),
+            ("p sumcol 3 1\ne 1 2\x0b", 2, "bad line break '\\x0b'"),
+            ("p sumcol 3 1\x0ce 1 2\n", 1, "bad line break '\\x0c'"),
+            ("p sumcol 3 1\ne 1 2\n\x1c", 3, "bad line break '\\x1c'"),
+            ("p sumcol 3 1\ne 1 2\x1d\n", 2, "bad line break '\\x1d'"),
+            ("p sumcol 3 1\ne 1 2\x1e\n", 2, "bad line break '\\x1e'"),
+            ("p sumcol 3 1\x85e 1 2\n", 1, "bad line break '\\x85'"),
+            ("p sumcol 3 1\ne 1 2\u2028\n", 2, "bad line break '\\u2028'"),
+            ("p sumcol 3 1\ne 1 2\u2029\n", 2, "bad line break '\\u2029'"),
+            (b"p sumcol 3 1\ne 1 \xd9\xa2\n", 2, "non-ASCII byte 0xd9"),
+            (b"p cds 1 0\nc 1 \xef\xbc\x91\n", 2, "non-ASCII byte 0xef"),
+            (b"\x80", 1, "non-ASCII byte 0x80"),
         ],
     )
-    def test_error_line_and_message(self, text, line_no, message):
+    def test_error_line_and_message(self, tmp_path, text, line_no, message):
+        """Text goes through parse_instance and, when it is ASCII, through
+        read_instance as a file of the same bytes; bytes only as a file."""
+        expected = f"line {line_no}: {message}"
+        if isinstance(text, str):
+            with pytest.raises(ParseError) as err:
+                parse_instance(text)
+            assert err.value.line_no == line_no
+            assert str(err.value) == expected
+            if not text.isascii():
+                return  # as a file, its first non-ASCII byte is the error
+            text = text.encode("ascii")
+        path = tmp_path / "instance"
+        path.write_bytes(text)
         with pytest.raises(ParseError) as err:
-            parse_instance(text)
+            read_instance(path)
         assert err.value.line_no == line_no
-        assert str(err.value) == f"line {line_no}: {message}"
+        assert str(err.value) == expected
 
     @pytest.mark.parametrize("problem", ["cds", "sumcol", "maxqcut"])
     @pytest.mark.parametrize("seed", range(10))
