@@ -225,6 +225,13 @@ def _is_feasible(model: IpModel, point) -> bool:
     ) and all(cr.fn(point) <= 0 for cr in model.convex_rows)
 
 
+def _checked(model: IpModel, point):
+    """point, once it is seen to satisfy the model; an augmentation's last check."""
+    if not _is_feasible(model, point):
+        raise RuntimeError("augmentation ended at a point that breaks a box or a row")
+    return point
+
+
 def _initial_point(model: IpModel, budget: Budget):
     if model.initial_point is not None:
         if not _is_feasible(model, model.initial_point):
@@ -338,8 +345,8 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
         if steps > budget.max_steps:
             raise BudgetError("n-fold augmentation step budget exceeded")
 
-    value = model.objective_value(tuple(x))
-    return SolveResult("optimal", tuple(x), value, steps)
+    x = _checked(model, tuple(x))
+    return SolveResult("optimal", x, model.objective_value(x), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -385,4 +392,5 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     res = augment_to_optimum(
         matrix, x0, f, (model.lower, model.upper), basis=basis, max_steps=budget.max_steps
     )
-    return SolveResult("optimal", res.point, model.objective_value(res.point), res.steps)
+    x = _checked(model, res.point)
+    return SolveResult("optimal", x, model.objective_value(x), res.steps)

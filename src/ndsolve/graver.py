@@ -7,6 +7,15 @@ completion procedure in the style of Pottier's normal-form algorithm, which
 starts from a lattice basis of the kernel and closes the set under conformal
 reduction of pairwise sums; the result is always complete.
 
+The completion keeps each vector with its absolute values and its sign mask
+(one bit per positive and one per negative coordinate).  A conformal test
+g <= s is then one test that g's mask is a subset of s's, which rejects
+most pairs with one integer operation, and only then a comparison of the
+absolute values at C speed.  A pair v, g whose masks show a common orthant
+is skipped before its sum is formed, since both are conformal to the sum.
+Graver-basis codes such as 4ti2 filter on sign supports in the same way
+(Hemmecke, Math. Prog. 96, 2003).
+
 Optimization over a fixed matrix proceeds by iterative augmentation: from a
 feasible point, repeatedly apply the best improving step lambda * g with g a
 basis element; absence of such a step certifies global optimality for
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .errors import BudgetError
 from .matrices import IntMatrix
@@ -30,19 +40,11 @@ def conformal(x, y) -> bool:
 
 
 def _l1(v):
-    return sum(abs(a) for a in v)
+    return sum(map(abs, v))
 
 
 def _neg(v):
     return tuple(-a for a in v)
-
-
-def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +110,46 @@ class GraverBasis:
                     raise AssertionError("stored element dominated by another")
 
 
+def _entry(v):
+    """(v, |v|, sign mask of v, sign mask of -v): a vector as the completion stores it.
+
+    The sign mask has bit i set when v_i > 0 and bit len(v) + i when v_i < 0.
+    g is conformal to s exactly when g's mask is a subset of s's and
+    |g| <= |s| coordinatewise; the mask test rejects most pairs at once.
+    """
+    n = len(v)
+    up = down = 0
+    for i, x in enumerate(v):
+        if x > 0:
+            up |= 1 << i
+        elif x < 0:
+            down |= 1 << i
+    return v, tuple(map(abs, v)), up | down << n, down | up << n
+
+
+def _neg_entry(e):
+    """The entry of -v, from that of v."""
+    v, size, mask, flip = e
+    return _neg(v), size, flip, mask
+
+
+def _first_below(size, mask, entries):
+    """The first of entries conformal to a vector with |.| = size and sign mask mask."""
+    outside = ~mask
+    for g in entries:
+        if not g[2] & outside and all(map(le, g[1], size)):
+            return g
+    return None
+
+
 def _minimal_filter(vectors):
     """Keep the conformally minimal vectors (dominators have smaller l1)."""
     out = []
     for v in sorted(set(vectors), key=lambda v: (_l1(v), v)):
-        if not any(conformal(u, v) for u in out):
-            out.append(v)
-    return out
+        e = _entry(v)
+        if _first_below(e[1], e[2], out) is None:
+            out.append(e)
+    return [e[0] for e in out]
 
 
 def _kernel_vectors_within(a: IntMatrix, cap: int, max_nodes: int):
@@ -155,62 +190,83 @@ def _kernel_vectors_within(a: IntMatrix, cap: int, max_nodes: int):
     return out
 
 
+def _normal_form(s, basis):
+    """Subtract the first conformal element of basis until none is.
+
+    s and the basis elements are entries; the remainder is returned as a
+    vector.  The sign mask of s is not updated: subtracting a conformal
+    element only moves coordinates towards 0, and an element that needs a
+    coordinate that has reached 0 fails the |g| <= |s| test.
+    """
+    v, size, mask, _ = s
+    while any(size):
+        g = _first_below(size, mask, basis)
+        if g is None:
+            break
+        v = tuple(map(sub, v, g[0]))
+        size = tuple(map(sub, size, g[1]))
+    return v
+
+
 def _conformal_normal_form(s, basis_list):
     """Greedily subtract conformal elements; the remainder is the normal form."""
-    while any(s):
-        for g in basis_list:
-            if conformal(g, s):
-                s = _sub(s, g)
-                break
-        else:
-            return s
-    return s
+    return _normal_form(_entry(tuple(s)), [_entry(tuple(g)) for g in basis_list])
 
 
 def _pottier_completion(a: IntMatrix, max_elements: int):
-    """Close a kernel lattice basis under conformal reduction of sums."""
+    """Close a kernel lattice basis under conformal reduction of sums.
+
+    Elements are stored as entries (see _entry), so that most conformal
+    tests end at one bitmask test.  A sum v + g is queued only when v and g
+    lie in no common orthant: otherwise v and g are both conformal to it and
+    its normal form is 0.  Sums are taken smallest l1 first and reduced by
+    the first conformal element in basis order.
+    """
     gens = [v for v in kernel_lattice_basis(a) if any(v)]
     basis = []
     seen = set()
 
-    def push(v):
-        if v not in seen:
-            basis.append(v)
-            seen.add(v)
+    def push(e):
+        if e[0] not in seen:
+            basis.append(e)
+            seen.add(e[0])
             if len(basis) > max_elements:
                 raise BudgetError("Graver completion budget exceeded")
 
     for v in gens:
-        push(v)
-        push(_neg(v))
+        e = _entry(v)
+        push(e)
+        push(_neg_entry(e))
 
     queue = []  # pairwise sums, smallest l1 first
     in_queue = set()
 
-    def enqueue_sums(v):
-        for g in list(basis):
-            s = _add(v, g)
-            if not any(s) or s in in_queue:
-                continue
-            # reducible by an addend means normal form 0; skip early
-            if conformal(v, s) or conformal(g, s):
+    def enqueue_sums(e):
+        v, _, _, flip = e
+        for g, _, gmask, _ in basis:
+            if not flip & gmask:
+                continue  # a common orthant: v and g are conformal to v + g
+            s = tuple(map(add, v, g))
+            if s in in_queue or not any(s):
                 continue
             in_queue.add(s)
             heapq.heappush(queue, (_l1(s), s))
 
-    for v in list(basis):
-        enqueue_sums(v)
+    for e in basis:
+        enqueue_sums(e)
 
     while queue:
         _, s = heapq.heappop(queue)
-        r = _conformal_normal_form(s, basis)
+        r = _normal_form(_entry(s), basis)
         if any(r):
+            r = _entry(r)
+            neg = _neg_entry(r)
             push(r)
-            push(_neg(r))
+            push(neg)
             enqueue_sums(r)
-            enqueue_sums(_neg(r))
+            enqueue_sums(neg)
 
-    return _minimal_filter(basis)
+    return _minimal_filter(e[0] for e in basis)
 
 
 def graver_basis(a: IntMatrix, max_elements: int = 200_000) -> GraverBasis:

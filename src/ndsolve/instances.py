@@ -16,11 +16,17 @@ ASCII digits without a leading zero), since int() also takes ``+1``,
 would write back as other bytes.  For the same reason every line ends in a
 newline, the last one included, no line holds a carriage return or another
 character that str.splitlines breaks on, and files are read as bytes, so a
-non-ASCII byte is an error on its line.  It is one pass over the lines:
-each edge line is split, converted and checked once and becomes its 0-based
-pair, and the graph's edge set is built from those pairs directly.  One scan
-of the whole text tells whether any integer can be non-canonical; only then
-is each integer matched against the canonical form, which names its line.
+non-ASCII byte is an error on its line.
+
+The edge block, nearly all of a file, is read in bulk: its tokens are split
+once, each endpoint is looked up in one table of canonical labels, and the
+line structure, u < v and the strict order are checked by whole-list
+operations (see _edge_block), with no Python loop over the lines.  A
+block that fails this is read again line by line, which names its first
+bad line (or reads labels above the block's token count, which the table
+leaves out).  The few other lines are read one by one.  One scan of the whole text
+tells whether any integer can be non-canonical; only then is each integer
+read line by line matched against the canonical form.
 
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
@@ -33,6 +39,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from operator import lt
 
 from .graphs import CLIQUE, INDEPENDENT, Graph
 
@@ -93,6 +100,66 @@ def _fields(lines, line_no, expect_tag, n_fields):
     return parts[1:]
 
 
+def _edge_block(block, n):
+    """The 0-based pairs of an edge block whose every line is well formed, or None.
+
+    The block is checked as a whole, with no Python loop over its lines.
+    Each endpoint token is looked up in one table from the canonical labels
+    '1', '2', ... to vertices, so a hit is a canonical label in range.  If
+    every line starts with 'e ', there are 3 tokens per line and every
+    endpoint token is in the table, then no 'e' token sits at an endpoint
+    position, so the lines start at tokens 0, 3, 6, ... and each one is
+    'e <u> <v>'.  The table stops at the token count, so that its cost is
+    bounded by the block's; a block with a label above that goes to
+    _edge_lines, which reads it.  Any other block this rejects, _edge_lines
+    rejects too, and names its first bad line.
+    """
+    if not block:
+        return []
+    joined = "\n".join(block)
+    if not joined.startswith("e ") or joined.count("\ne ") != len(block) - 1:
+        return None
+    tokens = joined.replace("\n", " ").split(" ")
+    if len(tokens) != 3 * len(block):
+        return None
+    vertex = {str(v + 1): v for v in range(min(n, len(tokens)))}
+    try:
+        us = list(map(vertex.__getitem__, tokens[1::3]))
+        vs = list(map(vertex.__getitem__, tokens[2::3]))
+    except KeyError:
+        return None
+    edges = list(zip(us, vs))
+    if all(map(lt, us, vs)) and all(map(lt, edges, edges[1:])):
+        return edges
+    return None
+
+
+def _edge_lines(block, first_line_no, n, suspect):
+    """The 0-based pairs of an edge block, line by line; raises at its first bad line."""
+    edges = []
+    prev = (-1, -1)
+    for line_no, line in enumerate(block, first_line_no):
+        parts = line.split(" ")
+        if len(parts) != 3 or parts[0] != "e":
+            raise ParseError(line_no, "expected 'e' line with 3 fields")
+        _, a, b = parts
+        try:
+            u, v = int(a) - 1, int(b) - 1
+        except ValueError:
+            _integer(line_no, a, "endpoint", suspect)  # raises if the first endpoint is the bad one
+            raise ParseError(line_no, f"bad endpoint: {b!r}") from None
+        if suspect:
+            _integer(line_no, a, "endpoint", True)
+            _integer(line_no, b, "endpoint", True)
+        if not 0 <= u < v < n:
+            raise ParseError(line_no, f"edge ({u + 1},{v + 1}) not sorted or out of range")
+        if (u, v) <= prev:
+            raise ParseError(line_no, "edges must be strictly sorted (duplicates forbidden)")
+        prev = (u, v)
+        edges.append(prev)
+    return edges
+
+
 def _lines(text):
     """The lines of text, each ended by a newline and holding no other break."""
     if not text:
@@ -136,31 +203,10 @@ def parse_instance(text: str) -> Instance:
             at += 1
         capacity = tuple(capacity)
 
-    # Each edge line is split, converted and checked in this one loop and
-    # kept as its 0-based pair, so the edge set needs no normalising pass;
-    # strict order makes the pairs distinct.
-    edges = []
-    prev = (-1, -1)
     block = lines[at - 1 : at - 1 + m]
-    for line_no, line in enumerate(block, at):
-        parts = line.split(" ")
-        if len(parts) != 3 or parts[0] != "e":
-            raise ParseError(line_no, "expected 'e' line with 3 fields")
-        _, a, b = parts
-        try:
-            u, v = int(a) - 1, int(b) - 1
-        except ValueError:
-            _integer(line_no, a, "endpoint", suspect)  # raises if the first endpoint is the bad one
-            raise ParseError(line_no, f"bad endpoint: {b!r}") from None
-        if suspect:
-            _integer(line_no, a, "endpoint", True)
-            _integer(line_no, b, "endpoint", True)
-        if not 0 <= u < v < n:
-            raise ParseError(line_no, f"edge ({u + 1},{v + 1}) not sorted or out of range")
-        if (u, v) <= prev:
-            raise ParseError(line_no, "edges must be strictly sorted (duplicates forbidden)")
-        prev = (u, v)
-        edges.append(prev)
+    edges = _edge_block(block, n)
+    if edges is None:
+        edges = _edge_lines(block, at, n, suspect)
     if len(block) < m:
         raise ParseError(at + len(block), "unexpected end of file, wanted a 'e' line")
     at += m

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 
 from ndsolve.graphs import Graph
-from ndsolve.graver import _kernel_vectors_within, _minimal_filter
+from ndsolve.graver import _kernel_vectors_within, conformal
+from ndsolve.instances import PROBLEMS, Instance, ParseError
 
 
 def complete_graph(n, capacity=None):
@@ -63,8 +65,96 @@ def brute_min_twin_partition(g: Graph):
     return 0 if best is None else best
 
 
+def conformally_minimal(vectors):
+    """The vectors to which no other one of them is conformal.
+
+    A vector conformal to v and distinct from it has a smaller l1-norm, so
+    in order of l1-norm it suffices to test v against the vectors kept.
+    """
+    kept = []
+    for v in sorted(set(vectors), key=lambda v: sum(map(abs, v))):
+        if not any(conformal(u, v) for u in kept):
+            kept.append(v)
+    return set(kept)
+
+
 def graver_by_enumeration(a, cap):
     """Independent oracle: the conformally minimal non-zero kernel vectors of
     a with infinity-norm <= cap.  It equals the Graver basis once cap
     reaches the basis' largest infinity-norm."""
-    return set(_minimal_filter(_kernel_vectors_within(a, cap, 10**7)))
+    return conformally_minimal(_kernel_vectors_within(a, cap, 10**7))
+
+
+def reference_parse(text):
+    """Independent oracle for instances.parse_instance: the same format, the
+    same errors, read one line and one field at a time with no shortcut."""
+    if not text:
+        raise ParseError(1, "empty file")
+    for at, ch in enumerate(text):
+        if ch in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+            raise ParseError(text.count("\n", 0, at) + 1, f"bad line break {ch!r}")
+    lines = text.split("\n")
+    if lines.pop():
+        raise ParseError(len(lines) + 1, "missing final newline")
+
+    def integer(line_no, field, what):
+        try:
+            value = int(field)
+        except ValueError:
+            raise ParseError(line_no, f"bad {what}: {field!r}") from None
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", field):
+            raise ParseError(line_no, f"non-canonical {what}: {field!r}")
+        return value
+
+    def fields(line_no, tag, count):
+        if line_no > len(lines):
+            raise ParseError(line_no, f"unexpected end of file, wanted a '{tag}' line")
+        parts = lines[line_no - 1].split(" ")
+        if parts[0] != tag or len(parts) != count:
+            raise ParseError(line_no, f"expected '{tag}' line with {count} fields")
+        return parts[1:]
+
+    head = lines[0].split(" ")
+    if len(head) != 4 or head[0] != "p":
+        raise ParseError(1, "expected header 'p <problem> <n> <m>'")
+    problem = head[1]
+    if problem not in PROBLEMS:
+        raise ParseError(1, f"unknown problem {problem!r}")
+    n = integer(1, head[2], "vertex count")
+    m = integer(1, head[3], "edge count")
+    if n < 0 or m < 0:
+        raise ParseError(1, "negative counts")
+    at = 2
+    capacity = None
+    if problem == "cds":
+        capacity = []
+        for v in range(1, n + 1):
+            vertex, cap = fields(at, "c", 3)
+            if integer(at, vertex, "vertex") != v:
+                raise ParseError(at, f"capacity lines must cover vertices in order; wanted {v}")
+            cap = integer(at, cap, "capacity")
+            if cap < 0:
+                raise ParseError(at, "negative capacity")
+            capacity.append(cap)
+            at += 1
+        capacity = tuple(capacity)
+    edges = []
+    for _ in range(m):
+        a, b = fields(at, "e", 3)
+        u, v = integer(at, a, "endpoint"), integer(at, b, "endpoint")
+        if not 1 <= u < v <= n:
+            raise ParseError(at, f"edge ({u},{v}) not sorted or out of range")
+        if edges and (u - 1, v - 1) <= edges[-1]:
+            raise ParseError(at, "edges must be strictly sorted (duplicates forbidden)")
+        edges.append((u - 1, v - 1))
+        at += 1
+    q = None
+    if problem == "maxqcut":
+        (parts,) = fields(at, "q", 2)
+        q = integer(at, parts, "part count")
+        if q < 2:
+            raise ParseError(at, "need at least two parts")
+        at += 1
+    if at - 1 != len(lines):
+        raise ParseError(at, f"unexpected trailing line {lines[at - 1]!r}")
+    return Instance(Graph(n, frozenset(edges), capacity), problem, q)

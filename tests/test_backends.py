@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from ndsolve import backends
 from ndsolve.backends import Budget, solve_augment, solve_boxed, solve_nfold
 from ndsolve.errors import BudgetError
 from ndsolve.graphs import type_graph
+from ndsolve.graver import GraverBasis
 from ndsolve.instances import generate_blowup, random_template
 from ndsolve.ipmodel import (
     EQ,
@@ -181,6 +183,17 @@ class TestSolveAugment:
         with pytest.raises(ValueError, match="initial point"):
             solve_augment(m)
 
+    def test_final_point_is_rechecked(self, monkeypatch):
+        # max x + y, x - y = 0; a "basis" holding (1, 0), which is no kernel
+        # vector, walks off the row to (3, 0), and the last check stops it
+        m = simple_model(MAX, Linear((1, 1)), 2, [0, 0], [3, 3],
+                         rows=[({0: 1, 1: -1}, EQ, 0)], initial_point=(0, 0))
+        assert solve_augment(m).point == (3, 3)
+        monkeypatch.setattr(backends, "cached_graver_basis",
+                            lambda matrix: GraverBasis(matrix, frozenset({(1, 0)})))
+        with pytest.raises(RuntimeError, match="breaks a box or a row"):
+            solve_augment(m)
+
 
 def nfold_model(sense, obj, a1, a2, n_bricks, rhs_top, rhs_brick, lower, upper, initial=None):
     r, s, t = a1.m, a2.m, a1.n
@@ -286,6 +299,20 @@ class TestSolveNFold:
         m = nfold_model(MIN, Linear((1, 2)), a1, a2, 2, [2], [[], []],
                         [0, 0], [3, 3], initial=(0, 0))
         with pytest.raises(ValueError, match="initial point"):
+            solve_nfold(m)
+
+    def test_final_point_is_rechecked(self, monkeypatch):
+        # per brick x + y = 3; unit brick moves, which are no A2-kernel
+        # vectors, let the DP lower y of brick 1 and break its brick row
+        a1 = IntMatrix.from_rows([[1, 0]])
+        a2 = IntMatrix.from_rows([[1, 1]])
+        terms = (lambda v: v * v, lambda v: 3 * v, lambda v: (v - 3) ** 2, lambda v: 0)
+        m = nfold_model(MIN, SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
+                        [0] * 4, [3] * 4)
+        assert solve_nfold(m).optimal
+        units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        monkeypatch.setattr(backends, "_kernel_vectors_within", lambda a, cap, max_nodes: units)
+        with pytest.raises(RuntimeError, match="breaks a box or a row"):
             solve_nfold(m)
 
     def test_rejects_initial_point_off_the_box(self):

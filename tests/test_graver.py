@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from ndsolve.errors import BudgetError
 from ndsolve.graver import (
+    _entry,
+    _first_below,
     _smallest_minimizer,
     augment_to_optimum,
     conformal,
@@ -15,12 +18,39 @@ from ndsolve.graver import (
     kernel_lattice_basis,
     stacking_check,
 )
+from ndsolve.graphs import type_graph
+from ndsolve.instances import generate_blowup, random_template
 from ndsolve.matrices import IntMatrix
+from ndsolve.models import build_sumcol_graver, split_stacked_blocks
 
 from helpers import graver_by_enumeration
 
 
 vectors = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
+
+
+def random_vector_pairs(seed, count=3000):
+    """Pairs (g, s) of equal length from 1 to 80, so that sign masks run past
+    64 bits.  Coordinates are mostly 0; in half of the pairs g is s with
+    each coordinate moved towards 0 and, rarely, past it or beyond s, so
+    that both outcomes of a conformal test are common.  Zero vectors and
+    single non-zero coordinates come first."""
+    pairs = [((0,) * 70, (0,) * 70), ((0,) * 69 + (-1,), (0,) * 70),
+             ((0,) * 70, (0,) * 69 + (-1,)), ((0,) * 69 + (1,), (0,) * 69 + (-2,)),
+             ((0,) * 69 + (-1,), (0,) * 69 + (-2,)), ((2,) + (0,) * 69, (0,) * 69 + (-1,))]
+    rng = random.Random(seed)
+    while len(pairs) < count:
+        n = rng.randint(1, 80)
+        s = tuple(rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(n))
+        if rng.random() < 0.5:
+            g = tuple(rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(n))
+        else:
+            g = tuple(
+                rng.randint(-1, 1) if rng.random() < 0.02 else round(x * rng.random() * 1.1)
+                for x in s
+            )
+        pairs.append((g, s))
+    return pairs
 
 
 class TestConformal:
@@ -59,6 +89,34 @@ class TestConformal:
         y = tuple(data.draw(st.lists(elt, min_size=n, max_size=n)))
         if conformal(x, y) and conformal(y, x):
             assert x == y
+
+
+class TestSignMasks:
+    def test_mask_test_equals_conformal(self):
+        outcomes = set()
+        for g, s in random_vector_pairs(1):
+            eg, es = _entry(g), _entry(s)
+            below = _first_below(es[1], es[2], [eg]) is eg
+            assert below == conformal(g, s), (g, s)
+            outcomes.add(below)
+        assert outcomes == {False, True}
+
+    def test_common_orthant_test_equals_both_conformal_tests(self):
+        # the completion skips v + g exactly when v and g share an orthant;
+        # that is when v, and also g, is conformal to v + g
+        outcomes = set()
+        for v, g in random_vector_pairs(2):
+            s = tuple(a + b for a, b in zip(v, g))
+            common = not _entry(v)[3] & _entry(g)[2]
+            assert common == conformal(v, s) == conformal(g, s), (v, g)
+            outcomes.add(common)
+        assert outcomes == {False, True}
+
+    def test_first_below_keeps_order(self):
+        s = _entry((2, -1, 0, 3))
+        entries = [_entry(g) for g in [(1, 1, 0, 0), (0, 0, 0, 3), (1, 0, 0, 0), (0, 0, 0, 1)]]
+        assert _first_below(s[1], s[2], entries) is entries[1]
+        assert _first_below(s[1], s[2], entries[:1]) is None
 
 
 class TestKernelLattice:
@@ -242,3 +300,33 @@ class TestStacking:
             1, n, {(0, j): rng.randint(-2, 2) for j in range(n) if rng.random() < 0.8}
         )
         assert stacking_check(f, l).holds
+
+
+def acceptance_graver_matrices():
+    """The lower blocks and full matrices of the Graver sum-coloring models
+    of the acceptance gate's 200 sum-coloring instances (its criterion 2),
+    each distinct matrix once, in order of first appearance."""
+    out = {}
+    for i in range(200):
+        rng = random.Random(22_000 + i)
+        template = random_template(rng, max_k=4, max_n=8, with_capacities=False, max_capacity=4)
+        g = generate_blowup(template, seed=rng.randrange(2**30))
+        model = build_sumcol_graver(type_graph(g))
+        for matrix in (split_stacked_blocks(model)[1], model.matrix()):
+            out.setdefault((matrix.m, matrix.n, matrix.entries), matrix)
+    return list(out.values())
+
+
+# sha256 over the repr of the sorted Graver basis of each matrix above, as
+# computed by the completion that tested conformality coordinate by
+# coordinate, before sign masks.
+PINNED_BASES_DIGEST = "0bccee2b251765d3b81204ca647ecb463c1de0060219e96d83633a103897480b"
+
+
+def test_acceptance_bases_are_pinned():
+    matrices = acceptance_graver_matrices()
+    h = hashlib.sha256()
+    for matrix in matrices:
+        h.update(repr(sorted(graver_basis(matrix).elements)).encode())
+    assert len(matrices) == 122
+    assert h.hexdigest() == PINNED_BASES_DIGEST

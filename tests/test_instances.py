@@ -15,7 +15,7 @@ from ndsolve.instances import (
     write_instance,
 )
 
-from helpers import complete_graph, star_graph
+from helpers import complete_graph, reference_parse, star_graph
 
 
 CDS_TEXT = """p cds 4 3
@@ -172,6 +172,45 @@ class TestParsing:
         assert inst.graph == graph
         assert format_instance(inst) == text
 
+    @pytest.mark.parametrize("problem", ["cds", "sumcol", "maxqcut"])
+    def test_mutated_edge_blocks(self, problem):
+        """Each mutated text writes back byte for byte, or fails on the line
+        and with the message of the line-by-line reference parser."""
+        outcomes = {"accepted": 0, "rejected": 0}
+        for seed in range(150):
+            rng = random.Random(seed)
+            text = _blowup_text(rng, problem)
+            for _ in range(3):
+                mutated = _mutate_edge_block(rng, text)
+                try:
+                    expected = reference_parse(mutated)
+                except ParseError as err:
+                    expected = err
+                try:
+                    inst = parse_instance(mutated)
+                except ParseError as err:
+                    assert isinstance(expected, ParseError), mutated
+                    assert (err.line_no, str(err)) == (expected.line_no, str(expected)), mutated
+                    outcomes["rejected"] += 1
+                else:
+                    assert inst == expected, mutated
+                    assert format_instance(inst) == mutated
+                    outcomes["accepted"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_reference_parser_reads_blowups(self):
+        for problem in ("cds", "sumcol", "maxqcut"):
+            for seed in range(20):
+                text = _blowup_text(random.Random(seed), problem)
+                assert reference_parse(text) == parse_instance(text)
+
+    def test_vertex_count_far_above_the_edges(self):
+        # labels past the edge block's token count take the line-by-line path
+        text = "p sumcol 1000000000000 2\ne 1 7\ne 5 999999999999\n"
+        inst = parse_instance(text)
+        assert inst.graph.edges == {(0, 6), (4, 999999999998)}
+        assert format_instance(inst) == text
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "star.cds"
         inst = Instance(star_graph(3, capacity=[3, 0, 0, 0]), "cds")
@@ -179,6 +218,58 @@ class TestParsing:
         assert read_instance(path) == inst
         write_instance(read_instance(path), tmp_path / "copy.cds")
         assert (tmp_path / "copy.cds").read_bytes() == path.read_bytes()
+
+
+def _blowup_text(rng, problem):
+    """A seeded blow-up with at least two edges, as instance text."""
+    while True:
+        template = random_template(rng, max_k=4, max_n=12, with_capacities=problem == "cds")
+        graph = generate_blowup(template, seed=rng.randrange(2**30))
+        if graph.m >= 2:
+            q = rng.randint(2, 4) if problem == "maxqcut" else None
+            return format_instance(Instance(graph, problem, q))
+
+
+def _mutate_edge_block(rng, text):
+    """text with one of its edge lines, or a pair of them, changed."""
+    lines = text.split("\n")[:-1]
+    n = int(lines[0].split(" ")[2])
+    first = next(i for i, line in enumerate(lines) if line.startswith("e "))
+    last = max(i for i, line in enumerate(lines) if line.startswith("e "))
+    i = rng.randint(first, last)
+    j = rng.randint(first, last)
+    kind = rng.choice(["move token", "drop", "duplicate", "swap", "double space", "tag",
+                       "endpoint", "token count"])
+    parts = lines[i].split(" ")
+    if kind == "move token" and i < last:
+        nxt = lines[i + 1].split(" ")
+        if rng.random() < 0.5:  # 'e 1' then '2 e 3 4'
+            lines[i], lines[i + 1] = " ".join(parts[:-1]), " ".join(parts[-1:] + nxt)
+        else:  # 'e 1 2 e' then '3 4'
+            lines[i], lines[i + 1] = " ".join(parts + nxt[:1]), " ".join(nxt[1:])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "double space":
+        at = rng.choice([1, 2])
+        lines[i] = " ".join(parts[:at]) + "  " + " ".join(parts[at:])
+    elif kind == "tag":
+        lines[i] = " ".join([rng.choice(["c", "q", "p", "f", "E", "", "ee"])] + parts[1:])
+    elif kind == "endpoint":
+        at = rng.choice([1, 2])
+        t = parts[at]
+        parts[at] = rng.choice([
+            "0" + t, "+" + t, "-" + t, t + "\t", "0", "-0", "", "x", "\u0663",
+            str(n + 1), str(n + rng.randint(2, 10**6)), "1" + "0" * 30,
+            str(int(t) + 1), str(int(t) - 1),
+        ])
+        lines[i] = " ".join(parts)
+    elif kind == "token count":  # 'e 1 2 3' or 'e 1'
+        lines[i] = " ".join(parts + [parts[2]] if rng.random() < 0.5 else parts[:2])
+    return "\n".join(lines) + "\n"
 
 
 class TestBlowup:
