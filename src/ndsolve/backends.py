@@ -10,17 +10,21 @@ optional remainder hook), and nothing at all (pure enumeration) for
 quadratic and general convex objectives.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
-annotation.  Each step is a DP over bricks: the moves per brick are the
+annotation.  Each step is a brick DP over the moves within the box, keeping
+only states that can still return to zero: the moves per brick are the
 A2-kernel vectors with infinity-norm at most the largest box width W, the DP
-state is the running sum of A1 times the chosen moves, and a step is taken
-only when that sum ends at zero, the box holds, and the objective strictly
-decreases.  This is exact, since every Graver element of the full n-fold
-matrix that moves a point within the box is such a step (see solve_nfold).
+state is the running sum of A1 times the chosen moves, and a state is kept
+only while the bricks still to come can bring that sum back to zero.  A step
+is taken only when the sum ends at zero, the box holds, and the objective
+strictly decreases.  This is exact, since every Graver element of the full
+n-fold matrix that moves a point within the box is such a step (see
+solve_nfold).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .errors import BudgetError
 from .graver import augment_to_optimum, graver_basis, _kernel_vectors_within
@@ -30,6 +34,15 @@ from .lp import solve_lp  # noqa: F401  (bench/run.py and bench/spans.py hook th
 
 @dataclass(frozen=True)
 class Budget:
+    """Work limits; a solve that reaches one raises BudgetError.
+
+    max_nodes bounds the branch-and-bound nodes of solve_boxed and the nodes
+    of the A2-kernel enumeration in solve_nfold.  max_dp_states bounds the
+    states of one layer of the n-fold brick DP; it counts the states that
+    survive, those from which the remaining bricks can still return to zero.
+    max_steps bounds the augmentation steps.
+    """
+
     max_nodes: int = 50_000_000
     max_dp_states: int = 2_000_000
     max_steps: int = 100_000
@@ -267,6 +280,19 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     bricks sum to zero, so the DP sees g_i.  A longer feasible step
     lambda*h is itself such a move, so no step length needs a search.  Each
     step strictly lowers the objective over a finite box, so the loop ends.
+
+    Why the pruning changes nothing: per A1 row, let [lo_b, hi_b] be the
+    range of sums that bricks b.. can add, the sum of the least and of the
+    greatest A1-part among each brick's moves.  A state sigma after brick b
+    is dropped unless -sigma lies in the range of bricks b+1...  That range
+    is the range of brick b+1's keys plus the range of bricks b+2.., so a
+    dropped state has only dropped successors, and a kept state has only
+    kept predecessors.  Every kept state therefore gets the same value and
+    back-pointer as without the pruning, written in the same order (states
+    in sorted order, each brick's keys in sorted order, the first best
+    kept).  The step chosen, the final point, the lexicographic tie-breaking
+    and the step count are the same.  The A2-kernel enumeration is bounded
+    by budget.max_nodes.
     """
     model.validate()
     if model.nfold is None:
@@ -286,7 +312,7 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     x = list(x)
 
     width = max((u - l for l, u in zip(lower, upper)), default=0)
-    moves = sorted([(0,) * nf.t] + _kernel_vectors_within(nf.a2, width, 50_000_000))
+    moves = sorted([(0,) * nf.t] + _kernel_vectors_within(nf.a2, width, budget.max_nodes))
     a1_rows = nf.a1.to_rows()
     a1h = {h: tuple(sum(r[j] * h[j] for j in range(nf.t)) for r in a1_rows) for h in moves}
     zero = (0,) * nf.r
@@ -312,16 +338,28 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
             per_brick.append(cands)
         if all(len(c) == 1 and next(iter(c.values()))[0] >= 0 for c in per_brick):
             return False  # every brick is pinned to a non-improving move
+        # window[b]: per A1 row, the least and the greatest sum a state after
+        # brick b may hold and still return to zero over bricks b+1..
+        lo = hi = zero
+        window = [(lo, hi)]
+        for cands in per_brick[:0:-1]:
+            lo = tuple(map(sub, lo, map(max, zip(*cands))))
+            hi = tuple(map(sub, hi, map(min, zip(*cands))))
+            window.append((lo, hi))
+        window.reverse()
         layers = []
         states = {zero: 0}
         for b in range(nf.n):
+            items = sorted(per_brick[b].items())
+            lo, hi = window[b]
             nxt = {}
             back = {}
             for sigma in sorted(states):
                 sdelta = states[sigma]
-                for key in sorted(per_brick[b]):
-                    delta, h = per_brick[b][key]
-                    new = tuple(a + d for a, d in zip(sigma, key))
+                for key, (delta, h) in items:
+                    new = tuple(map(add, sigma, key))
+                    if not (all(map(le, lo, new)) and all(map(le, new, hi))):
+                        continue  # bricks b+1.. cannot bring new back to zero
                     cand = sdelta + delta
                     if new not in nxt or cand < nxt[new]:
                         nxt[new] = cand

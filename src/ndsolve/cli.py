@@ -132,6 +132,8 @@ def cmd_nd(args) -> int:
 
 def run_solve(args) -> int:
     """Solve one instance; prints the report and appends a CSV row on request."""
+    if args.budget is not None and args.budget <= 0:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
     inst = read_instance(args.file)
     if args.problem and args.problem != inst.problem:
         print(f"file holds a {inst.problem!r} instance, not {args.problem!r}", file=sys.stderr)

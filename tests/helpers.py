@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 
+from ndsolve.backends import _min_objective
 from ndsolve.graphs import Graph
 from ndsolve.graver import _kernel_vectors_within, conformal
 from ndsolve.instances import PROBLEMS, Instance, ParseError
@@ -83,6 +84,68 @@ def graver_by_enumeration(a, cap):
     a with infinity-norm <= cap.  It equals the Graver basis once cap
     reaches the basis' largest infinity-norm."""
     return conformally_minimal(_kernel_vectors_within(a, cap, 10**7))
+
+
+def nfold_reference_step(model, x):
+    """Independent oracle for one step of backends.solve_nfold: the brick DP
+    that keeps every state, with no test whether the bricks still to come
+    can bring the A1-sum back to zero.
+
+    Returns the point after the best strictly improving step (None when
+    there is none) and the number of DP states in each layer.
+    """
+    nf = model.nfold
+    fns, _ = _min_objective(model)
+    lower, upper = model.lower, model.upper
+    width = max((u - l for l, u in zip(lower, upper)), default=0)
+    moves = sorted([(0,) * nf.t] + _kernel_vectors_within(nf.a2, width, 10**7))
+    a1_rows = nf.a1.to_rows()
+    a1h = {h: tuple(sum(r[j] * h[j] for j in range(nf.t)) for r in a1_rows) for h in moves}
+    zero = (0,) * nf.r
+    per_brick = []
+    for b in range(nf.n):
+        base = b * nf.t
+        cands = {}
+        for h in moves:
+            delta = 0
+            for j in range(nf.t):
+                if h[j]:
+                    v = x[base + j] + h[j]
+                    if not lower[base + j] <= v <= upper[base + j]:
+                        break
+                    delta += fns[base + j](v) - fns[base + j](x[base + j])
+            else:
+                key = a1h[h]
+                if key not in cands or delta < cands[key][0]:
+                    cands[key] = (delta, h)
+        per_brick.append(cands)
+    layers = []
+    sizes = []
+    states = {zero: 0}
+    for b in range(nf.n):
+        nxt = {}
+        back = {}
+        for sigma in sorted(states):
+            sdelta = states[sigma]
+            for key in sorted(per_brick[b]):
+                delta, h = per_brick[b][key]
+                new = tuple(a + d for a, d in zip(sigma, key))
+                cand = sdelta + delta
+                if new not in nxt or cand < nxt[new]:
+                    nxt[new] = cand
+                    back[new] = (sigma, h)
+        layers.append(back)
+        sizes.append(len(nxt))
+        states = nxt
+    if zero not in states or states[zero] >= 0:
+        return None, sizes
+    point = list(x)
+    sigma = zero
+    for b in range(nf.n - 1, -1, -1):
+        sigma, h = layers[b][sigma]
+        for j, d in enumerate(h):
+            point[b * nf.t + j] += d
+    return tuple(point), sizes
 
 
 def reference_parse(text):

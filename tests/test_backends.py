@@ -28,6 +28,8 @@ from ndsolve.ipmodel import (
 from ndsolve.matrices import IntMatrix
 from ndsolve.models import build_sumcol_nfold
 
+from helpers import nfold_reference_step
+
 
 def simple_model(sense, objective, n, lower, upper, rows=(), **kw):
     return IpModel(
@@ -315,6 +317,38 @@ class TestSolveNFold:
         with pytest.raises(RuntimeError, match="breaks a box or a row"):
             solve_nfold(m)
 
+    def test_kernel_enumeration_obeys_the_budget(self):
+        # boxes of width 6 around one brick row x - y = 0: the A2-kernel
+        # enumeration alone takes more than ten nodes
+        a1 = IntMatrix.from_rows([[1, 0]])
+        a2 = IntMatrix.from_rows([[1, -1]])
+        m = nfold_model(MIN, Linear((1, 1, 1, 1)), a1, a2, 2, [3], [[0], [0]],
+                        [0] * 4, [6] * 4, initial=(3, 3, 0, 0))
+        assert solve_nfold(m).value == 6
+        with pytest.raises(BudgetError, match="kernel enumeration budget exceeded"):
+            solve_nfold(m, budget=Budget(max_nodes=10))
+
+    def test_dp_state_budget(self):
+        m = self._four_bricks_summing_to_five()
+        with pytest.raises(BudgetError, match="n-fold DP state budget exceeded"):
+            solve_nfold(m, budget=Budget(max_dp_states=5))
+
+    def test_dp_state_budget_counts_states_that_can_return_to_zero(self):
+        # without the pruning the last layers hold every sum 0..15 and -5..15
+        m = self._four_bricks_summing_to_five()
+        point, sizes = nfold_reference_step(m, m.initial_point)
+        assert sizes == [6, 11, 16, 21] and point is not None
+        res = solve_nfold(m, budget=Budget(max_dp_states=6))
+        assert res.optimal and res.value == solve_boxed(m).value == 34
+
+    @staticmethod
+    def _four_bricks_summing_to_five():
+        a1 = IntMatrix.from_rows([[1]])
+        a2 = IntMatrix.from_dict(0, 1, {})
+        terms = tuple((lambda v, c=c: (v - c) ** 2) for c in (5, 5, 5, 0))
+        return nfold_model(MIN, SeparableConvex(terms), a1, a2, 4, [5], [[]] * 4,
+                           [0] * 4, [5] * 4, initial=(0, 0, 0, 5))
+
     def test_rejects_initial_point_off_the_box(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
@@ -353,6 +387,29 @@ class TestSolveNFold:
                 bad.append(seed)
         assert bad == []
 
+    def test_agrees_with_the_unpruned_dp_on_deeper_instances(self):
+        # 4-6 bricks, so the reachable ranges of the bricks still to come
+        # are narrower than the states the bricks before can reach
+        pruned = 0
+        for seed in range(300):
+            m = widened_nfold_model(seed, bricks=(4, 6))
+            x, steps, largest = m.initial_point, 0, 0
+            while True:
+                nxt, sizes = nfold_reference_step(m, x)
+                largest = max(largest, *sizes)
+                if nxt is None:
+                    break
+                x, steps = nxt, steps + 1
+            res = solve_nfold(m)
+            assert (res.status, res.point, res.value, res.nodes) == (
+                "optimal", x, m.objective_value(x), steps), seed
+            try:
+                solve_nfold(m, budget=Budget(max_dp_states=largest - 1))
+                pruned += 1  # no layer was as large as the unpruned one
+            except BudgetError:
+                pass
+        assert pruned > 100
+
     def test_sumcol_results_are_pinned(self):
         h = hashlib.sha256()
         for i in range(200):
@@ -372,9 +429,9 @@ class TestSolveNFold:
 PINNED_SUMCOL_DIGEST = "793b851d84d83cb0676debf5922ddc1657f02a606fbd0e820bc0ad6c532f2148"
 
 
-def widened_nfold_model(seed):
+def widened_nfold_model(seed, bricks=(2, 3)):
     rng = random.Random(seed)
-    n_bricks = rng.randint(2, 3)
+    n_bricks = rng.randint(*bricks)
     t = rng.randint(2, 3)
     r = rng.randint(1, 2)
     a1 = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(t)] for _ in range(r)])

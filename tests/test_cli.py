@@ -74,6 +74,13 @@ class TestSolve:
     def test_budget_exit_code(self, p3_sumcol):
         assert main(["solve", "--model", "nfold", "--budget", "3", p3_sumcol]) == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_must_be_positive(self, p3_sumcol, capsys, budget):
+        argv = ["solve", "--model", "nfold", "--backend", "nfold", "--budget", budget, p3_sumcol]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: --budget must be positive, got {budget}\n"
+
     def test_csv_schema_and_rows(self, star_cds, tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["solve", "--csv", str(out), "--no-timing", star_cds]) == 0
