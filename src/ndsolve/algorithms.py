@@ -218,9 +218,11 @@ def capacity_reorder(g: Graph, sol: CdsSolution) -> CdsSolution:
         dom.discard(v)
         dom.add(u)
         delta = new_delta
-        assert mismatch() < before
+        if mismatch() >= before:
+            raise RuntimeError(f"exchange {u}<->{v} did not reduce the out-of-prefix picks")
     out = CdsSolution.make(dom, delta)
-    assert check_cds(g, out) and out.size == sol.size
+    if not check_cds(g, out) or out.size != sol.size:
+        raise RuntimeError("capacity reorder produced an invalid or resized solution")
     return out
 
 

@@ -158,7 +158,8 @@ def run_solve(args) -> int:
         else:
             solver = cds_proximity_solve if args.algo == "proximity" else cds_rounding_approx
             sol = solver(t, g)
-            assert check_cds(g, sol)
+            if not check_cds(g, sol):
+                raise RuntimeError(f"{args.algo} returned an invalid dominating set")
             value, nodes = sol.size, 0
             dom = ",".join(str(v + 1) for v in sorted(sol.dominators))
             print(f"algo: {args.algo} value: {value} witness: D={{{dom}}}")

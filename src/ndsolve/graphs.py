@@ -12,9 +12,15 @@ by non-increasing capacity, so that "the first l vertices of class i" is a
 well-defined prefix.  The domination capacity f_i(l) is the total capacity
 of that prefix; it is concave piecewise-linear in l.
 
-Costs: the twin partition groups vertices by hashing their open and closed
-neighborhoods, O(n + m) for a graph with m edges; the type graph adds
-O(k^2) edge probes and the capacity sort.
+Costs: a Graph checks its edges once, when it is built.  A graph read from
+a file is built from the parser's sorted pairs, which the parser has
+checked, so its edges are walked once, at parse time, and not again; its
+neighbor sets are built on first use from those pairs in sorted order, one
+loop over the m edges.  The twin partition groups vertices by hashing their
+open and closed neighborhoods, O(n + m) for a graph with m edges; the type
+graph adds O(k^2) probes of the neighbor sets and the capacity sort.  The
+colouring check (models.check_coloring) tests neighbor sets against colour
+classes: O(n) set operations, not a Python step per edge.
 """
 
 from __future__ import annotations
@@ -58,14 +64,27 @@ class Graph:
         cap = None if capacity is None else tuple(capacity)
         return cls(n, frozenset(norm), cap)
 
+    @classmethod
+    def _from_sorted_pairs(cls, n, pairs, capacity):
+        """The graph of a strictly increasing list of pairs 0 <= u < v < n.
+
+        For parse_instance, which has checked every pair and capacity
+        already: __post_init__ does not walk them again.  adj reads the
+        pairs in this sorted order, which runs it faster than the hash order
+        of edges does; the list is dropped once adj is built.
+        """
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, edges=frozenset(pairs), capacity=capacity, _sorted_pairs=pairs)
+        return g
+
     @cached_property
     def adj(self):
         """Neighbor sets, indexed by vertex."""
         nbr = [set() for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.__dict__.pop("_sorted_pairs", self.edges):
             nbr[u].add(v)
             nbr[v].add(u)
-        return tuple(frozenset(s) for s in nbr)
+        return tuple(map(frozenset, nbr))
 
     def has_edge(self, u, v):
         return u != v and (min(u, v), max(u, v)) in self.edges
@@ -196,13 +215,13 @@ def _compress(g: Graph, p: TypePartition) -> TypeGraph:
         classes = tuple(tuple(sorted(c)) for c in p.classes)
         caps = None
 
+    adj = g.adj
     edges = set()
     for i in range(k):
         if p.kinds[i] == CLIQUE:
             edges.add((i, i))
         for j in range(i + 1, k):
-            u, v = classes[i][0], classes[j][0]
-            if g.has_edge(u, v):
+            if classes[j][0] in adj[classes[i][0]]:
                 edges.add((i, j))
 
     return TypeGraph(

@@ -18,15 +18,20 @@ newline, the last one included, no line holds a carriage return or another
 character that str.splitlines breaks on, and files are read as bytes, so a
 non-ASCII byte is an error on its line.
 
-The edge block, nearly all of a file, is read in bulk: its tokens are split
-once, each endpoint is looked up in one table of canonical labels, and the
-line structure, u < v and the strict order are checked by whole-list
-operations (see _edge_block), with no Python loop over the lines.  A
-block that fails this is read again line by line, which names its first
-bad line (or reads labels above the block's token count, which the table
-leaves out).  The few other lines are read one by one.  One scan of the whole text
-tells whether any integer can be non-canonical; only then is each integer
-read line by line matched against the canonical form.
+The edge block, nearly all of a file, is read in bulk and never split into
+lines: it is the text from the first edge line on, less the q line if the
+problem has one.  Its tokens are split once, each endpoint is looked up in
+one table of canonical labels, and the line structure, u < v and the strict
+order are checked by whole-list operations (see _edge_block), with no
+Python loop over the lines.  A block that fails this is read again line by
+line, which names its first bad line (or reads labels above the block's
+token count, which the table leaves out).  The few other lines are read one
+by one.  One scan of the whole text tells whether any integer can be
+non-canonical; only then is each integer read line by line matched against
+the canonical form.  The edges are checked once, here: the checked pairs,
+in file order, become the Graph with no second check
+(Graph._from_sorted_pairs), and its neighbor sets are built later from the
+same sorted list.
 
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
@@ -91,54 +96,65 @@ def _integer(line_no, text, what, suspect):
     return value
 
 
-def _fields(lines, line_no, expect_tag, n_fields):
-    if line_no > len(lines):
+def _fields(lines, i, line_no, expect_tag, n_fields):
+    """The fields after the tag of lines[i], which is line line_no."""
+    if i >= len(lines):
         raise ParseError(line_no, f"unexpected end of file, wanted a '{expect_tag}' line")
-    parts = lines[line_no - 1].split(" ")
+    parts = lines[i].split(" ")
     if parts[0] != expect_tag or len(parts) != n_fields:
         raise ParseError(line_no, f"expected '{expect_tag}' line with {n_fields} fields")
     return parts[1:]
 
 
-def _edge_block(block, n):
-    """The 0-based pairs of an edge block whose every line is well formed, or None.
+def _edge_block(rest, m, n, q_line):
+    """The 0-based pairs of a well-formed block of m edge lines at the start
+    of rest, and the lines after it; or None.
 
-    The block is checked as a whole, with no Python loop over its lines.
-    Each endpoint token is looked up in one table from the canonical labels
-    '1', '2', ... to vertices, so a hit is a canonical label in range.  If
-    every line starts with 'e ', there are 3 tokens per line and every
-    endpoint token is in the table, then no 'e' token sits at an endpoint
-    position, so the lines start at tokens 0, 3, 6, ... and each one is
-    'e <u> <v>'.  The table stops at the token count, so that its cost is
-    bounded by the block's; a block with a label above that goes to
-    _edge_lines, which reads it.  Any other block this rejects, _edge_lines
-    rejects too, and names its first bad line.
+    rest is the text from the first edge line on.  In a well-formed file the
+    block is all of rest but the q line, if the problem has one, so its end
+    is found from the end of rest, and it is checked as a whole, with no
+    Python loop over its lines.  Each endpoint token is looked up in one
+    table from the canonical labels '1', '2', ... to vertices, so a hit is a
+    canonical label in range.  If the block holds m newlines, starts with
+    'e ', every newline but its last is followed by 'e ', there are 3 tokens
+    per line and every endpoint token is in the table, then no 'e' token
+    sits at an endpoint position, so the lines start at tokens 0, 3, 6, ...
+    and each one is 'e <u> <v>'.  The table stops at the token count, so
+    that its cost is bounded by the block's; a block with a label above that
+    goes to _edge_lines, which reads it.  Any other block this rejects,
+    _edge_lines rejects too, and names its first bad line.
     """
-    if not block:
-        return []
-    joined = "\n".join(block)
-    if not joined.startswith("e ") or joined.count("\ne ") != len(block) - 1:
+    end = rest.rfind("\n", 0, len(rest) - 1) + 1 if q_line else len(rest)
+    block = rest[:end]
+    if block.count("\n") != m:
         return None
-    tokens = joined.replace("\n", " ").split(" ")
-    if len(tokens) != 3 * len(block):
+    after = rest[end:].split("\n")[:-1]
+    if not m:
+        return [], after
+    if not block.startswith("e ") or block.count("\ne ") != m - 1:
         return None
-    vertex = {str(v + 1): v for v in range(min(n, len(tokens)))}
+    tokens = block.replace("\n", " ").split(" ")
+    if len(tokens) != 3 * m + 1:
+        return None
+    vertex = {str(v + 1): v for v in range(min(n, 3 * m))}
     try:
         us = list(map(vertex.__getitem__, tokens[1::3]))
         vs = list(map(vertex.__getitem__, tokens[2::3]))
     except KeyError:
         return None
-    edges = list(zip(us, vs))
-    if all(map(lt, us, vs)) and all(map(lt, edges, edges[1:])):
-        return edges
+    pairs = list(zip(us, vs))
+    if all(map(lt, us, vs)) and all(map(lt, pairs, pairs[1:])):
+        return pairs, after
     return None
 
 
-def _edge_lines(block, first_line_no, n, suspect):
-    """The 0-based pairs of an edge block, line by line; raises at its first bad line."""
-    edges = []
+def _edge_lines(rest, first_line_no, m, n, suspect):
+    """The 0-based pairs of the m edge lines at the start of rest, and the
+    lines after them, read line by line; raises at the first bad line."""
+    lines = rest.split("\n")[:-1]
+    pairs = []
     prev = (-1, -1)
-    for line_no, line in enumerate(block, first_line_no):
+    for line_no, line in enumerate(lines[:m], first_line_no):
         parts = line.split(" ")
         if len(parts) != 3 or parts[0] != "e":
             raise ParseError(line_no, "expected 'e' line with 3 fields")
@@ -156,27 +172,36 @@ def _edge_lines(block, first_line_no, n, suspect):
         if (u, v) <= prev:
             raise ParseError(line_no, "edges must be strictly sorted (duplicates forbidden)")
         prev = (u, v)
-        edges.append(prev)
-    return edges
+        pairs.append(prev)
+    if len(lines) < m:
+        raise ParseError(first_line_no + len(lines), "unexpected end of file, wanted a 'e' line")
+    return pairs, lines[m:]
 
 
-def _lines(text):
-    """The lines of text, each ended by a newline and holding no other break."""
+def _check_breaks(text):
+    """Raise unless every line of text ends in a newline and holds no other break.
+
+    ASCII text can only hold the ASCII breaks, and a substring test for each
+    is cheaper than the regex scan, which then only runs to find the first.
+    """
     if not text:
         raise ParseError(1, "empty file")
-    brk = _OTHER_BREAK.search(text)
-    if brk is not None:
-        raise ParseError(text.count("\n", 0, brk.start()) + 1, f"bad line break {brk.group()!r}")
-    lines = text.split("\n")
-    if lines.pop():
-        raise ParseError(len(lines) + 1, "missing final newline")
-    return lines
+    if not text.isascii() or any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e")):
+        brk = _OTHER_BREAK.search(text)
+        if brk is not None:
+            raise ParseError(text.count("\n", 0, brk.start()) + 1, f"bad line break {brk.group()!r}")
+    if not text.endswith("\n"):
+        raise ParseError(text.count("\n") + 1, "missing final newline")
 
 
 def parse_instance(text: str) -> Instance:
-    lines = _lines(text)
+    _check_breaks(text)
     suspect = _suspect(text)
 
+    # The lines before the edge block, one string each, and the rest of the
+    # text, from the first edge line on, as one string.
+    lines = text.split("\n", 1)
+    rest = lines.pop()
     head = lines[0].split(" ")
     if len(head) != 4 or head[0] != "p":
         raise ParseError(1, "expected header 'p <problem> <n> <m>'")
@@ -191,9 +216,11 @@ def parse_instance(text: str) -> Instance:
     at = 2
     capacity = None
     if problem == "cds":
+        lines += rest.split("\n", min(n, len(rest)))
+        rest = lines.pop()
         capacity = []
         for v in range(1, n + 1):
-            got = _fields(lines, at, "c", 3)
+            got = _fields(lines, at - 1, at, "c", 3)
             if _integer(at, got[0], "vertex", suspect) != v:
                 raise ParseError(at, f"capacity lines must cover vertices in order; wanted {v}")
             cap = _integer(at, got[1], "capacity", suspect)
@@ -203,26 +230,25 @@ def parse_instance(text: str) -> Instance:
             at += 1
         capacity = tuple(capacity)
 
-    block = lines[at - 1 : at - 1 + m]
-    edges = _edge_block(block, n)
-    if edges is None:
-        edges = _edge_lines(block, at, n, suspect)
-    if len(block) < m:
-        raise ParseError(at + len(block), "unexpected end of file, wanted a 'e' line")
+    parsed = _edge_block(rest, m, n, problem == "maxqcut")
+    if parsed is None:
+        parsed = _edge_lines(rest, at, m, n, suspect)
+    pairs, after = parsed
     at += m
 
     q = None
     if problem == "maxqcut":
-        got = _fields(lines, at, "q", 2)
+        got = _fields(after, 0, at, "q", 2)
         q = _integer(at, got[0], "part count", suspect)
         if q < 2:
             raise ParseError(at, "need at least two parts")
+        after = after[1:]
         at += 1
 
-    if at - 1 != len(lines):
-        raise ParseError(at, f"unexpected trailing line {lines[at - 1]!r}")
+    if after:
+        raise ParseError(at, f"unexpected trailing line {after[0]!r}")
 
-    return Instance(Graph(n, frozenset(edges), capacity), problem, q)
+    return Instance(Graph._from_sorted_pairs(n, pairs, capacity), problem, q)
 
 
 def format_instance(inst: Instance) -> str:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ndsolve import algorithms
 from ndsolve.algorithms import (
     capacity_reorder,
     cds_brute,
@@ -61,6 +62,46 @@ class TestCheckers:
     def test_cut_value_k4(self):
         g = complete_graph(4)
         assert cut_value(g, {0: 1, 1: 1, 2: 2, 3: 2}) == 4
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_check_coloring_agrees_with_edge_walk(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 9), p=rng.random())
+
+        def by_edges(coloring):
+            return (
+                set(coloring) == set(range(g.n))
+                and all(c >= 1 for c in coloring.values())
+                and all(coloring[u] != coloring[v] for u, v in g.edges)
+            )
+
+        proper = dict(enumerate(rng.sample(range(1, g.n + 1), g.n)))
+        few_colours = {v: rng.randint(1, 3) for v in range(g.n)}
+        missing = dict(proper)
+        del missing[rng.randrange(g.n)]
+        extra = {**proper, g.n: 1}
+        zero = {**proper, rng.randrange(g.n): 0}
+        cases = [proper, few_colours, missing, extra, zero]
+        if g.edges:
+            u, v = rng.choice(sorted(g.edges))
+            cases.append({**proper, v: proper[u]})  # one clash
+        assert by_edges(proper)
+        for coloring in cases:
+            assert check_coloring(g, coloring) == by_edges(coloring), coloring
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cut_value_agrees_with_edge_walk(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(0, 9), p=rng.random())
+        q = rng.randint(2, 4)
+        partitions = [
+            {v: 1 for v in range(g.n)},  # a single part
+            {v: rng.randint(1, q) for v in range(g.n)},
+            {v: rng.randint(q + 1, q + 4) for v in range(g.n)},  # parts above q
+        ]
+        for partition in partitions:
+            by_edges = sum(1 for u, v in g.edges if partition[u] != partition[v])
+            assert cut_value(g, partition) == by_edges
 
 
 class TestMatching:
@@ -144,6 +185,21 @@ class TestCapacityReorder:
         g = complete_graph(2, capacity=[0, 0])
         with pytest.raises(ValueError):
             capacity_reorder(g, CdsSolution.make({0}, {1: 0}))
+
+    def test_exchange_that_does_not_progress_raises(self, monkeypatch):
+        # vertex 0 in two classes: each exchange undoes the other's progress,
+        # so without the guard the loop would swap forever
+        monkeypatch.setattr(algorithms, "_capacity_order", lambda g: [[1, 0], [0, 1]])
+        g = complete_graph(2, capacity=[1, 1])
+        with pytest.raises(RuntimeError, match="did not reduce"):
+            capacity_reorder(g, CdsSolution.make({0}, {1: 0}))
+
+    def test_invalid_result_raises(self, monkeypatch):
+        verdicts = iter([True, False])  # the input passes, the result fails
+        monkeypatch.setattr(algorithms, "check_cds", lambda g, sol: next(verdicts))
+        g = star_graph(3, capacity=[3, 0, 0, 0])
+        with pytest.raises(RuntimeError, match="invalid or resized"):
+            capacity_reorder(g, CdsSolution.make({0}, {1: 0, 2: 0, 3: 0}))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_valid_solutions(self, seed):

@@ -1,7 +1,11 @@
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ndsolve
 from ndsolve import cli
 from ndsolve.cli import build_parser, main
 from ndsolve.instances import Instance, write_instance
@@ -64,6 +68,25 @@ class TestSolve:
         assert main(["solve", "--algo", "brute", star_cds]) == 0
         second = capsys.readouterr().out
         assert "value: 1" in first and "value: 1" in second
+
+    def test_invalid_witness_raises(self, star_cds, monkeypatch):
+        monkeypatch.setattr(cli, "check_cds", lambda g, sol: False)
+        with pytest.raises(RuntimeError, match="proximity returned an invalid dominating set"):
+            main(["solve", "--algo", "proximity", star_cds])
+
+    @pytest.mark.parametrize("route", [["--algo", "proximity"], ["--model", "ilp"]])
+    def test_same_run_without_asserts(self, star_cds, route):
+        """python -O drops every assert, so a check kept in one would vanish
+        from the second run; both runs must print and exit the same."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ndsolve.__file__)))
+        argv = ["-m", "ndsolve", "solve", "--no-timing", *route, star_cds]
+        runs = [
+            subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True,
+                           env=env, timeout=60)
+            for flags in ([], ["-O"])
+        ]
+        assert runs[0].returncode == 0 and "value: 1" in runs[0].stdout
+        assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
 
     def test_wrong_problem_flag(self, star_cds, capsys):
         assert main(["solve", "--problem", "sumcol", star_cds]) == 3

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ndsolve.graphs import CLIQUE, INDEPENDENT, twin_partition
+from ndsolve.graphs import CLIQUE, INDEPENDENT, Graph, twin_partition
 from ndsolve.instances import (
     BlowupTemplate,
     Instance,
@@ -15,7 +15,7 @@ from ndsolve.instances import (
     write_instance,
 )
 
-from helpers import complete_graph, reference_parse, star_graph
+from helpers import complete_graph, random_graph, reference_parse, star_graph
 
 
 CDS_TEXT = """p cds 4 3
@@ -171,6 +171,28 @@ class TestParsing:
         inst = parse_instance(text)
         assert inst.graph == graph
         assert format_instance(inst) == text
+
+    @pytest.mark.parametrize("problem", ["cds", "sumcol", "maxqcut"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_parsed_graph_equals_from_edges(self, problem, seed):
+        """The parser builds its graph from its sorted pairs, with no second
+        walk over them; it equals Graph.from_edges of the same pairs in ==,
+        hash and adj.  The sparse graph's labels run above the edge block's
+        token count, so its block is read line by line."""
+        rng = random.Random(seed)
+        cap = problem == "cds"
+        template = random_template(rng, max_k=4, max_n=12, with_capacities=cap)
+        blowup = generate_blowup(template, seed=seed)
+        n = 30
+        pairs = {(0, n - 1)} | {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2)}
+        sparse = Graph.from_edges(n, pairs, [rng.randint(0, 3) for _ in range(n)] if cap else None)
+        assert max(v for _, v in sparse.edges) + 1 > 3 * sparse.m
+        for graph in (blowup, sparse):
+            text = format_instance(Instance(graph, problem, 3 if problem == "maxqcut" else None))
+            parsed = parse_instance(text).graph
+            ref = Graph.from_edges(graph.n, list(graph.edges), graph.capacity)
+            assert parsed == ref and hash(parsed) == hash(ref)
+            assert parsed.adj == ref.adj
 
     @pytest.mark.parametrize("problem", ["cds", "sumcol", "maxqcut"])
     def test_mutated_edge_blocks(self, problem):
