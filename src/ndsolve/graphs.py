@@ -12,13 +12,16 @@ by non-increasing capacity, so that "the first l vertices of class i" is a
 well-defined prefix.  The domination capacity f_i(l) is the total capacity
 of that prefix; it is concave piecewise-linear in l.
 
-Costs: a Graph checks its edges once, when it is built.  A graph read from
-a file is built from the parser's sorted pairs, which the parser has
-checked, so its edges are walked once, at parse time, and not again; its
-neighbor sets are built on first use from those pairs in sorted order, one
-loop over the m edges.  The twin partition groups vertices by hashing their
-open and closed neighborhoods, O(n + m) for a graph with m edges; the type
-graph adds O(k^2) probes of the neighbor sets and the capacity sort.  The
+A Graph's edges are the strictly increasing tuple of pairs (u, v),
+0 <= u < v < n: the order of the instance file format.  Graph() checks this
+once, in __post_init__, the one place that owns the invariant, by whole-list
+comparisons with no Python step per edge; Graph.from_edges is the one
+constructor that normalises (orients each pair, sorts, drops repeats).
+
+Costs: the neighbor sets are built on first use, one loop over the m edges
+in sorted order.  The twin partition groups vertices by hashing their open
+and closed neighborhoods, O(n + m) for a graph with m edges; the type graph
+adds O(k^2) probes of the neighbor sets and the capacity sort.  The
 colouring check (models.check_coloring) tests neighbor sets against colour
 classes: O(n) set operations, not a Python step per edge.
 """
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
+from operator import itemgetter, lt
 
 CLIQUE = "clique"
 INDEPENDENT = "independent"
@@ -34,19 +39,33 @@ INDEPENDENT = "independent"
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1, optional vertex capacities."""
+    """Undirected simple graph on vertices 0..n-1, optional vertex capacities.
+
+    ``edges`` is the strictly increasing tuple of pairs (u, v) with
+    0 <= u < v < n, so each edge appears once, oriented and in sorted order.
+    Graph(n, edges) takes the pairs in exactly that form (any sequence; it
+    is stored as a tuple) and raises ValueError naming the first bad pair;
+    Graph.from_edges(n, edges) accepts the pairs in any order and
+    orientation, with repeats.
+    """
 
     n: int
-    edges: frozenset
+    edges: tuple
     capacity: tuple | None = None
 
     def __post_init__(self):
         n = self.n
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if not all(0 <= u < v < n for u, v in self.edges):
-            bad = next(e for e in self.edges if not 0 <= e[0] < e[1] < n)
-            raise ValueError(f"bad edge {bad!r} for n={n}")
+        edges = tuple(self.edges)
+        if edges and not (
+            all(starmap(lt, edges))
+            and all(map(lt, edges, edges[1:]))
+            and edges[0][0] >= 0
+            and max(map(itemgetter(1), edges)) < n
+        ):
+            raise ValueError(_first_bad_edge(n, edges))
+        object.__setattr__(self, "edges", edges)
         if self.capacity is not None:
             if len(self.capacity) != self.n:
                 raise ValueError("capacity must be defined on all vertices or none")
@@ -62,36 +81,35 @@ class Graph:
                 raise ValueError(f"self-loop at {u}")
             norm.add((min(u, v), max(u, v)))
         cap = None if capacity is None else tuple(capacity)
-        return cls(n, frozenset(norm), cap)
-
-    @classmethod
-    def _from_sorted_pairs(cls, n, pairs, capacity):
-        """The graph of a strictly increasing list of pairs 0 <= u < v < n.
-
-        For parse_instance, which has checked every pair and capacity
-        already: __post_init__ does not walk them again.  adj reads the
-        pairs in this sorted order, which runs it faster than the hash order
-        of edges does; the list is dropped once adj is built.
-        """
-        g = cls.__new__(cls)
-        g.__dict__.update(n=n, edges=frozenset(pairs), capacity=capacity, _sorted_pairs=pairs)
-        return g
+        return cls(n, sorted(norm), cap)
 
     @cached_property
     def adj(self):
         """Neighbor sets, indexed by vertex."""
         nbr = [set() for _ in range(self.n)]
-        for u, v in self.__dict__.pop("_sorted_pairs", self.edges):
+        for u, v in self.edges:
             nbr[u].add(v)
             nbr[v].add(u)
         return tuple(map(frozenset, nbr))
 
     def has_edge(self, u, v):
-        return u != v and (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and v in self.adj[u]
 
     @property
     def m(self):
         return len(self.edges)
+
+
+def _first_bad_edge(n, edges):
+    """The message for the first pair of edges that breaks Graph's invariant."""
+    prev = None
+    for e in edges:
+        u, v = e
+        if not 0 <= u < v < n:
+            return f"bad edge {e!r} for n={n}"
+        if prev is not None and e <= prev:
+            return f"edge {e!r} after {prev!r}: edges must be strictly increasing"
+        prev = e
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:

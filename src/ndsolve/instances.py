@@ -21,17 +21,14 @@ non-ASCII byte is an error on its line.
 The edge block, nearly all of a file, is read in bulk and never split into
 lines: it is the text from the first edge line on, less the q line if the
 problem has one.  Its tokens are split once, each endpoint is looked up in
-one table of canonical labels, and the line structure, u < v and the strict
-order are checked by whole-list operations (see _edge_block), with no
-Python loop over the lines.  A block that fails this is read again line by
-line, which names its first bad line (or reads labels above the block's
-token count, which the table leaves out).  The few other lines are read one
-by one.  One scan of the whole text tells whether any integer can be
-non-canonical; only then is each integer read line by line matched against
-the canonical form.  The edges are checked once, here: the checked pairs,
-in file order, become the Graph with no second check
-(Graph._from_sorted_pairs), and its neighbor sets are built later from the
-same sorted list.
+one table of canonical labels, and the line structure is checked by
+whole-list operations (see _edge_block), with no Python loop over the
+lines.  The pairs, in file order, go straight to Graph, which owns the edge
+invariant (0 <= u < v < n, strictly increasing) and checks it once.  A
+block that fails either step is read again line by line, which names its
+first bad line (or reads labels above the block's token count, which the
+table leaves out).  The few other lines are read one by one, and each
+integer in them is matched against the canonical form.
 
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
@@ -44,14 +41,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from operator import lt
 
 from .graphs import CLIQUE, INDEPENDENT, Graph
 
 PROBLEMS = ("cds", "sumcol", "maxqcut")
 
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
-_ZERO_LED = re.compile(r" 0[^ \n]")
 _OTHER_BREAK = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
@@ -68,30 +63,13 @@ class Instance:
     q: int | None = None
 
 
-def _suspect(text):
-    """Whether text may hold a non-canonical integer that int() accepts.
-
-    Every integer field follows a space, so ASCII text without '+', '_', a
-    tab, ' -0' or a zero-led field holds none.  Substring tests keep this
-    scan cheap next to the parse.
-    """
-    return (
-        not text.isascii()
-        or "+" in text
-        or "_" in text
-        or "\t" in text
-        or " -0" in text
-        or _ZERO_LED.search(text) is not None
-    )
-
-
-def _integer(line_no, text, what, suspect):
-    """int(text); when the file is suspect, text must also be canonical."""
+def _integer(line_no, text, what):
+    """int(text), for text written canonically."""
     try:
         value = int(text)
     except ValueError:
         raise ParseError(line_no, f"bad {what}: {text!r}") from None
-    if suspect and not _CANONICAL_INT.fullmatch(text):
+    if not _CANONICAL_INT.fullmatch(text):
         raise ParseError(line_no, f"non-canonical {what}: {text!r}")
     return value
 
@@ -107,8 +85,8 @@ def _fields(lines, i, line_no, expect_tag, n_fields):
 
 
 def _edge_block(rest, m, n, q_line):
-    """The 0-based pairs of a well-formed block of m edge lines at the start
-    of rest, and the lines after it; or None.
+    """The 0-based pairs of a block of m lines 'e <u> <v>' at the start of
+    rest, and the lines after it; or None.
 
     rest is the text from the first edge line on.  In a well-formed file the
     block is all of rest but the q line, if the problem has one, so its end
@@ -122,7 +100,8 @@ def _edge_block(rest, m, n, q_line):
     and each one is 'e <u> <v>'.  The table stops at the token count, so
     that its cost is bounded by the block's; a block with a label above that
     goes to _edge_lines, which reads it.  Any other block this rejects,
-    _edge_lines rejects too, and names its first bad line.
+    _edge_lines rejects too, and names its first bad line.  Whether the
+    pairs are ordered is Graph's check, not this one's.
     """
     end = rest.rfind("\n", 0, len(rest) - 1) + 1 if q_line else len(rest)
     block = rest[:end]
@@ -130,25 +109,21 @@ def _edge_block(rest, m, n, q_line):
         return None
     after = rest[end:].split("\n")[:-1]
     if not m:
-        return [], after
+        return (), after
     if not block.startswith("e ") or block.count("\ne ") != m - 1:
         return None
     tokens = block.replace("\n", " ").split(" ")
     if len(tokens) != 3 * m + 1:
         return None
     vertex = {str(v + 1): v for v in range(min(n, 3 * m))}
+    label = vertex.__getitem__
     try:
-        us = list(map(vertex.__getitem__, tokens[1::3]))
-        vs = list(map(vertex.__getitem__, tokens[2::3]))
+        return tuple(zip(map(label, tokens[1::3]), map(label, tokens[2::3]))), after
     except KeyError:
         return None
-    pairs = list(zip(us, vs))
-    if all(map(lt, us, vs)) and all(map(lt, pairs, pairs[1:])):
-        return pairs, after
-    return None
 
 
-def _edge_lines(rest, first_line_no, m, n, suspect):
+def _edge_lines(rest, first_line_no, m, n):
     """The 0-based pairs of the m edge lines at the start of rest, and the
     lines after them, read line by line; raises at the first bad line."""
     lines = rest.split("\n")[:-1]
@@ -158,15 +133,8 @@ def _edge_lines(rest, first_line_no, m, n, suspect):
         parts = line.split(" ")
         if len(parts) != 3 or parts[0] != "e":
             raise ParseError(line_no, "expected 'e' line with 3 fields")
-        _, a, b = parts
-        try:
-            u, v = int(a) - 1, int(b) - 1
-        except ValueError:
-            _integer(line_no, a, "endpoint", suspect)  # raises if the first endpoint is the bad one
-            raise ParseError(line_no, f"bad endpoint: {b!r}") from None
-        if suspect:
-            _integer(line_no, a, "endpoint", True)
-            _integer(line_no, b, "endpoint", True)
+        u = _integer(line_no, parts[1], "endpoint") - 1
+        v = _integer(line_no, parts[2], "endpoint") - 1
         if not 0 <= u < v < n:
             raise ParseError(line_no, f"edge ({u + 1},{v + 1}) not sorted or out of range")
         if (u, v) <= prev:
@@ -196,7 +164,6 @@ def _check_breaks(text):
 
 def parse_instance(text: str) -> Instance:
     _check_breaks(text)
-    suspect = _suspect(text)
 
     # The lines before the edge block, one string each, and the rest of the
     # text, from the first edge line on, as one string.
@@ -208,8 +175,8 @@ def parse_instance(text: str) -> Instance:
     problem = head[1]
     if problem not in PROBLEMS:
         raise ParseError(1, f"unknown problem {problem!r}")
-    n = _integer(1, head[2], "vertex count", suspect)
-    m = _integer(1, head[3], "edge count", suspect)
+    n = _integer(1, head[2], "vertex count")
+    m = _integer(1, head[3], "edge count")
     if n < 0 or m < 0:
         raise ParseError(1, "negative counts")
 
@@ -221,25 +188,34 @@ def parse_instance(text: str) -> Instance:
         capacity = []
         for v in range(1, n + 1):
             got = _fields(lines, at - 1, at, "c", 3)
-            if _integer(at, got[0], "vertex", suspect) != v:
+            if _integer(at, got[0], "vertex") != v:
                 raise ParseError(at, f"capacity lines must cover vertices in order; wanted {v}")
-            cap = _integer(at, got[1], "capacity", suspect)
+            cap = _integer(at, got[1], "capacity")
             if cap < 0:
                 raise ParseError(at, "negative capacity")
             capacity.append(cap)
             at += 1
         capacity = tuple(capacity)
 
+    graph = None
     parsed = _edge_block(rest, m, n, problem == "maxqcut")
-    if parsed is None:
-        parsed = _edge_lines(rest, at, m, n, suspect)
-    pairs, after = parsed
+    if parsed is not None:
+        try:
+            graph = Graph(n, parsed[0], capacity)
+        except ValueError:
+            pass
+    if graph is None:
+        # Raises at the block's first bad line, or reads labels above its
+        # token count.
+        parsed = _edge_lines(rest, at, m, n)
+        graph = Graph(n, parsed[0], capacity)
+    after = parsed[1]
     at += m
 
     q = None
     if problem == "maxqcut":
         got = _fields(after, 0, at, "q", 2)
-        q = _integer(at, got[0], "part count", suspect)
+        q = _integer(at, got[0], "part count")
         if q < 2:
             raise ParseError(at, "need at least two parts")
         after = after[1:]
@@ -248,7 +224,7 @@ def parse_instance(text: str) -> Instance:
     if after:
         raise ParseError(at, f"unexpected trailing line {after[0]!r}")
 
-    return Instance(Graph._from_sorted_pairs(n, pairs, capacity), problem, q)
+    return Instance(graph, problem, q)
 
 
 def format_instance(inst: Instance) -> str:
@@ -258,7 +234,7 @@ def format_instance(inst: Instance) -> str:
         if g.capacity is None:
             raise ValueError("cds instance without capacities")
         out += [f"c {v + 1} {g.capacity[v]}" for v in range(g.n)]
-    out += [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)]
+    out += [f"e {u + 1} {v + 1}" for u, v in g.edges]
     if inst.problem == "maxqcut":
         if inst.q is None:
             raise ValueError("maxqcut instance without part count")

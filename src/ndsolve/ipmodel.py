@@ -110,7 +110,6 @@ class IpModel:
     nfold: NFoldBlocks | None = None
     stacked: StackedBlocks | None = None
     tag: str | None = None
-    var_names: tuple | None = None
     initial_point: tuple | None = None
     remainder_bound: object = None  # optional admissible bound on the suffix objective
 

@@ -129,7 +129,7 @@ def verify_decomposition(g: Graph, d: PathDecomposition) -> DecompositionReport:
     missing = set(range(g.n)) - covered
     if missing:
         return DecompositionReport(False, width, f"vertex {min(missing)} in no bag")
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         if not any(u in b and v in b for b in d.bags):
             return DecompositionReport(False, width, f"edge ({u},{v}) in no bag")
     for v in range(g.n):

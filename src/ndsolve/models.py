@@ -86,7 +86,6 @@ def _cds_frame(t: TypeGraph):
     k = t.k
     pairs = cds_pairs(t)
     pos = {p: k + idx for idx, p in enumerate(pairs)}
-    names = [f"x_{i}" for i in range(k)] + [f"y_{i}_{j}" for i, j in pairs]
     lower = [0] * (k + len(pairs))
     upper = list(t.weights) + [
         min(t.weights[j], domination_capacity(t, i, t.weights[i])) for i, j in pairs
@@ -96,13 +95,13 @@ def _cds_frame(t: TypeGraph):
         coeffs = {pos[(i, j)]: 1 for i in sorted(t.neighbors(j))}
         coeffs[j] = 1  # x_j: vertices inside the set need no dominator
         rows.append(LinearRow.make(coeffs, GE, t.weights[j]))
-    return k, pairs, pos, names, lower, upper, rows
+    return k, pairs, pos, lower, upper, rows
 
 
 def build_cds_convex(t: TypeGraph) -> IpModel:
     """Linear objective |D|, domination rows, and one concave capacity bound
     per class kept as a convex feasibility rule."""
-    k, pairs, pos, names, lower, upper, rows = _cds_frame(t)
+    k, pairs, pos, lower, upper, rows = _cds_frame(t)
     convex_rows = []
     for i in range(k):
         served = tuple(pos[(i, j)] for j in sorted(t.neighbors(i)))
@@ -123,7 +122,6 @@ def build_cds_convex(t: TypeGraph) -> IpModel:
         rows=tuple(rows),
         convex_rows=tuple(convex_rows),
         tag="cds",
-        var_names=tuple(names),
     ).validate()
 
 
@@ -134,7 +132,7 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
     length l is  sum_j y_ij <= f_i(l-1) + c_l * (x_i - l + 1),  one row per
     vertex of the class, |G| rows in total.
     """
-    k, pairs, pos, names, lower, upper, rows = _cds_frame(t)
+    k, pairs, pos, lower, upper, rows = _cds_frame(t)
     rows = list(rows)
     for i in range(k):
         caps = t.sorted_capacities[i]
@@ -153,7 +151,6 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
         upper=tuple(upper),
         rows=tuple(rows),
         tag="cds",
-        var_names=tuple(names),
     ).validate()
 
 
@@ -307,7 +304,6 @@ def build_sumcol_convex(t: TypeGraph) -> IpModel:
         upper=tuple(_catalog_upper_bounds(t, cat)),
         rows=tuple(rows),
         tag="sumcol_convex",
-        var_names=tuple("x_" + "".join(map(str, s)) for s in cat.sets),
     ).validate()
 
 
@@ -363,8 +359,6 @@ def build_sumcol_graver(t: TypeGraph) -> IpModel:
             x0[idx] for idx, s in enumerate(cat.sigma) if s >= gval
         )
 
-    names = ["x_" + "".join(map(str, s)) for s in cat.sets]
-    names += [f"z_{gval}" for gval in sorted(gamma, reverse=True)]
     return IpModel(
         sense=MIN,
         objective=SeparableConvex(tuple(terms)),
@@ -374,7 +368,6 @@ def build_sumcol_graver(t: TypeGraph) -> IpModel:
         rows=tuple(rows),
         stacked=StackedBlocks(f_rows=t.k, l_rows=kgam),
         tag="sumcol_graver",
-        var_names=tuple(names),
         initial_point=tuple(x0),
     ).validate()
 
@@ -469,10 +462,6 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
             total += per_class[i] * (need * first + need * (need + 1) // 2)
         return total
 
-    names = []
-    for b in range(n_colors):
-        names += [f"x_{i}_c{b + 1}" for i in range(k)]
-        names += [f"s_{i}_{j}_c{b + 1}" for (i, j) in edges_nl]
     return IpModel(
         sense=MIN,
         objective=Linear(tuple(cost)),
@@ -482,7 +471,6 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
         rows=tuple(rows),
         nfold=NFoldBlocks(r=k, s=s, t=tt, n=n_colors, a1=a1, a2=a2),
         tag="sumcol_nfold",
-        var_names=tuple(names),
         initial_point=initial,
         remainder_bound=remainder_bound,
     ).validate()
@@ -523,7 +511,6 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
         upper=tuple(t.weights[i] for i in range(k) for _ in range(q)),
         rows=tuple(rows),
         tag="maxqcut",
-        var_names=tuple(f"x_{i}_p{a + 1}" for i in range(k) for a in range(q)),
     ).validate()
 
 

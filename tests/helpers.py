@@ -220,4 +220,4 @@ def reference_parse(text):
         at += 1
     if at - 1 != len(lines):
         raise ParseError(at, f"unexpected trailing line {lines[at - 1]!r}")
-    return Instance(Graph(n, frozenset(edges), capacity), problem, q)
+    return Instance(Graph(n, edges, capacity), problem, q)

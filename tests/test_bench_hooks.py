@@ -17,6 +17,7 @@ import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from ndsolve import algorithms, backends, cli  # noqa: E402
+from ndsolve.instances import read_instance  # noqa: E402
 
 
 def snapshot():
@@ -50,3 +51,17 @@ def test_hooks_patch_and_restore(hooks, some_hooked):
         inside = snapshot()
     assert some_hooked <= rebound(before, inside)
     assert rebound(before, snapshot()) == set()
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_workload_setup_builds_and_reads_back(seed, tmp_path):
+    """Both workloads' set-up runs on the current API (``desk`` rebuilds its
+    domination graphs with ``Graph(n, edges, capacity)``), and every file it
+    writes reads back to its instance."""
+    desk_cases, desk_ops = workloads.desk(seed, tmp_path, per_problem=1)
+    graver_cases, graver_ops = workloads.graver(seed, tmp_path, count=2, max_n=12)
+    assert [c.inst.problem for c in desk_cases] == ["cds", "sumcol", "maxqcut"]
+    assert len(graver_cases) == 2 and desk_ops and graver_ops
+    for case in desk_cases + graver_cases:
+        assert read_instance(case.path) == case.inst
+    assert {op.argv[1] for op in desk_ops + graver_ops} == {c.path for c in desk_cases + graver_cases}

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -39,6 +40,32 @@ class TestGraph:
         assert g.m == 2
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
         assert not g.has_edge(0, 1)
+
+    @pytest.mark.parametrize(
+        "edges, bad",
+        [
+            ([(0, 1), (0, 1)], (0, 1)),  # repeated pair
+            ([(0, 1), (1, 2), (0, 2)], (0, 2)),  # unsorted pairs
+            ([(0, 1), (1, 1)], (1, 1)),  # u == v
+            ([(2, 1)], (2, 1)),  # u > v
+            ([(0, 1), (1, 3)], (1, 3)),  # v >= n
+            ([(-1, 1), (0, 2)], (-1, 1)),  # u < 0
+        ],
+    )
+    def test_constructor_checks_sorted_pairs(self, edges, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            Graph(3, edges)
+
+    def test_list_input_stored_as_tuple(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        assert g.edges == ((0, 1), (1, 2))
+        assert g == Graph.from_edges(3, [(2, 1), (1, 0), (0, 1)])
+
+    def test_has_edge_out_of_range(self):
+        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        assert not g.has_edge(-1, 0) and not g.has_edge(0, -1)
+        assert not g.has_edge(3, 0) and not g.has_edge(0, 3)
+        assert not g.has_edge(1, 1)
 
     def test_capacity_all_or_none(self):
         with pytest.raises(ValueError):

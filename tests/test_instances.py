@@ -230,7 +230,7 @@ class TestParsing:
         # labels past the edge block's token count take the line-by-line path
         text = "p sumcol 1000000000000 2\ne 1 7\ne 5 999999999999\n"
         inst = parse_instance(text)
-        assert inst.graph.edges == {(0, 6), (4, 999999999998)}
+        assert inst.graph.edges == ((0, 6), (4, 999999999998))
         assert format_instance(inst) == text
 
     def test_file_roundtrip(self, tmp_path):
