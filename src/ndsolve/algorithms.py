@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,7 +112,7 @@ def sumcol_brute(g: Graph, max_n: int = COLORING_SIZE_GUARD) -> dict:
     """
     _guard(g, max_n, "coloring")
     n = g.n
-    below = [sorted(u for u in g.adj[v] if u < v) for v in range(n)]
+    below = [nb[:bisect_left(nb, v)] for v, nb in enumerate(g.neighbors)]
     colors = [0] * n
     best_cost = [n * (n + 1) // 2 + 1]
     best = [None]
@@ -139,7 +140,7 @@ def maxqcut_brute(g: Graph, q: int, max_n: int = CUT_SIZE_GUARD) -> dict:
     if q < 2:
         raise ValueError("need at least two parts")
     n = g.n
-    below = [sorted(u for u in g.adj[v] if u < v) for v in range(n)]
+    below = [nb[:bisect_left(nb, v)] for v, nb in enumerate(g.neighbors)]
     open_above = [0] * (n + 1)  # edges whose larger endpoint is >= d
     for v in range(n - 1, -1, -1):
         open_above[v] = open_above[v + 1] + len(below[v])

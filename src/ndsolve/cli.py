@@ -9,10 +9,11 @@ Subcommands:
   bench          generate seeded blow-up instances and solve them in bulk
 
 Exit codes: 0 ok, 1 infeasible (or verify mismatch), 2 budget exhausted,
-3 input error.  CSV reports use the fixed schema
-instance,problem,model,backend,value,nodes,millis (header written once);
-pass --no-timing to zero the millis column when byte-identical output
-matters more than timing.
+3 input error, including an instance too large for memory (such as a
+header whose vertex count is far above its edges).  CSV reports use the
+fixed schema instance,problem,model,backend,value,nodes,millis (header
+written once); pass --no-timing to zero the millis column when
+byte-identical output matters more than timing.
 """
 
 from __future__ import annotations
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return BUDGET
+    except MemoryError:
+        print("input error: out of memory: the instance is too large to hold", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

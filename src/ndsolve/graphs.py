@@ -18,16 +18,19 @@ once, in __post_init__, the one place that owns the invariant, by whole-list
 comparisons with no Python step per edge; Graph.from_edges is the one
 constructor that normalises (orients each pair, sorts, drops repeats).
 
-Costs: the neighbor sets are built on first use, one loop over the m edges
-in sorted order.  The twin partition groups vertices by hashing their open
-and closed neighborhoods, O(n + m) for a graph with m edges; the type graph
-adds O(k^2) probes of the neighbor sets and the capacity sort.  The
-colouring check (models.check_coloring) tests neighbor sets against colour
-classes: O(n) set operations, not a Python step per edge.
+Costs: the neighborhoods are one tuple of sorted neighbor tuples
+(Graph.neighbors), built on first use by one append pass over the m edges in
+sorted order; nothing on a solve path builds a set per vertex.  The twin
+partition groups vertices by hashing their open and closed neighborhoods,
+O(n + m) for a graph with m edges; the type graph adds O(k^2) binary-search
+probes of the neighbor tuples and the capacity sort.  The colouring check
+(models.check_coloring) tests neighbor tuples against colour classes held
+as sets: O(n) C-level isdisjoint calls, not a Python step per edge.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
@@ -84,16 +87,29 @@ class Graph:
         return cls(n, sorted(norm), cap)
 
     @cached_property
-    def adj(self):
-        """Neighbor sets, indexed by vertex."""
-        nbr = [set() for _ in range(self.n)]
+    def neighbors(self):
+        """Sorted neighbor tuples, indexed by vertex.
+
+        One append pass over ``edges``, with no sort: the edges are strictly
+        increasing, so vertex w first receives the u of each (u, w), u < w,
+        in ascending order, then the v of each (w, v), v > w, in ascending
+        order.
+        """
+        nbr = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return tuple(map(frozenset, nbr))
+            nbr[u].append(v)
+            nbr[v].append(u)
+        return tuple(map(tuple, nbr))
+
+    @cached_property
+    def adj(self):
+        """Neighbor frozensets, indexed by vertex: a view derived from
+        ``neighbors`` for callers that want set operations.  Nothing on a
+        solve path builds it."""
+        return tuple(map(frozenset, self.neighbors))
 
     def has_edge(self, u, v):
-        return 0 <= u < self.n and 0 <= v < self.n and v in self.adj[u]
+        return 0 <= u < self.n and 0 <= v < self.n and _contains(self.neighbors[u], v)
 
     @property
     def m(self):
@@ -110,6 +126,12 @@ def _first_bad_edge(n, edges):
         if prev is not None and e <= prev:
             return f"edge {e!r} after {prev!r}: edges must be strictly increasing"
         prev = e
+
+
+def _contains(nbrs, v):
+    """Whether v is in the sorted tuple nbrs, by binary search."""
+    i = bisect_left(nbrs, v)
+    return i < len(nbrs) and nbrs[i] == v
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:
@@ -147,10 +169,11 @@ def twin_partition(g: Graph) -> TypePartition:
     kinds = []
     by_open = {}     # N(v) of each class's first vertex -> class index
     by_closed = {}   # N[v] of each class's first vertex -> class index
-    for v, nbrs in enumerate(g.adj):
+    for v, nbrs in enumerate(g.neighbors):
         idx = by_open.get(nbrs)
         if idx is None:
-            closed = nbrs | {v}
+            i = bisect_left(nbrs, v)
+            closed = nbrs[:i] + (v,) + nbrs[i:]
             idx = by_closed.get(closed)
             if idx is None:
                 by_open[nbrs] = by_closed[closed] = len(classes)
@@ -233,13 +256,13 @@ def _compress(g: Graph, p: TypePartition) -> TypeGraph:
         classes = tuple(tuple(sorted(c)) for c in p.classes)
         caps = None
 
-    adj = g.adj
+    nbrs = g.neighbors
     edges = set()
     for i in range(k):
         if p.kinds[i] == CLIQUE:
             edges.add((i, i))
         for j in range(i + 1, k):
-            if classes[j][0] in adj[classes[i][0]]:
+            if _contains(nbrs[classes[i][0]], classes[j][0]):
                 edges.add((i, j))
 
     return TypeGraph(

@@ -177,7 +177,8 @@ class CdsSolution:
 def _match_subset(g: Graph, dominators):
     """Assignment for an explicit dominator set, or None."""
     outside = [v for v in range(g.n) if v not in dominators]
-    adj = {v: sorted(set(g.adj[v]) & dominators) for v in outside}
+    nbrs = g.neighbors
+    adj = {v: [u for u in nbrs[v] if u in dominators] for v in outside}
     cap = {v: g.capacity[v] for v in dominators}
     size, assignment = max_bipartite_matching(outside, adj, cap)
     return assignment if size == len(outside) else None
@@ -522,8 +523,11 @@ def check_coloring(g: Graph, coloring) -> bool:
     """Whether coloring gives exactly the vertices of g colours >= 1, and
     the two ends of every edge different colours.
 
-    Each vertex's neighbor set is tested against its colour class: O(n)
-    set operations, not a Python step per edge.
+    Each colour class must be an independent set.  An edge inside a class
+    has an end other than the class's first vertex, so every other member's
+    sorted neighbor tuple is tested against the class as a set: one C-level
+    isdisjoint per vertex, no Python step per edge, and none at all for a
+    class of one vertex.
     """
     if set(coloring) != set(range(g.n)):
         return False
@@ -531,9 +535,13 @@ def check_coloring(g: Graph, coloring) -> bool:
         return False
     members = {}
     for v, c in coloring.items():
-        members.setdefault(c, set()).add(v)
-    adj = g.adj
-    return all(adj[v].isdisjoint(members[c]) for v, c in coloring.items())
+        members.setdefault(c, []).append(v)
+    nbrs = g.neighbors.__getitem__
+    return all(
+        all(map(set(cls).isdisjoint, map(nbrs, cls[1:])))
+        for cls in members.values()
+        if len(cls) > 1
+    )
 
 
 def decode_coloring(t: TypeGraph, g: Graph, point, model_tag: str) -> dict:

@@ -13,10 +13,12 @@ import pytest
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
+import check  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from ndsolve import algorithms, backends, cli  # noqa: E402
+from ndsolve.algorithms import cds_brute  # noqa: E402
 from ndsolve.instances import read_instance  # noqa: E402
 
 
@@ -65,3 +67,19 @@ def test_workload_setup_builds_and_reads_back(seed, tmp_path):
     for case in desk_cases + graver_cases:
         assert read_instance(case.path) == case.inst
     assert {op.argv[1] for op in desk_ops + graver_ops} == {c.path for c in desk_cases + graver_cases}
+
+
+def test_checker_judges_dominator_only_cds_witness(tmp_path):
+    """The gate rebuilds a dominator-only witness (what ``--algo`` prints)
+    by matching over ``g.adj[v] & dom``, so ``Graph.adj`` must stay a tuple
+    of sets: an optimal dominating set passes, the empty set does not."""
+    cases, ops = workloads.desk(5, tmp_path, per_problem=1)
+    case = next(c for c in cases if c.inst.problem == "cds")
+    op = next(o for o in ops if o.case == case.name and o.route == "proximity")
+    dom = cds_brute(case.inst.graph).dominators
+    text = "D={" + ",".join(str(v + 1) for v in sorted(dom)) + "}"
+    value = case.expected[None]
+    assert len(dom) == value
+    assert check._cds_witness(case.inst.graph, text).dominators == dom
+    assert check.witness_error(op, case.inst, value, text) is None
+    assert check.witness_error(op, case.inst, 0, "D={}") == "invalid dominating set"

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ndsolve
-from ndsolve import cli
+from ndsolve import cli, graphs
 from ndsolve.cli import build_parser, main
 from ndsolve.instances import Instance, write_instance
 
@@ -42,6 +42,22 @@ class TestNd:
 
     def test_missing_file(self, capsys):
         assert main(["nd", "no-such-file"]) == 3
+
+    def test_out_of_memory_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        """A header far above its edges makes the neighborhoods allocate a
+        slot per vertex; running out of memory there is exit 3, not a
+        traceback.  The allocation is stood in for by a raising property."""
+        path = tmp_path / "huge.txt"
+        path.write_text("p sumcol 1000000000 1\ne 1 2\n")
+
+        def out_of_memory(self):
+            raise MemoryError
+
+        monkeypatch.setattr(graphs.Graph, "neighbors", property(out_of_memory))
+        assert main(["nd", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: out of memory")
+        assert "Traceback" not in err
 
 
 class TestSolve:

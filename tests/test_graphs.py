@@ -74,6 +74,35 @@ class TestGraph:
             Graph.from_edges(2, [], capacity=[1, -1])
 
 
+def _random_with_isolated(seed):
+    """A random graph on 0..12 vertices, density 0.1..0.9, with 0..2 extra
+    isolated vertices at the end."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n=rng.randint(0, 10), p=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+    return Graph(g.n + rng.randint(0, 2), g.edges)
+
+
+class TestNeighborsByDefinition:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_neighbors_adj_and_has_edge(self, seed):
+        g = _random_with_isolated(seed)
+        edge_set = set(g.edges)
+        assert g.neighbors == tuple(
+            tuple(sorted([v for u, v in g.edges if u == w] + [u for u, v in g.edges if v == w]))
+            for w in range(g.n)
+        )
+        assert g.adj == tuple(map(frozenset, g.neighbors))
+        for u in range(-1, g.n + 1):
+            for v in range(-1, g.n + 1):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edge_set)
+
+    def test_seeds_reach_isolated_vertices_and_dense_graphs(self):
+        graphs = [_random_with_isolated(seed) for seed in range(60)]
+        assert any(g.n == 0 for g in graphs)
+        assert any(() in g.neighbors for g in graphs if g.m)
+        assert max(2 * g.m / (g.n * (g.n - 1)) for g in graphs if g.n > 1) > 0.8
+
+
 class TestTwinPartition:
     def test_complete_graph_single_class(self):
         assert twin_partition(complete_graph(5)).k == 1
