@@ -19,6 +19,11 @@ is taken only when the sum ends at zero, the box holds, and the objective
 strictly decreases.  This is exact, since every Graver element of the full
 n-fold matrix that moves a point within the box is such a step (see
 solve_nfold).
+
+Every optimal result of the three backends is certified before it is
+returned: its point is checked against the boxes, the rows and the convex
+rows, and its objective is recomputed from the model and compared with the
+value the backend reached (_certify, which raises RuntimeError).
 """
 
 from __future__ import annotations
@@ -63,6 +68,28 @@ class SolveResult:
 def _holds(row, lhs) -> bool:
     """Whether a row whose left-hand side is lhs is satisfied."""
     return (row.rel == GE or lhs <= row.rhs) and (row.rel == LE or lhs >= row.rhs)
+
+
+def _is_feasible(model: IpModel, point) -> bool:
+    """Whether point lies in the boxes and satisfies every row and convex row."""
+    if not all(lo <= v <= hi for v, lo, hi in zip(point, model.lower, model.upper)):
+        return False
+    return all(
+        _holds(row, sum(c * point[i] for i, c in row.coeffs)) for row in model.rows
+    ) and all(cr.fn(point) <= 0 for cr in model.convex_rows)
+
+
+def _certify(model: IpModel, point, claimed):
+    """The model's objective value at point, once point is seen to satisfy
+    the boxes, the rows and the convex rows and that value, in minimize
+    orientation, equals claimed, the value the backend reached; raises
+    RuntimeError otherwise.  Every optimal result passes through here."""
+    if not _is_feasible(model, point):
+        raise RuntimeError("solver ended at a point that breaks a box or a row of the model")
+    value = model.objective_value(point)
+    if (value if model.sense == MIN else -value) != claimed:
+        raise RuntimeError(f"solver reached objective {claimed}, but the point's is {value}")
+    return value
 
 
 def _ceil_div(a, b):
@@ -222,28 +249,12 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     rec(0, 0)
     if best_val is None:
         return SolveResult("infeasible", None, None, nodes)
-    return SolveResult("optimal", best_pt, model.objective_value(best_pt), nodes)
+    return SolveResult("optimal", best_pt, _certify(model, best_pt, best_val), nodes)
 
 
 # ---------------------------------------------------------------------------
 # n-fold augmentation backend
 # ---------------------------------------------------------------------------
-
-def _is_feasible(model: IpModel, point) -> bool:
-    """Whether point lies in the boxes and satisfies every row and convex row."""
-    if not all(lo <= v <= hi for v, lo, hi in zip(point, model.lower, model.upper)):
-        return False
-    return all(
-        _holds(row, sum(c * point[i] for i, c in row.coeffs)) for row in model.rows
-    ) and all(cr.fn(point) <= 0 for cr in model.convex_rows)
-
-
-def _checked(model: IpModel, point):
-    """point, once it is seen to satisfy the model; an augmentation's last check."""
-    if not _is_feasible(model, point):
-        raise RuntimeError("augmentation ended at a point that breaks a box or a row")
-    return point
-
 
 def _initial_point(model: IpModel, budget: Budget):
     if model.initial_point is not None:
@@ -318,7 +329,8 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     zero = (0,) * nf.r
 
     def improve():
-        """Take the best strictly improving step, if there is one."""
+        """Take the best strictly improving step, if there is one, and return
+        its objective change (0 when there is none)."""
         per_brick = []  # per brick: A1-part -> (objective change, move), best change kept
         for b in range(nf.n):
             base = b * nf.t
@@ -337,7 +349,7 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
                         cands[key] = (delta, h)
             per_brick.append(cands)
         if all(len(c) == 1 and next(iter(c.values()))[0] >= 0 for c in per_brick):
-            return False  # every brick is pinned to a non-improving move
+            return 0  # every brick is pinned to a non-improving move
         # window[b]: per A1 row, the least and the greatest sum a state after
         # brick b may hold and still return to zero over bricks b+1..
         lo = hi = zero
@@ -369,22 +381,24 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
             layers.append(back)
             states = nxt
         if zero not in states or states[zero] >= 0:
-            return False
+            return 0
         sigma = zero
         for b in range(nf.n - 1, -1, -1):
             sigma, h = layers[b][sigma]
             for j, d in enumerate(h):
                 x[b * nf.t + j] += d
-        return True
+        return states[zero]
 
+    value = sum(f(v) for f, v in zip(fns, x))
     steps = 0
-    while improve():
+    while delta := improve():
+        value += delta
         steps += 1
         if steps > budget.max_steps:
             raise BudgetError("n-fold augmentation step budget exceeded")
 
-    x = _checked(model, tuple(x))
-    return SolveResult("optimal", x, model.objective_value(x), steps)
+    x = tuple(x)
+    return SolveResult("optimal", x, _certify(model, x, value), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -430,5 +444,4 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     res = augment_to_optimum(
         matrix, x0, f, (model.lower, model.upper), basis=basis, max_steps=budget.max_steps
     )
-    x = _checked(model, res.point)
-    return SolveResult("optimal", x, model.objective_value(x), res.steps)
+    return SolveResult("optimal", res.point, _certify(model, res.point, res.value), res.steps)

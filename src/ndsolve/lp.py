@@ -1,15 +1,33 @@
-"""Exact rational linear programming via two-phase simplex with Bland's rule.
+"""Exact rational linear programming via a two-phase bounded simplex with
+Bland's rule.
+
+Variables are first made non-negative: x = l + z/q for a finite lower bound
+l, x = u - z for an upper bound only, and x = z+ - z- for a free variable.
+A finite box l <= x <= u leaves z an upper bound, its width q(u - l), where
+q is the denominator of u - l, so every width is an integer.
+
+The tableau holds only the problem's own rows.  Upper bounds live in the
+ratio test (Dantzig's upper-bounding method): every nonbasic variable sits
+at its lower or its upper bound, and one at its upper bound is kept
+complemented (z = w - z'), so the tableau always reads with every nonbasic
+variable at zero.  An entering variable stops at the first of: a basic
+variable reaching zero, a basic variable reaching its upper bound (which is
+complemented, then leaves), or its own upper bound, where it flips to that
+bound with no pivot.  Phase 1 starts from the slack basis wherever a slack
+is feasible (a <= row with rhs >= 0 after the substitution, or a >= row
+with rhs <= 0); only the other rows carry an artificial variable.
 
 The tableau is kept in integer rows: every row, the reduced-cost rows
 included, is a list of Python ints over one positive int denominator, and
-after each update it is divided by the gcd of its ints and denominator (the
+after each pivot it is divided by the gcd of its ints and denominator (the
 integer-preserving elimination of Edmonds and Bareiss, in per-row form).
 Every value is exact, so the three outcomes (optimal / infeasible /
 unbounded) are decided without tolerances, and only the returned point and
-value are built as fractions.Fraction.  Bland's pivoting rule (smallest
-eligible index enters, ties on the ratio test broken by smallest basic
-variable) guarantees termination.  The tableau is dense: these LPs have
-tens of rows.
+value are built as fractions.Fraction.  Bland's rule (the smallest eligible
+index enters; every ratio-test tie, the entering variable's own flip
+included, goes to the smallest index) guarantees termination.  Every optimum
+is re-checked on integers against the problem as given: boxes, rows and the
+objective.  The tableau is dense: these LPs have tens of rows.
 """
 
 from __future__ import annotations
@@ -127,13 +145,28 @@ def _pivot(tab, basis, r, c):
     basis[r] = c
 
 
-def _bland_min(tab, basis, cost, ncols):
-    """Minimize cost (a mutable [ints, den] reduced-cost row, rhs last) over
-    the tableau.
+def _flip(tab, cost, c, w):
+    """Move nonbasic column c to its other bound: substitute z_c = w - z'_c in
+    every row and the cost row, which keeps each rhs the value of its basic
+    variable with every nonbasic at zero."""
+    for ints, _ in (*tab, cost):
+        a = ints[c]
+        if a:
+            ints[-1] -= a * w
+            ints[c] = -a
 
-    Returns "optimal" or "unbounded"; tab/basis/cost are updated in place.
-    The ratio test compares rhs_i/a_i across rows by cross-multiplying, as a
-    row's denominator cancels from its own ratio.
+
+def _bland_min(tab, basis, cost, ncols, width, flipped):
+    """Minimize cost (a mutable [ints, den] reduced-cost row, rhs last) over
+    the tableau, with width[j] the integer upper bound of column j or None.
+
+    Returns "optimal" or "unbounded"; tab/basis/cost/flipped are updated in
+    place.  The entering column j grows by the least of: rhs_i/a_ij over
+    rows with a_ij > 0 (the basic variable falls to zero), (w*den_i -
+    rhs_i)/-a_ij over rows with a_ij < 0 whose basic variable has width w
+    (it rises to w), and width[j] (a flip).  Each ratio is an int quotient, a
+    row's denominator cancelling from it, and ratios are compared by
+    cross-multiplying.
     """
     m = len(tab)
     while True:
@@ -141,152 +174,208 @@ def _bland_min(tab, basis, cost, ncols):
         enter = next((j for j in range(ncols) if reduced[j] < 0), None)
         if enter is None:
             return "optimal"
-        leave = best_rhs = best_a = None
+        w = width[enter]
+        leave = to_upper = None
+        best_num, best_den, best_var = w, 1, enter
         for i in range(m):
-            row = tab[i][0]
+            row, den = tab[i]
             a = row[enter]
             if a > 0:
-                rhs = row[-1]
-                if leave is not None:
-                    mine, best = rhs * best_a, best_rhs * a
-                    if mine > best or (mine == best and basis[i] > basis[leave]):
-                        continue
-                leave, best_rhs, best_a = i, rhs, a
-        if leave is None:
+                num = row[-1]
+            elif a < 0 and width[basis[i]] is not None:
+                num, a = width[basis[i]] * den - row[-1], -a
+            else:
+                continue
+            var = basis[i]
+            if best_num is not None:
+                mine, best = num * best_den, best_num * a
+                if mine > best or (mine == best and var > best_var):
+                    continue
+            best_num, best_den, best_var, leave, to_upper = num, a, var, i, row[enter] < 0
+        if best_num is None:
             return "unbounded"
+        if leave is None:
+            _flip(tab, cost, enter, w)
+            flipped[enter] = not flipped[enter]
+            continue
+        if to_upper:
+            # complement the leaving variable; it is basic, so only its row holds it
+            row, den = tab[leave]
+            row[best_var] = -den
+            row[-1] -= width[best_var] * den
+            flipped[best_var] = not flipped[best_var]
         _pivot(tab, basis, leave, enter)
         _eliminate(cost, *tab[leave], enter)
 
 
-def solve_lp(p: LpProblem) -> LpResult:
-    """Solve exactly; the returned point is re-substituted as a self-check."""
-    n = p.n
-    minimize = p.sense == "min"
-    obj = list(p.objective) if minimize else [-c for c in p.objective]
+@dataclass
+class _Tableau:
+    """The phase-1 start of solve_lp: substitutions, integer rows and basis.
 
-    # Substitute variables so everything is >= 0:
-    #   finite lower l:        x = l + z          (upper becomes a row)
-    #   upper only:            x = u - z
-    #   free:                  x = z+ - z-
-    cols = []      # per structural variable: ("shift", j, l) | ("flip", j, u) | ("split", j, j2)
-    col_cost = []
+    cols[j] is ("shift", z, l, q), ("flip", z, u, 1) or ("split", z, z2, 1)
+    for variable j of the problem; cost and const give the objective over
+    the z columns, in minimize orientation.  Columns are the z variables,
+    one slack per inequality row, then one artificial per row whose slack
+    is infeasible at the start.
+    """
+
+    cols: list
+    cost: list
+    const: Fraction
+    width: list
+    tab: list
+    basis: list
+    nz: int
+    nslack: int
+    nart: int
+
+
+def _tableau(p: LpProblem) -> _Tableau:
+    minimize = p.sense == "min"
+    obj = p.objective if minimize else [-c for c in p.objective]
+    cols = []
+    cost = []
+    width = []
     const = Fraction(0)
-    extra_rows = []  # (z, u - l) for finite upper bounds
-    for j in range(n):
+    for j in range(p.n):
         l, u = p.lower[j], p.upper[j]
         if l is not None:
-            cols.append(("shift", len(col_cost), l))
-            col_cost.append(obj[j])
+            w = None if u is None else u - l
+            q = 1 if w is None else w.denominator
+            cols.append(("shift", len(cost), l, q))
+            cost.append(obj[j] if q == 1 else obj[j] / q)
+            width.append(None if w is None else w.numerator)
             const += obj[j] * l
-            if u is not None:
-                extra_rows.append((len(col_cost) - 1, u - l))
         elif u is not None:
-            cols.append(("flip", len(col_cost), u))
-            col_cost.append(-obj[j])
+            cols.append(("flip", len(cost), u, 1))
+            cost.append(-obj[j])
+            width.append(None)
             const += obj[j] * u
         else:
-            cols.append(("split", len(col_cost), len(col_cost) + 1))
-            col_cost.append(obj[j])
-            col_cost.append(-obj[j])
+            cols.append(("split", len(cost), len(cost) + 1, 1))
+            cost += [obj[j], -obj[j]]
+            width += [None, None]
+    nz = len(cost)
 
-    # Each structural variable owns its own z columns, so a row's entries are
+    # Integer rows over the z columns, each scaled by the lcm of its
+    # denominators, with its rhs made the start value of its basic variable:
+    # the slack where that value is >= 0, else an artificial.  Each
+    # structural variable owns its own z columns, so a row's entries are
     # assigned, not summed; ints stand for the zeros.
     rows = []
     for con in p.constraints:
-        dense = [0] * len(col_cost)
+        dense = [0] * nz
         rhs = con.rhs
         for j, a in enumerate(con.coeffs):
             if not a:
                 continue
-            kind, z1, arg = cols[j]
+            kind, z1, arg, q = cols[j]
             if kind == "split":
                 dense[z1] = a
                 dense[arg] = -a
-                continue
-            dense[z1] = a if kind == "shift" else -a
-            if arg:
-                rhs -= a * arg
-        rows.append((dense, con.rel, rhs))
-    for z, ub in extra_rows:
-        dense = [0] * len(col_cost)
-        dense[z] = 1
-        rows.append((dense, LE, ub))
-
-    # Integer rows: the structural part of each row scaled by the lcm of its
-    # denominators, then slack variables, then one artificial per row (rhs
-    # made non-negative); the unit entries become the row's denominator.
-    nz = len(col_cost)
-    nslack = sum(1 for _, rel, _ in rows if rel != EQ)
-    m = len(rows)
-    ncols = nz + nslack + m
-    tab = []
-    s = 0
-    for i, (dense, rel, rhs) in enumerate(rows):
+            else:
+                if kind == "shift":
+                    dense[z1] = a if q == 1 else a / q
+                else:
+                    dense[z1] = -a
+                if arg:
+                    rhs -= a * arg
         ints, den = _scaled(dense + [rhs])
-        row = ints[:-1] + [0] * (nslack + m) + ints[-1:]
-        if rel == LE:
-            row[nz + s] = den
+        slack = {LE: den, GE: -den, EQ: 0}[con.rel]
+        if ints[-1] < 0 or (ints[-1] == 0 and slack < 0):
+            ints, slack = [-x for x in ints], -slack
+        rows.append((ints, den, slack))
+    nslack = sum(1 for con in p.constraints if con.rel != EQ)
+    nart = sum(1 for _, _, slack in rows if slack <= 0)
+    tab, basis = [], []
+    s = r = 0
+    for ints, den, slack in rows:
+        row = ints[:-1] + [0] * (nslack + nart) + ints[-1:]
+        if slack:
+            row[nz + s] = slack
             s += 1
-        elif rel == GE:
-            row[nz + s] = -den
-            s += 1
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[nz + nslack + i] = den
+        if slack > 0:
+            basis.append(nz + s - 1)
+        else:
+            row[nz + nslack + r] = den
+            basis.append(nz + nslack + r)
+            r += 1
         tab.append([row, den])
-    basis = [nz + nslack + i for i in range(m)]
+    width += [None] * (nslack + nart)
+    return _Tableau(cols, cost, const, width, tab, basis, nz, nslack, nart)
+
+
+def solve_lp(p: LpProblem) -> LpResult:
+    """Solve exactly; the returned optimum is re-checked against p, and a
+    wrong one raises RuntimeError."""
+    if any(l is not None and u is not None and l > u for l, u in zip(p.lower, p.upper)):
+        return INFEASIBLE  # an empty box
+    t = _tableau(p)
+    tab, basis, width = t.tab, t.basis, t.width
+    nz, nslack = t.nz, t.nslack
+    ncols = nz + nslack + t.nart
+    flipped = [False] * ncols
 
     # Phase 1: minimize the sum of artificials.  Its reduced costs are minus
-    # the sum of the rows, taken over their common denominator.
-    den1 = math.lcm(*(den for _, den in tab))
-    ints1 = [0] * (ncols + 1)
-    for row, den in tab:
-        f = den1 // den
-        ints1 = [a - f * b for a, b in zip(ints1, row)]
-    for j in range(nz + nslack, ncols):
-        ints1[j] = 0
-    cost1 = list(_normalized(ints1, den1))
-    if _bland_min(tab, basis, cost1, ncols) != "optimal" or cost1[0][-1] != 0:
-        return INFEASIBLE
+    # the sum of their rows, taken over a common denominator.
+    if t.nart:
+        art = [tab[i] for i, b in enumerate(basis) if b >= nz + nslack]
+        den1 = math.lcm(*(den for _, den in art))
+        ints1 = [0] * (ncols + 1)
+        for row, den in art:
+            f = den1 // den
+            ints1 = [x - f * y for x, y in zip(ints1, row)]
+        for j in range(nz + nslack, ncols):
+            ints1[j] = 0
+        cost1 = list(_normalized(ints1, den1))
+        _bland_min(tab, basis, cost1, ncols, width, flipped)
+        if cost1[0][-1] != 0:
+            return INFEASIBLE
 
-    # Drive leftover artificials out of the basis; drop redundant rows.  The
-    # entry pivoted on here may be negative.
-    keep = []
-    for i in range(m):
-        if basis[i] >= nz + nslack:
-            row = tab[i][0]
-            c = next((j for j in range(nz + nslack) if row[j] != 0), None)
-            if c is None:
-                continue  # redundant row
-            _pivot(tab, basis, i, c)
-        keep.append(i)
-    ncols = nz + nslack
-    tab = [[tab[i][0][:ncols] + tab[i][0][-1:], tab[i][1]] for i in keep]
-    basis = [basis[i] for i in keep]
+        # Drive leftover artificials out of the basis; drop redundant rows.
+        # The entry pivoted on here may be negative.
+        keep = []
+        for i in range(len(tab)):
+            if basis[i] >= nz + nslack:
+                row = tab[i][0]
+                c = next((j for j in range(nz + nslack) if row[j] != 0), None)
+                if c is None:
+                    continue  # redundant row
+                _pivot(tab, basis, i, c)
+            keep.append(i)
+        ncols = nz + nslack
+        tab = [[tab[i][0][:ncols] + tab[i][0][-1:], tab[i][1]] for i in keep]
+        basis = [basis[i] for i in keep]
 
-    # Phase 2.
-    ints2, den2 = _scaled(col_cost)
+    # Phase 2, from the columns' present bounds.
+    ints2, den2 = _scaled(t.cost)
     cost2 = [ints2 + [0] * (nslack + 1), den2]
+    for j in range(nz):
+        if flipped[j]:
+            _flip((), cost2, j, width[j])
     for i, b in enumerate(basis):
         _eliminate(cost2, *tab[i], b)
-    if _bland_min(tab, basis, cost2, ncols) == "unbounded":
+    if _bland_min(tab, basis, cost2, ncols, width, flipped) == "unbounded":
         return UNBOUNDED
 
-    z = [Fraction(0)] * ncols
+    z = [Fraction(0)] * nz
     for i, b in enumerate(basis):
-        row, den = tab[i]
-        z[b] = Fraction(row[-1], den)
+        if b < nz:
+            row, den = tab[i]
+            z[b] = Fraction(row[-1], den)
+    for j in range(nz):
+        if flipped[j]:
+            z[j] = width[j] - z[j]
     point = []
-    for j in range(n):
-        kind, z1, arg = cols[j]
+    for kind, z1, arg, q in t.cols:
         if kind == "shift":
-            point.append(arg + z[z1])
+            point.append(arg + z[z1] / q)
         elif kind == "flip":
             point.append(arg - z[z1])
         else:
             point.append(z[z1] - z[arg])
-    value = const - Fraction(cost2[0][-1], cost2[1])
-    if not minimize:
+    value = t.const - Fraction(cost2[0][-1], cost2[1])
+    if p.sense == "max":
         value = -value
 
     result = LpResult("optimal", tuple(point), value)
@@ -295,20 +384,25 @@ def solve_lp(p: LpProblem) -> LpResult:
 
 
 def _check_result(p: LpProblem, res: LpResult):
-    """Exact re-substitution of the reported optimum (internal guard)."""
+    """Exact re-check of the reported optimum on integers: the point over
+    its common denominator D against the boxes, every row scaled to
+    integers, and the objective recomputed against res.value."""
     x = res.point
+    d = math.lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (d // v.denominator) for v in x]
     ok = all(
-        (p.lower[j] is None or x[j] >= p.lower[j])
-        and (p.upper[j] is None or x[j] <= p.upper[j])
-        for j in range(p.n)
+        (lo is None or lo.numerator * d <= v * lo.denominator)
+        and (hi is None or v * hi.denominator <= hi.numerator * d)
+        for v, lo, hi in zip(xs, p.lower, p.upper)
     )
     for con in p.constraints:
-        lhs = sum(a * v for a, v in zip(con.coeffs, x))
-        ok = ok and (
-            (con.rel == LE and lhs <= con.rhs)
-            or (con.rel == GE and lhs >= con.rhs)
-            or (con.rel == EQ and lhs == con.rhs)
-        )
-    obj = sum(c * v for c, v in zip(p.objective, x))
-    if not ok or obj != res.value:
-        raise AssertionError("simplex returned an invalid optimum")
+        if not ok:
+            break
+        ints, _ = _scaled(con.coeffs + (con.rhs,))
+        lhs = sum(a * v for a, v in zip(ints, xs) if a)
+        rhs = ints[-1] * d
+        ok = lhs <= rhs if con.rel == LE else lhs >= rhs if con.rel == GE else lhs == rhs
+    ints, den = _scaled(p.objective)
+    obj = sum(c * v for c, v in zip(ints, xs) if c)
+    if not ok or obj * res.value.denominator != res.value.numerator * den * d:
+        raise RuntimeError("simplex returned an invalid optimum")

@@ -3,7 +3,7 @@
 Capacitated domination comes in two equivalent flavors: a convex model whose
 capacity rows bound the demand served by class i by the concave function
 f_i(x_i), and a fully linear model where each concave bound is replaced by
-its tangents, one per vertex of the class.
+its tangents, one per distinct capacity of the class.
 
 Sum coloring comes in three.  The color-indexed model has one 0/1 variable
 per (class, color) pair and an n-fold row layout (bricks = colors).  The
@@ -129,8 +129,10 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
     """Same variables; each concave capacity bound becomes its tangents.
 
     For class i with capacities c_1 >= c_2 >= ... the tangent at prefix
-    length l is  sum_j y_ij <= f_i(l-1) + c_l * (x_i - l + 1),  one row per
-    vertex of the class, |G| rows in total.
+    length l is  sum_j y_ij <= f_i(l-1) + c_l * (x_i - l + 1).  When c_l =
+    c_{l+1} the tangent at l+1 is the same row, as f_i(l) = f_i(l-1) + c_l,
+    so only the first l of each run of equal capacities gets a row: one per
+    distinct capacity of the class, however large the class.
     """
     k, pairs, pos, lower, upper, rows = _cds_frame(t)
     rows = list(rows)
@@ -139,6 +141,8 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
         served = [pos[(i, j)] for j in sorted(t.neighbors(i))]
         for ell in range(1, t.weights[i] + 1):
             c_l = caps[ell - 1]
+            if ell > 1 and caps[ell - 2] == c_l:
+                continue  # the tangent at ell - 1 is this row
             coeffs = {p: 1 for p in served}
             coeffs[i] = coeffs.get(i, 0) - c_l
             rhs = domination_capacity(t, i, ell - 1) - c_l * (ell - 1)

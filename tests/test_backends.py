@@ -120,6 +120,21 @@ class TestSolveBoxed:
         res = solve_boxed(m)
         assert res.optimal and res.point == (2, 4)
 
+    def test_incumbent_is_certified(self, monkeypatch):
+        # min x, x >= 2: a row pruning that never raises a lower bound
+        # admits the leaf x = 0, and the certificate stops it
+        m = simple_model(MIN, Linear((1,)), 1, [0], [5], rows=[({0: 1}, GE, 2)])
+        assert solve_boxed(m).point == (2,)
+        monkeypatch.setattr(backends, "_ceil_div", lambda a, b: -10**9)
+        with pytest.raises(RuntimeError, match="breaks a box or a row"):
+            solve_boxed(m)
+
+    def test_certify_recomputes_the_objective(self):
+        m = simple_model(MAX, Linear((1, 2)), 2, [0, 0], [3, 3])
+        assert backends._certify(m, (1, 3), -7) == 7
+        with pytest.raises(RuntimeError, match="reached objective"):
+            backends._certify(m, (1, 3), 7)
+
     def test_budget_error(self):
         m = simple_model(MAX, Linear((1, 1, 1)), 3, [0] * 3, [9] * 3)
         with pytest.raises(BudgetError):

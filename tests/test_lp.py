@@ -8,6 +8,7 @@ import pytest
 
 from ndsolve import algorithms, lp as lp_module
 from ndsolve.algorithms import cds_rounding_approx, relax_model
+from ndsolve.backends import solve_boxed
 from ndsolve.graphs import type_graph
 from ndsolve.instances import generate_blowup, random_template
 from ndsolve.lp import LE, GE, EQ, LpProblem, solve_lp
@@ -278,17 +279,130 @@ class TestAgainstGeneralVertexEnumeration:
         assert any(p < 0 for p in pivots)
 
 
-# sha256 over the repr of (status, point, value) of every LP below, as
-# computed by the simplex over a Fraction tableau that preceded the integer
-# rows, with the same pivots.  A change of pivot order that moves any
-# returned vertex changes it.
+class TestBoundedPaths:
+    """Upper bounds live in the ratio test: each case is checked against
+    brute_lp, and its simplex steps show which bounded path it took."""
+
+    @staticmethod
+    def solve(monkeypatch, *args):
+        steps = []
+        real_pivot, real_flip = lp_module._pivot, lp_module._flip
+
+        def pivot(tab, basis, r, c):
+            steps.append(("pivot", basis[r], c))
+            real_pivot(tab, basis, r, c)
+
+        def flip(tab, cost, c, w):
+            steps.append(("flip", c))
+            real_flip(tab, cost, c, w)
+
+        monkeypatch.setattr(lp_module, "_pivot", pivot)
+        monkeypatch.setattr(lp_module, "_flip", flip)
+        res = lp(*args)
+        status, value = brute_lp(*args)
+        assert res.status == status and res.value == value
+        return res, steps
+
+    def test_optimum_with_a_nonbasic_variable_at_its_upper_bound(self, monkeypatch):
+        # max x + y, x + 2y <= 4, x in [0, 1]: x flips to 1 and stays nonbasic
+        res, steps = self.solve(monkeypatch, "max", [1, 1], [([1, 2], LE, 4)], [0, 0], [1, 5])
+        assert res.value == Fraction(5, 2) and res.point == (1, Fraction(3, 2))
+        assert steps == [("flip", 0), ("pivot", 2, 1)]
+
+    def test_fractional_box_widths(self, monkeypatch):
+        res, steps = self.solve(
+            monkeypatch, "min", [-1, -2], [([1, 1], LE, Fraction(5, 2))],
+            [Fraction(1, 3), Fraction(-1, 2)], [Fraction(7, 4), Fraction(3, 2)],
+        )
+        assert res.value == -4 and res.point == (1, Fraction(3, 2))
+        assert ("flip", 0) in steps
+
+    def test_basic_variable_leaves_at_its_upper_bound(self, monkeypatch):
+        # max x, x <= y: x enters at 0, then y lifts it to its bound 2
+        res, steps = self.solve(monkeypatch, "max", [1, 0], [([1, -1], LE, 0)], [0, 0], [2, 5])
+        assert res.point == (2, 2)
+        assert steps == [("pivot", 2, 0), ("pivot", 0, 1)]
+
+    def test_tie_between_a_flip_and_a_slack_goes_to_the_flip(self, monkeypatch):
+        # min -x, x + y <= 2, x in [0, 2]: the flip of x (index 0) and the
+        # slack (index 2) both stop at 2; the smaller index wins, no pivot
+        res, steps = self.solve(monkeypatch, "min", [-1, 0], [([1, 1], LE, 2)], [0, 0], [2, 3])
+        assert res.point == (2, 0) and steps == [("flip", 0)]
+
+    def test_tie_between_a_flip_and_a_basic_variable_goes_to_the_variable(self, monkeypatch):
+        # max x, x <= y, both in [0, 2]: y entering reaches its own bound
+        # just as basic x (index 0 < 1) reaches its, so x leaves
+        res, steps = self.solve(monkeypatch, "max", [1, 0], [([1, -1], LE, 0)], [0, 0], [2, 2])
+        assert res.value == 2 and steps == [("pivot", 2, 0), ("pivot", 0, 1)]
+
+    def test_beale_cycling_example_with_finite_boxes(self, monkeypatch):
+        # Beale's instance with its row x3 <= 1 turned into boxes
+        res, _ = self.solve(
+            monkeypatch, "min", [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+            [
+                ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
+                ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
+            ],
+            [0] * 4, [1, 1, 1, 1],
+        )
+        assert res.value == Fraction(-1, 20)
+        assert res.point == (Fraction(1, 25), 0, 1, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_lp_with_fractional_boxes(self, seed, monkeypatch):
+        rng = random.Random(5000 + seed)
+
+        def frac():
+            return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5)))
+
+        n = rng.randint(2, 3)
+        lower = [frac() for _ in range(n)]
+        upper = [lo + abs(frac()) for lo in lower]
+        rows = [([frac() for _ in range(n)], rng.choice((LE, GE, EQ)), frac())
+                for _ in range(rng.randint(1, 3))]
+        self.solve(monkeypatch, rng.choice(("min", "max")), [frac() for _ in range(n)],
+                   rows, lower, upper)
+
+    def test_empty_box_is_infeasible(self):
+        assert lp("min", [1], [], lower=[2], upper=[1]).status == "infeasible"
+
+    def test_wrong_optimum_raises(self):
+        p = LpProblem.make("min", [1], [([1], GE, 1)])
+        with pytest.raises(RuntimeError, match="invalid optimum"):
+            lp_module._check_result(p, lp_module.LpResult("optimal", (Fraction(1, 2),), Fraction(1, 2)))
+        with pytest.raises(RuntimeError, match="invalid optimum"):
+            lp_module._check_result(p, lp_module.LpResult("optimal", (Fraction(1),), Fraction(2)))
+
+
+# sha256 over the repr of (status, point, value) of every LP below.  Re-pinned
+# when the bounded simplex replaced the one with a row per finite box: 32 of
+# the 202 results moved their vertex, and none its status or value.  A
+# change of pivot order that moves any returned vertex changes it.
 PINNED_CDS_INSTANCES = 100
-PINNED_CDS_DIGEST = "678b8c9f697268af8026cb8ad532890cc0ebd95ebe5d404124571817766d5bae"
+PINNED_CDS_DIGEST = "f8b06ba594143fe05d334a7156be56666682261871d2eabc0ab9bf5f1ae909da"
+# sha256 over the repr of (status, value) of each instance's relaxation, and
+# over (status, point, value, nodes) of solve_boxed on its ilp model; both
+# as computed before the bounded simplex and the one-tangent-per-capacity
+# model, which must move neither.
+PINNED_CDS_RELAXATION_DIGEST = "75faf7e8f1d497798b29484427b821b73112331e274b74c8aaa30c4a76cd1169"
+PINNED_CDS_BOXED_DIGEST = "aecb0bd47adc9749575163462fe1ca91171fd973af738409e357ad49fe62e56f"
+
+
+def pinned_cds_instances():
+    """(type graph, graph) of the acceptance-gate generator (the suite of
+    its criterion 1)."""
+    out = []
+    for i in range(PINNED_CDS_INSTANCES):
+        rng = random.Random(11_000 + i)
+        template = random_template(rng, max_k=4, max_n=8, with_capacities=True, max_capacity=4)
+        g = generate_blowup(template, seed=rng.randrange(2**30))
+        out.append((type_graph(g), g))
+    return out
 
 
 def pinned_cds_lp_results():
-    """The CDS relaxations of the acceptance-gate generator (the suite of its
-    criterion 1) and the pinned re-solves of cds_rounding_approx on them."""
+    """The CDS relaxations of the pinned instances and the re-solves of
+    cds_rounding_approx on them."""
     results = []
     real = algorithms.solve_lp
 
@@ -297,11 +411,7 @@ def pinned_cds_lp_results():
         results.append(res)
         return res
 
-    for i in range(PINNED_CDS_INSTANCES):
-        rng = random.Random(11_000 + i)
-        template = random_template(rng, max_k=4, max_n=8, with_capacities=True, max_capacity=4)
-        g = generate_blowup(template, seed=rng.randrange(2**30))
-        t = type_graph(g)
+    for t, g in pinned_cds_instances():
         results.append(solve_lp(relax_model(build_cds_ilp(t))))
         algorithms.solve_lp = recording
         try:
@@ -323,3 +433,52 @@ def test_cds_relaxation_outputs_are_pinned():
     # each instance: its relaxation, rounding's unpinned solve, and pins
     assert len(results) > 2 * PINNED_CDS_INSTANCES
     assert lp_digest(results) == PINNED_CDS_DIGEST
+
+
+def test_cds_relaxation_values_and_boxed_searches_are_pinned():
+    relaxations, boxed = hashlib.sha256(), hashlib.sha256()
+    for t, _ in pinned_cds_instances():
+        res = solve_lp(relax_model(build_cds_ilp(t)))
+        relaxations.update(repr((res.status, res.value)).encode())
+        ip = solve_boxed(build_cds_ilp(t))
+        boxed.update(repr((ip.status, ip.point, ip.value, ip.nodes)).encode())
+    assert relaxations.hexdigest() == PINNED_CDS_RELAXATION_DIGEST
+    assert boxed.hexdigest() == PINNED_CDS_BOXED_DIGEST
+
+
+# Pivots plus bound flips over the 100 pinned relaxations.  The simplex with
+# a row and a slack per finite box and an artificial per row took 1,822
+# pivots (and no flips) on the one-tangent-per-vertex models.
+PINNED_CDS_SIMPLEX_STEPS = 935
+
+
+def test_cds_relaxation_simplex_steps_stay_bounded(monkeypatch):
+    steps = Counter()
+    real_pivot, real_flip = lp_module._pivot, lp_module._flip
+
+    def pivot(*args):
+        steps["pivot"] += 1
+        real_pivot(*args)
+
+    def flip(*args):
+        steps["flip"] += 1
+        real_flip(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", pivot)
+    monkeypatch.setattr(lp_module, "_flip", flip)
+    for t, _ in pinned_cds_instances():
+        assert solve_lp(relax_model(build_cds_ilp(t))).optimal
+    assert steps["flip"] > 0
+    assert steps["pivot"] + steps["flip"] <= PINNED_CDS_SIMPLEX_STEPS
+
+
+def test_cds_tableau_has_only_the_model_rows():
+    for t, _ in pinned_cds_instances()[:20]:
+        p = relax_model(build_cds_ilp(t))
+        tab = lp_module._tableau(p)
+        assert all(lo is not None and hi is not None for lo, hi in zip(p.lower, p.upper))
+        assert len(tab.tab) == len(p.constraints)  # no row per finite box
+        assert tab.nslack == len(p.constraints) and tab.nart == t.k
+        # the artificials start basic in exactly the k domination rows
+        artificial = [b >= tab.nz + tab.nslack for b in tab.basis]
+        assert artificial == [c.rel == GE for c in p.constraints]
