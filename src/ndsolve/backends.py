@@ -4,10 +4,17 @@ solve_boxed is a depth-first branch-and-bound over the variable boxes in
 index order with ascending values, so the first point attaining the optimal
 value is the lexicographically smallest optimum.  Feasibility pruning uses
 per-row interval arithmetic over the unassigned suffix (precomputed, since
-the assignment order is fixed).  Objective pruning depends on the form:
-suffix minima for linear and separable convex objectives (plus the model's
-optional remainder hook), and nothing at all (pure enumeration) for
-quadratic and general convex objectives.
+the assignment order is fixed).  Objective pruning reads the model's
+optional remainder hook, an admissible lower bound on the minimize-oriented
+objective still to come given point[:depth].  Linear and separable convex
+objectives add it to their partial sum and take the larger of that and the
+per-variable suffix minima.  Quadratic and general convex objectives do not
+separate, so their partial sum is 0 and the hook alone bounds the whole
+objective, at every variable but the last, whose leaf evaluates the
+objective itself; without a hook they are enumerated.  A value is dropped
+when its bound is >= the incumbent, the same strict rule that keeps the
+first optimum found, so the lexicographically smallest optimum is returned
+with or without the hook.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
 annotation.  Each step is a brick DP over the moves within the box, keeping
@@ -144,6 +151,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     lower, upper = model.lower, model.upper
     contrib, min_value = _min_objective(model)
     has_partial = contrib is not None
+    hook = model.remainder_bound
 
     if has_partial:
         suffix_min = [0] * (n + 1)
@@ -217,6 +225,8 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
         if vlo > vhi:
             return
 
+        # the last variable needs no bound: its leaf evaluates the objective
+        bound_whole = hook is not None and not has_partial and depth + 1 < n
         for v in range(vlo, vhi + 1):
             for r, c in rows_by_var[depth]:
                 acts[r] += c * v
@@ -226,14 +236,14 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
             if has_partial:
                 newpartial = partial + contrib[depth](v)
                 bound = newpartial + suffix_min[depth + 1]
-                if model.remainder_bound is not None:
-                    # hook: admissible bound on the minimize-oriented suffix,
-                    # reading only point[:depth+1]
-                    bound = max(bound, newpartial + model.remainder_bound(point, depth + 1))
+                if hook is not None:
+                    bound = max(bound, newpartial + hook(point, depth + 1))
                 if best_val is not None and bound >= best_val:
                     ok = False
             else:
-                newpartial = partial
+                newpartial = partial  # 0: the hook bounds the whole objective
+                if bound_whole and best_val is not None and hook(point, depth + 1) >= best_val:
+                    ok = False
             if ok:
                 for cr in model.convex_rows:
                     if cr.box_min(lo_box, hi_box) > 0:

@@ -111,7 +111,12 @@ class IpModel:
     stacked: StackedBlocks | None = None
     tag: str | None = None
     initial_point: tuple | None = None
-    remainder_bound: object = None  # optional admissible bound on the suffix objective
+    # optional remainder_bound(point, depth): a lower bound on the
+    # minimize-oriented objective of every completion of point[:depth] that
+    # satisfies the boxes and rows, less the objective of point[:depth] when
+    # the objective separates (for a quadratic or general convex objective,
+    # the whole objective); it reads only point[:depth]
+    remainder_bound: object = None
 
     def objective_value(self, point):
         return self.objective.value(point)

@@ -37,6 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 LE, EQ, GE = "<=", "=", ">="
+_ZERO = Fraction(0)  # shared by every zero entry, so none is built per entry
+
+
+def _fractions(values):
+    """values as Fractions, every zero (None kept) the shared _ZERO."""
+    return tuple(v if v is None else Fraction(v) if v else _ZERO for v in values)
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class LpConstraint:
     def make(cls, coeffs, rel, rhs):
         if rel not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {rel!r}")
-        return cls(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
+        return cls(_fractions(coeffs), rel, Fraction(rhs) if rhs else _ZERO)
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class LpProblem:
         n = len(objective)
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        obj = tuple(Fraction(c) for c in objective)
+        obj = _fractions(objective)
         cons = tuple(
             c if isinstance(c, LpConstraint) else LpConstraint.make(*c)
             for c in constraints
@@ -78,8 +84,8 @@ class LpProblem:
         for c in cons:
             if len(c.coeffs) != n:
                 raise ValueError("constraint dimension mismatch")
-        lo = tuple((None if l is None else Fraction(l)) for l in (lower or [0] * n))
-        hi = tuple((None if u is None else Fraction(u)) for u in (upper or [None] * n))
+        lo = _fractions(lower or [0] * n)
+        hi = _fractions(upper or [None] * n)
         if len(lo) != n or len(hi) != n:
             raise ValueError("bound dimension mismatch")
         return cls(sense, obj, cons, lo, hi)

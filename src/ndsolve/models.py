@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .graphs import CLIQUE, Graph, TypeGraph, domination_capacity
 from .ipmodel import (
@@ -401,11 +402,27 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
 
     The loop rows x_i + x_i <= 1 are dropped: 0/1 bounds already say that a
     color meets a clique class at most once.
+
+    By default there are S = sum_i class_slots(t, i) bricks, not one per
+    vertex, and the optimum, and the lexicographically smallest optimum
+    truncated to its first S bricks, are those of any larger color_count:
+    - Every brick used by an optimum holds a slot, so at most S bricks are
+      used.
+    - Say an optimum used a brick b >= S.  Then at most S - 1 of the bricks
+      0..S-1 are used, so one of them, b' < b, is empty.  Moving the classes
+      of brick b to brick b' (with their edge slacks) keeps every edge row
+      and every class row, and lowers the cost, as (b + 1) * per_class grows
+      with b and per_class >= 1.  So no optimum uses a brick >= S.
+    - Variables are ordered brick-major, so the bricks >= S come last, and
+      every optimum has the same empty tail there (classes 0, slacks 1).
+      Lexicographic order among the optima is therefore decided on the first
+      S bricks, where it is the order of the model with S bricks.
     """
-    n_colors = color_count if color_count is not None else t.n
+    k = t.k
+    slots = [class_slots(t, i) for i in range(k)]
+    n_colors = color_count if color_count is not None else sum(slots)
     if n_colors < 1:
         raise ValueError("need at least one color")
-    k = t.k
     edges_nl = sorted(e for e in t.edges if e[0] != e[1])
     s = len(edges_nl)
     tt = k + s
@@ -422,7 +439,6 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
     n = n_colors * tt
 
     rows = []
-    slots = [class_slots(t, i) for i in range(k)]
     for i in range(k):
         coeffs = {b * tt + i: 1 for b in range(n_colors)}
         rows.append(LinearRow.make(coeffs, EQ, slots[i]))
@@ -453,14 +469,9 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
     def remainder_bound(point, depth, tt=tt, k=k, per_class=per_class, slots=slots):
         # cheapest completion: each class takes its remaining colors
         # consecutively starting at the first brick still open for it
-        done = [0] * k
-        for p in range(depth):
-            j = p % tt
-            if j < k and point[p]:
-                done[j] += 1
         total = 0
         for i in range(k):
-            need = slots[i] - done[i]
+            need = slots[i] - sum(point[i:depth:tt])
             if need <= 0:
                 continue
             first = (depth - i + tt - 1) // tt  # first brick with position >= depth
@@ -490,14 +501,43 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
     cross products over type edges.
 
     A loop edge contributes x_{i,a} * x_{i,b} once per unordered part pair;
-    a proper edge {i, j} contributes both orientations.
+    a proper edge {i, j} contributes both orientations.  As sum_a x_{i,a} =
+    w_i, the cut is
+
+        sum over cross ij of (w_i w_j - sum_a x_{i,a} x_{j,a})
+        + sum over loops i of (w_i^2 - sum_a x_{i,a}^2) / 2,
+
+    so an upper bound U on the cut of every completion of point[:depth]
+    follows from lower bounds on the overlaps sum_a x_{i,a} x_{j,a}, and the
+    remainder hook returns -U (the objective is maximized).  The variables
+    are laid out class-major, x_{i,a} at i*q + a, so at depth = c*q + f the
+    classes before c are complete and class c has its first f parts fixed.
+
+    Why -U is admissible.  Take any completion x with x >= 0 and every class
+    sum w_i.
+    - Loop i: sum_a x_{i,a}^2 is the fixed parts' squares plus the free
+      parts' squares, and m >= 1 free parts summing to r cannot have
+      squares summing to less than the balanced split (r mod m parts of
+      r//m + 1, the rest of r//m), by convexity of v^2.  A class with no
+      free part is its fixed squares, exactly.
+    - Cross ij with i < j and class i complete: x_{i,.} is fixed, so
+      sum_a x_{i,a} x_{j,a} is the fixed parts of j weighted by x_{i,a}, plus
+      a sum over the free parts of j of nonnegative weights x_{i,a} times
+      values summing to w_j - fixed_j, which is at least that remainder
+      times the least such weight.  With every part of j fixed the term is
+      exact.
+    - Any other cross edge: the overlap is >= 0.
+    Each overlap bound is at most the completion's overlap, so U is at least
+    its cut, and as the cut is an integer, so is floor(U).  At depth n = k*q
+    every class is complete, every bound is exact, and the hook is -cut.
     """
     if q < 2:
         raise ValueError("need at least two parts")
     k = t.k
     n = k * q
+    w = t.weights
     rows = [
-        LinearRow.make({i * q + a: 1 for a in range(q)}, EQ, t.weights[i])
+        LinearRow.make({i * q + a: 1 for a in range(q)}, EQ, w[i])
         for i in range(k)
     ]
     terms = []
@@ -508,14 +548,68 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
             else:
                 terms.append((i * q + a, j * q + b, 1))
                 terms.append((i * q + b, j * q + a, 1))
+    loops = [i for i, j in sorted(t.edges) if i == j]
+    cross = [(i, j) for i, j in sorted(t.edges) if i != j]
+
+    def least_squares(r, m):
+        """The least sum of squares of m >= 1 nonnegative integers summing to r."""
+        b, e = divmod(r, m)
+        return m * b * b + e * (2 * b + 1)
+
+    def part(i, a=0, b=q):
+        return slice(i * q + a, i * q + b)
+
+    # Per depth, the terms of twice the overlap bounds (see above), with all
+    # that does not read the point summed into top2: twice the cut when every
+    # overlap is 0, less the free loop classes' least squares.  The class c
+    # being filled is kept apart as (its fixed parts, w_c, its free part
+    # count if it has a loop else 0, its cross edges to complete classes as
+    # (fixed, free) slices of the complete class), or None with no term.
+    full2 = sum(2 * w[i] * w[j] for i, j in cross) + sum(w[i] * w[i] for i in loops)
+    plans = []
+    for depth in range(n + 1):
+        c, f = divmod(depth, q)
+        top2 = full2 - sum(least_squares(w[i], q) for i in loops if i > c)
+        edges = tuple((part(i, 0, f), part(i, f)) for i, j in cross if j == c)
+        current = None
+        if c < k and (c in loops or edges):
+            current = (slice(c * q, depth), w[c], q - f if c in loops else 0, edges)
+        plans.append((
+            top2,
+            tuple(part(i) for i in loops if i < c),
+            tuple((part(i), part(j)) for i, j in cross if j < c),
+            tuple((part(i), 2 * w[j]) for i, j in cross if i < c < j),
+            current,
+        ))
+
+    def remainder_bound(point, depth):
+        top2, done_loops, done_cross, done_free, current = plans[depth]
+        for s in done_loops:
+            x = point[s]
+            top2 -= sum(map(mul, x, x))
+        for s, r in done_cross:
+            top2 -= 2 * sum(map(mul, point[s], point[r]))
+        for s, w2 in done_free:
+            top2 -= w2 * min(point[s])
+        if current is not None:
+            s, wc, free, edges = current
+            fixed = point[s]
+            rest = wc - sum(fixed)
+            if free:
+                top2 -= sum(map(mul, fixed, fixed)) + least_squares(rest, free)
+            for s_fixed, s_free in edges:
+                top2 -= 2 * (sum(map(mul, point[s_fixed], fixed)) + rest * min(point[s_free]))
+        return -(top2 // 2)
+
     return IpModel(
         sense=MAX,
         objective=Quadratic(tuple(sorted(terms))),
         n_vars=n,
         lower=tuple([0] * n),
-        upper=tuple(t.weights[i] for i in range(k) for _ in range(q)),
+        upper=tuple(w[i] for i in range(k) for _ in range(q)),
         rows=tuple(rows),
         tag="maxqcut",
+        remainder_bound=remainder_bound,
     ).validate()
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -26,7 +27,7 @@ from ndsolve.ipmodel import (
     SeparableConvex,
 )
 from ndsolve.matrices import IntMatrix
-from ndsolve.models import build_sumcol_nfold
+from ndsolve.models import build_maxqcut, build_sumcol_convex, build_sumcol_nfold, decode_coloring
 
 from helpers import nfold_reference_step
 
@@ -41,6 +42,11 @@ def simple_model(sense, objective, n, lower, upper, rows=(), **kw):
         rows=tuple(LinearRow.make(*r) for r in rows),
         **kw,
     )
+
+
+def _holds_all(model, pt):
+    return all(backends._holds(row, sum(c * pt[i] for i, c in row.coeffs))
+               for row in model.rows)
 
 
 def brute_optimum(model):
@@ -181,6 +187,46 @@ class TestSolveBoxed:
         pm = simple_model(MIN, Linear(tuple(pobj)), n, [0] * n, [3] * n, rows=prows)
         permuted = solve_boxed(pm)
         assert (base.status, base.value) == (permuted.status, permuted.value)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_quadratic_with_a_hook_prunes_and_keeps_the_optimum(self, seed):
+        # the hook is the exact minimum over the feasible completions, found
+        # by enumeration: the strongest admissible bound
+        rng = random.Random(900 + seed)
+        n = rng.randint(3, 4)
+        terms = tuple((p, q, rng.randint(-3, 3))
+                      for p, q in itertools.combinations_with_replacement(range(n), 2))
+        rows = [({j: rng.randint(-1, 2) for j in range(n)}, rng.choice([LE, EQ, GE]),
+                 rng.randint(0, 5))]
+        m = simple_model(rng.choice([MIN, MAX]), Quadratic(terms), n, [0] * n, [3] * n, rows=rows)
+        sign = 1 if m.sense == MIN else -1
+        feasible = [pt for pt in itertools.product(range(4), repeat=n)
+                    if _holds_all(m, pt)]
+
+        def hook(point, depth):
+            values = [sign * m.objective_value(pt) for pt in feasible
+                      if list(pt[:depth]) == list(point[:depth])]
+            return min(values, default=10**9)
+
+        plain = solve_boxed(m)
+        hooked = solve_boxed(IpModel(**{**m.__dict__, "remainder_bound": hook}))
+        assert (hooked.status, hooked.point, hooked.value) == (
+            plain.status, plain.point, plain.value)
+        assert (plain.value, plain.point) == brute_optimum(m)
+        if len(feasible) > 1:
+            assert hooked.nodes < plain.nodes
+
+    def test_general_convex_without_a_hook_is_enumerated(self):
+        fn = lambda p: (p[0] - 2) ** 2 + (p[1] + p[0] - 3) ** 2
+        m = simple_model(MIN, GeneralConvex(fn, "test"), 2, [0, 0], [4, 4])
+        assert solve_boxed(m).nodes == 1 + 5 + 25
+
+    def test_convex_catalog_searches_keep_their_node_count(self):
+        # the sum-coloring catalog model with a general convex objective
+        # carries no hook; 2,049 nodes before quadratic objectives got one
+        nodes = sum(solve_boxed(build_sumcol_convex(t)).nodes
+                    for t, _ in pinned_sumcol_instances())
+        assert nodes == 2049
 
     def test_remainder_bound_hook_preserves_optimum(self):
         # admissible hook (true remaining minimum is >= 0 here)
@@ -427,21 +473,74 @@ class TestSolveNFold:
 
     def test_sumcol_results_are_pinned(self):
         h = hashlib.sha256()
-        for i in range(200):
-            rng = random.Random(22_000 + i)
-            template = random_template(rng, max_k=4, max_n=8, with_capacities=False,
-                                       max_capacity=4)
-            g = generate_blowup(template, seed=rng.randrange(2**30))
-            res = solve_nfold(build_sumcol_nfold(type_graph(g)))
+        for t, _ in pinned_sumcol_instances():
+            res = solve_nfold(build_sumcol_nfold(t))
             h.update(repr((res.status, res.point, res.value, res.nodes)).encode())
         assert h.hexdigest() == PINNED_SUMCOL_DIGEST
 
 
 # sha256 over the repr of (status, point, value, nodes) of solve_nfold on the
-# 200 sum-coloring instances of the acceptance gate (its criterion 2), as
+# 200 sum-coloring instances of the acceptance gate (its criterion 2).  First
 # computed by the brick DP whose moves stopped at g_inf(A2) and whose step
-# lengths were scaled by doubling.  On these 0/1 boxes both move sets agree.
-PINNED_SUMCOL_DIGEST = "793b851d84d83cb0676debf5922ddc1657f02a606fbd0e820bc0ad6c532f2148"
+# lengths were scaled by doubling (on these 0/1 boxes both move sets agree);
+# re-pinned when the model went from one brick per vertex to
+# sum(class_slots) bricks, which shortens every point.  The values, the
+# decoded colourings (PINNED_SUMCOL_NFOLD_COLORING_DIGEST) and the 111 steps
+# in all stayed the same.
+PINNED_SUMCOL_DIGEST = "b33e14967a4538cdfa7c935deadad9cd53408343f1a5bc85802dbb69fcb7c89b"
+
+
+@functools.cache
+def pinned_sumcol_instances():
+    """(type graph, graph) of the 200 sum-coloring instances of the
+    acceptance gate (its criterion 2)."""
+    out = []
+    for i in range(200):
+        rng = random.Random(22_000 + i)
+        template = random_template(rng, max_k=4, max_n=8, with_capacities=False,
+                                   max_capacity=4)
+        g = generate_blowup(template, seed=rng.randrange(2**30))
+        out.append((type_graph(g), g))
+    return out
+
+
+def coloring_digest(solve):
+    """sha256 over the repr of (status, value, decoded colouring) of solve
+    on the n-fold model of each pinned sum-coloring instance."""
+    h = hashlib.sha256()
+    for t, g in pinned_sumcol_instances():
+        res = solve(build_sumcol_nfold(t))
+        coloring = sorted(decode_coloring(t, g, res.point, "sumcol_nfold").items())
+        h.update(repr((res.status, res.value, coloring)).encode())
+    return h.hexdigest()
+
+
+def maxqcut_digest():
+    """sha256 over the repr of (status, point, value) of solve_boxed on the
+    max-q-cut model of the first 100 pinned instances, for q = 2 and 3."""
+    h = hashlib.sha256()
+    for t, _ in pinned_sumcol_instances()[:100]:
+        for q in (2, 3):
+            res = solve_boxed(build_maxqcut(t, q))
+            h.update(repr((res.status, res.point, res.value)).encode())
+    return h.hexdigest()
+
+
+# Computed before solve_boxed bounded quadratic objectives and before the
+# n-fold model was cut to sum(class_slots) bricks; neither may move a value,
+# a colouring or a max-q-cut point.
+PINNED_SUMCOL_BOXED_COLORING_DIGEST = "191c6acc0f0ff23e7f2632dbedc5d783d39f02344aaf5dcb3d2720029f661d1c"
+PINNED_SUMCOL_NFOLD_COLORING_DIGEST = "468ffc7db3e1b77564ab47dccb54d47b96e818d995fc9f0d721cef2a9217d272"
+PINNED_MAXQCUT_DIGEST = "ea4f06d881604984cb0b4cb9c52a32381c5b31382cffc87f254d91bea6fa239c"
+
+
+def test_sumcol_colorings_are_pinned():
+    assert coloring_digest(solve_boxed) == PINNED_SUMCOL_BOXED_COLORING_DIGEST
+    assert coloring_digest(solve_nfold) == PINNED_SUMCOL_NFOLD_COLORING_DIGEST
+
+
+def test_maxqcut_results_are_pinned():
+    assert maxqcut_digest() == PINNED_MAXQCUT_DIGEST
 
 
 def widened_nfold_model(seed, bricks=(2, 3)):

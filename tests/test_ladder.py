@@ -1,0 +1,56 @@
+"""A ladder in n at fixed k, measured by work counters rather than clocks.
+
+One template, k = 3: (clique, independent, clique) with n/3 vertices each,
+cross edges {0,1} and {1,2}, vertex labels shuffled with seed 1.  Counters
+are deterministic, so each ceiling below is today's count: a change that
+makes a route do more work on a rung fails here, and one that makes it do
+less lowers the ceiling on purpose.
+"""
+
+import pytest
+
+from ndsolve.algorithms import cut_value, maxqcut_brute
+from ndsolve.backends import Budget, solve_boxed
+from ndsolve.graphs import CLIQUE, type_graph
+from ndsolve.instances import INDEPENDENT, BlowupTemplate, generate_blowup
+from ndsolve.models import build_maxqcut, build_sumcol_nfold, class_slots
+
+LADDER_BUDGET = Budget(max_nodes=2_000_000)
+
+
+def ladder_graph(n):
+    w = n // 3
+    template = BlowupTemplate((w, w, w), (CLIQUE, INDEPENDENT, CLIQUE),
+                              frozenset({(0, 1), (1, 2)}))
+    return generate_blowup(template, seed=1)
+
+
+# (B&B nodes, value) of max-q-cut at q = 3.  Before quadratic objectives
+# had a bound the search enumerated: 646, 8,436, 205,030 and 632,490 nodes
+# at n = 6, 12, 24 and 30 (same values), and more than 2,000,000 at n = 75.
+MAXQCUT_Q3 = {6: (40, 10), 12: (89, 40), 24: (484, 160), 30: (719, 250), 75: (14_844, 1562)}
+
+
+@pytest.mark.parametrize("n", sorted(MAXQCUT_Q3))
+def test_maxqcut_q3_nodes(n):
+    g = ladder_graph(n)
+    res = solve_boxed(build_maxqcut(type_graph(g), 3), LADDER_BUDGET)
+    ceiling, value = MAXQCUT_Q3[n]
+    assert res.nodes <= ceiling
+    assert res.value == value
+    if n <= 6:
+        assert res.value == cut_value(g, maxqcut_brute(g, 3))
+
+
+def test_sumcol_nfold_boxed_nodes():
+    # 46,199 nodes with one brick per vertex (30 bricks), 19,091 with 21
+    res = solve_boxed(build_sumcol_nfold(type_graph(ladder_graph(30))), LADDER_BUDGET)
+    assert res.value == 140
+    assert res.nodes <= 19_091
+
+
+@pytest.mark.parametrize("n", [6, 30, 75])
+def test_sumcol_nfold_bricks_are_class_slots(n):
+    t = type_graph(ladder_graph(n))
+    bricks = build_sumcol_nfold(t).nfold.n
+    assert bricks == sum(class_slots(t, i) for i in range(t.k)) == 2 * (n // 3) + 1

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ndsolve.backends import solve_boxed, solve_nfold
-from ndsolve.graphs import type_graph
-from ndsolve.ipmodel import LE
+from ndsolve.graphs import CLIQUE, INDEPENDENT, type_graph
+from ndsolve.instances import BlowupTemplate, generate_blowup
+from ndsolve.ipmodel import LE, IpModel
 from ndsolve.models import (
     DecodeError,
     build_catalog,
@@ -260,7 +262,7 @@ class TestSumColoringModels:
         assert m.nfold.r == t.k
         assert m.nfold.s == 1  # one cross edge, loops dropped
         assert m.nfold.t == t.k + 1
-        assert m.nfold.n == 4
+        assert m.nfold.n == 2  # one brick per class slot: center 1, leaves 1
 
     def test_initial_point_is_feasible(self):
         t = type_graph(star_graph(3))
@@ -334,6 +336,42 @@ class TestMaxqcut:
         t = type_graph(g)
         res = solve_boxed(build_maxqcut(t, q))
         assert res.value == cut_value(g, maxqcut_brute(g, q))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_remainder_bound_is_admissible_and_exact_at_full_depth(self, seed):
+        # every feasible point is a completion of each of its prefixes, so
+        # the hook on each prefix is at most -cut, and -cut at full depth
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        template = BlowupTemplate(
+            tuple(rng.randint(1, 3) for _ in range(k)),
+            tuple(rng.choice((CLIQUE, INDEPENDENT)) for _ in range(k)),
+            frozenset((i, j) for i, j in itertools.combinations(range(k), 2)
+                      if rng.random() < 0.6),
+        )
+        t = type_graph(generate_blowup(template, seed=seed))
+        q = rng.choice((2, 3))
+        m = build_maxqcut(t, q)
+        splits = [
+            [c for c in itertools.product(range(w + 1), repeat=q) if sum(c) == w]
+            for w in t.weights
+        ]
+        for classes in itertools.product(*splits):
+            x = [v for split in classes for v in split]
+            cut = m.objective_value(x)
+            assert all(m.remainder_bound(x, d) <= -cut for d in range(m.n_vars))
+            assert m.remainder_bound(x, m.n_vars) == -cut
+
+    def test_remainder_bound_prunes_and_keeps_the_optimum(self):
+        for seed in range(30):
+            g = random_graph(random.Random(seed), n=6, p=0.5)
+            t = type_graph(g)
+            m = build_maxqcut(t, 3)
+            res = solve_boxed(m)
+            plain = solve_boxed(IpModel(**{**m.__dict__, "remainder_bound": None}))
+            assert (res.status, res.point, res.value) == (plain.status, plain.point, plain.value)
+            assert res.nodes <= plain.nodes
+            assert res.value == cut_value(g, maxqcut_brute(g, 3))
 
 
 class TestDecoders:
