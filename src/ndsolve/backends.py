@@ -35,8 +35,10 @@ value the backend reached (_certify, which raises RuntimeError).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, le, sub
+from itertools import groupby
+from operator import add, itemgetter, le, sub
 
 from .errors import BudgetError
 from .graver import augment_to_optimum, graver_basis, _kernel_vectors_within
@@ -311,9 +313,14 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     kept predecessors.  Every kept state therefore gets the same value and
     back-pointer as without the pruning, written in the same order (states
     in sorted order, each brick's keys in sorted order, the first best
-    kept).  The step chosen, the final point, the lexicographic tie-breaking
-    and the step count are the same.  The A2-kernel enumeration is bounded
-    by budget.max_nodes.
+    kept).  For each state only the keys whose first A1 coordinate lands in
+    the first row's window are visited: the keys are sorted, so they are
+    one bisected slice holding exactly the keys that pass that row's test,
+    in the same order, and the full window test still judges the other
+    rows.  The states come in sorted order, so those that share their first
+    coordinate are consecutive and share one slice.  The step chosen, the
+    final point, the lexicographic tie-breaking and the step count are the
+    same.  The A2-kernel enumeration is bounded by budget.max_nodes.
     """
     model.validate()
     if model.nfold is None:
@@ -373,19 +380,25 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
         states = {zero: 0}
         for b in range(nf.n):
             items = sorted(per_brick[b].items())
+            firsts = [key[:1] for key, _ in items]
             lo, hi = window[b]
             nxt = {}
             back = {}
-            for sigma in sorted(states):
-                sdelta = states[sigma]
-                for key, (delta, h) in items:
-                    new = tuple(map(add, sigma, key))
-                    if not (all(map(le, lo, new)) and all(map(le, new, hi))):
-                        continue  # bricks b+1.. cannot bring new back to zero
-                    cand = sdelta + delta
-                    if new not in nxt or cand < nxt[new]:
-                        nxt[new] = cand
-                        back[new] = (sigma, h)
+            for first, run in groupby(sorted(states), itemgetter(slice(1))):
+                # the keys that keep the first A1 row inside its window
+                start = bisect_left(firsts, tuple(map(sub, lo[:1], first)))
+                stop = bisect_right(firsts, tuple(map(sub, hi[:1], first)))
+                visit = items[start:stop]
+                for sigma in run:
+                    sdelta = states[sigma]
+                    for key, (delta, h) in visit:
+                        new = tuple(map(add, sigma, key))
+                        if not (all(map(le, lo, new)) and all(map(le, new, hi))):
+                            continue  # bricks b+1.. cannot bring new back to zero
+                        cand = sdelta + delta
+                        if new not in nxt or cand < nxt[new]:
+                            nxt[new] = cand
+                            back[new] = (sigma, h)
             if len(nxt) > budget.max_dp_states:
                 raise BudgetError("n-fold DP state budget exceeded")
             layers.append(back)

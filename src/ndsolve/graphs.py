@@ -15,8 +15,12 @@ of that prefix; it is concave piecewise-linear in l.
 A Graph's edges are the strictly increasing tuple of pairs (u, v),
 0 <= u < v < n: the order of the instance file format.  Graph() checks this
 once, in __post_init__, the one place that owns the invariant, by whole-list
-comparisons with no Python step per edge; Graph.from_edges is the one
-constructor that normalises (orients each pair, sorts, drops repeats).
+comparisons with no Python step per edge, and stores edges and capacities as
+tuples.  Producers that know their pairs in that order hand them straight to
+Graph(): the instance parser, and the blow-up generator, which emits them
+from the class structure (instances.generate_blowup).  Graph.from_edges is
+the one constructor that normalises (orients each pair, sorts, drops
+repeats), for pairs from anywhere else (tests, matrices.primal_graph).
 
 Costs: the neighborhoods are one tuple of sorted neighbor tuples
 (Graph.neighbors), built on first use by one append pass over the m edges in
@@ -49,7 +53,9 @@ class Graph:
     Graph(n, edges) takes the pairs in exactly that form (any sequence; it
     is stored as a tuple) and raises ValueError naming the first bad pair;
     Graph.from_edges(n, edges) accepts the pairs in any order and
-    orientation, with repeats.
+    orientation, with repeats.  ``capacity``, when given, is any sequence of
+    n non-negative integers, likewise stored as a tuple, so graphs compare
+    and hash alike whatever sequence built them.
     """
 
     n: int
@@ -70,10 +76,12 @@ class Graph:
             raise ValueError(_first_bad_edge(n, edges))
         object.__setattr__(self, "edges", edges)
         if self.capacity is not None:
-            if len(self.capacity) != self.n:
+            capacity = tuple(self.capacity)
+            if len(capacity) != n:
                 raise ValueError("capacity must be defined on all vertices or none")
-            if any(c < 0 for c in self.capacity):
+            if any(c < 0 for c in capacity):
                 raise ValueError("capacities must be non-negative")
+            object.__setattr__(self, "capacity", capacity)
 
     @classmethod
     def from_edges(cls, n, edges, capacity=None):
@@ -83,8 +91,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             norm.add((min(u, v), max(u, v)))
-        cap = None if capacity is None else tuple(capacity)
-        return cls(n, sorted(norm), cap)
+        return cls(n, sorted(norm), capacity)
 
     @cached_property
     def neighbors(self):

@@ -33,14 +33,22 @@ integer in them is matched against the canonical form.
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
 partition has at most as many classes.  Vertex labels are shuffled by the
-seed so class structure does not align with index order.
+seed so class structure does not align with index order.  Every
+neighbourhood of a blow-up is a union of whole classes, so the generator
+emits the strictly increasing edge tuple straight from the class
+structure: per class the sorted labels it reaches, per vertex one bisection
+and the suffix above it, O(k n log n) plus O(m) C-level work with no Python
+step, set or sort per edge.  Graph checks the pairs once, as it does the
+parser's; generate_blowup proves they are the blow-up's edges in order.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .graphs import CLIQUE, INDEPENDENT, Graph
 
@@ -300,6 +308,27 @@ class BlowupTemplate:
 def generate_blowup(template: BlowupTemplate, seed: int) -> Graph:
     """Realize the template; the seed shuffles vertex labels only.
 
+    The labels 0..n-1 are shuffled by random.Random(seed) and cut into
+    consecutive blocks, one per class, by weight.  Vertices u != v are
+    joined when their blocks are one clique class, or two classes joined by
+    a cross edge.  So a vertex's neighbourhood is a union of whole blocks:
+    reach[i], the sorted labels of every block joined to class i (its cross
+    neighbours, and its own block if i is a clique), holds the neighbours of
+    each vertex of class i, with the vertex itself when i is a clique.
+
+    The edges are emitted straight from reach, in the form Graph() checks:
+    for each u in ascending order, the pairs (u, v) for v in reach[class of
+    u] above u.  Proof that this is Graph's edge tuple: u < v are adjacent
+    exactly when v is in reach[class of u]; each pair is emitted once, from
+    its smaller end; u ascends and each suffix of a sorted list is sorted,
+    so the pairs are strictly increasing.  They are sorted(set(...)) of
+    every joined pair, the tuple Graph.from_edges would build from them.
+
+    Cost: k sorts of at most n labels, O(k n log n), and one Python step
+    with one bisection per vertex, plus O(m) C-level work to slice the
+    suffixes, pair them up and check the tuple in Graph(); no Python step,
+    set or sort per edge.
+
     The result's twin partition never has more classes than the template
     (classes with identical outside-neighborhoods may merge, so it can have
     fewer).
@@ -313,15 +342,21 @@ def generate_blowup(template: BlowupTemplate, seed: int) -> Graph:
     blocks = []
     at = 0
     for w in template.weights:
-        blocks.append([labels[at + i] for i in range(w)])
+        blocks.append(labels[at : at + w])
         at += w
 
-    edges = []
-    for i, block in enumerate(blocks):
-        if template.kinds[i] == CLIQUE:
-            edges += [(u, v) for x, u in enumerate(block) for v in block[x + 1 :]]
+    joined = [[i] if kind == CLIQUE else [] for i, kind in enumerate(template.kinds)]
     for i, j in template.cross_edges:
-        edges += [(u, v) for u in blocks[i] for v in blocks[j]]
+        joined[i].append(j)
+        joined[j].append(i)
+    reach_of = [None] * n
+    for block, classes in zip(blocks, joined):
+        reach = sorted(chain.from_iterable(map(blocks.__getitem__, classes)))
+        for v in block:
+            reach_of[v] = reach
+    edges = []
+    for u, reach in enumerate(reach_of):
+        edges += zip(repeat(u), reach[bisect_right(reach, u) :])
 
     capacity = None
     if template.capacities is not None:
@@ -329,7 +364,7 @@ def generate_blowup(template: BlowupTemplate, seed: int) -> Graph:
         for block, caps in zip(blocks, template.capacities):
             for v, c in zip(block, caps):
                 capacity[v] = c
-    return Graph.from_edges(n, edges, capacity)
+    return Graph(n, edges, capacity)
 
 
 def random_template(

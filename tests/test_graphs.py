@@ -61,6 +61,16 @@ class TestGraph:
         assert g.edges == ((0, 1), (1, 2))
         assert g == Graph.from_edges(3, [(2, 1), (1, 0), (0, 1)])
 
+    def test_capacity_stored_as_tuple(self):
+        listed = Graph(3, [(0, 1)], [1, 2, 3])
+        tupled = Graph(3, [(0, 1)], (1, 2, 3))
+        assert listed.capacity == (1, 2, 3)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        with pytest.raises(ValueError, match="all vertices or none"):
+            Graph(3, [(0, 1)], [1, 2])
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph(3, [(0, 1)], [1, -1, 2])
+
     def test_has_edge_out_of_range(self):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         assert not g.has_edge(-1, 0) and not g.has_edge(0, -1)

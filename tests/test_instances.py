@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -336,3 +337,107 @@ class TestBlowup:
         g = generate_blowup(template, seed=seed)
         assert twin_partition(g).k <= template.k
         assert g.n == sum(template.weights)
+
+
+def blowup_streams():
+    """Every graph of the pinned generator streams, in order: the
+    acceptance gate's domination and sum-coloring suites (the max-q-cut
+    criterion reads the latter), the desk suite of all three problems, the
+    48 graver-suite draws, and the ROADMAP ladder at n = 6, 30, 75, 150."""
+    for base, caps in ((11_000, True), (22_000, False)):
+        for i in range(200):
+            rng = random.Random(base + i)
+            template = random_template(rng, max_k=4, max_n=8, with_capacities=caps,
+                                       max_capacity=4)
+            yield generate_blowup(template, seed=rng.randrange(2**30))
+    suite = random.Random(171102032)
+    for problem in ("cds", "sumcol", "maxqcut"):
+        for _ in range(6):
+            template = random_template(suite, max_k=4, max_n=8,
+                                       with_capacities=problem == "cds", max_capacity=4)
+            yield generate_blowup(template, seed=suite.randrange(2**30))
+    suite = random.Random(171102032)
+    for _ in range(48):
+        template = random_template(suite, max_k=4, max_n=120)
+        yield generate_blowup(template, seed=suite.randrange(2**30))
+    for n in (6, 30, 75, 150):
+        w = n // 3
+        template = BlowupTemplate((w, w, w), (CLIQUE, INDEPENDENT, CLIQUE),
+                                  frozenset({(0, 1), (1, 2)}))
+        yield generate_blowup(template, seed=1)
+
+
+# sha256 over the repr of (n, edges, capacity) of every graph of
+# blowup_streams(), computed when generate_blowup still listed every joined
+# pair and normalised them with Graph.from_edges.
+PINNED_BLOWUP_DIGEST = "c780fff7b19f698f40215dd05be7f8cebe8431ebf018a0e45cc3ec4de3278f37"
+
+
+def test_blowup_streams_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for g in blowup_streams():
+        h.update(repr((g.n, g.edges, g.capacity)).encode())
+        count += 1
+    assert count == 400 + 18 + 48 + 4
+    assert h.hexdigest() == PINNED_BLOWUP_DIGEST
+
+
+def _definitional_template(rng):
+    """A template with k <= 6 classes of weight 1..15, kinds all clique, all
+    independent or mixed, no cross edges, all of them or a random set, and
+    capacities or none."""
+    k = rng.randint(1, 6)
+    weights = tuple(rng.randint(1, 15) for _ in range(k))
+    mix = rng.choice([(CLIQUE,), (INDEPENDENT,), (CLIQUE, INDEPENDENT)])
+    kinds = tuple(rng.choice(mix) for _ in range(k))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    cross = rng.choice(["empty", "complete", "random"])
+    if cross == "empty":
+        pairs = []
+    elif cross == "random":
+        pairs = [p for p in pairs if rng.random() < 0.5]
+    caps = None
+    if rng.random() < 0.5:
+        caps = tuple(tuple(rng.randint(0, 9) for _ in range(w)) for w in weights)
+    return BlowupTemplate(weights, kinds, frozenset(pairs), caps)
+
+
+def test_blowup_matches_its_definition():
+    """The vertices are shuffled labels cut into consecutive blocks by
+    weight, and u, v are joined exactly when their blocks are one clique
+    class or two classes joined by a cross edge."""
+    rng = random.Random(13_013)
+    for _ in range(300):
+        template = _definitional_template(rng)
+        seed = rng.randrange(2**30)
+        n = sum(template.weights)
+        labels = list(range(n))
+        random.Random(seed).shuffle(labels)
+        cls = [0] * n
+        capacity = [0] * n
+        at = 0
+        for i, w in enumerate(template.weights):
+            for x, v in enumerate(labels[at:at + w]):
+                cls[v] = i
+                if template.capacities is not None:
+                    capacity[v] = template.capacities[i][x]
+            at += w
+        joined = [
+            (u, v) for u in range(n) for v in range(n)
+            if u != v and (
+                template.kinds[cls[u]] == CLIQUE if cls[u] == cls[v]
+                else (min(cls[u], cls[v]), max(cls[u], cls[v])) in template.cross_edges
+            )
+        ]
+        expected = Graph.from_edges(
+            n, joined, None if template.capacities is None else capacity)
+        assert generate_blowup(template, seed) == expected, (template, seed)
+
+
+def test_blowup_needs_no_normalising_constructor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Graph.from_edges called")
+
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    assert sum(1 for _ in blowup_streams()) == 400 + 18 + 48 + 4
