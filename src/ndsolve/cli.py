@@ -9,11 +9,12 @@ Subcommands:
   bench          generate seeded blow-up instances and solve them in bulk
 
 Exit codes: 0 ok, 1 infeasible (or verify mismatch), 2 budget exhausted,
-3 input error, including an instance too large for memory (such as a
-header whose vertex count is far above its edges).  CSV reports use the
-fixed schema instance,problem,model,backend,value,nodes,millis (header
-written once); pass --no-timing to zero the millis column when
-byte-identical output matters more than timing.
+3 input error, including a rejected command line and an instance too
+large for memory (such as a header whose vertex count is far above its
+edges).  CSV reports use the fixed schema
+instance,problem,model,backend,value,nodes,millis (header written once);
+pass --no-timing to zero the millis column when byte-identical output
+matters more than timing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import os
 import random
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .algorithms import (
     cds_brute,
@@ -292,63 +295,176 @@ def cmd_bench(args) -> int:
     return INPUT_ERROR if failed else OK
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built once per process.
+@dataclass(frozen=True)
+class Arg:
+    """One argument of a command: a positional when ``flag`` has no leading
+    dash, else an option that takes one value, or none when it is a switch."""
 
-    It reads only the keys of ROUTES and SOLVERS; commands look up builders
-    and solvers in those tables when they run.
-    """
-    parser = argparse.ArgumentParser(prog="ndsolve")
-    sub = parser.add_subparsers(dest="command", required=True)
+    flag: str
+    type: Callable = str
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    switch: bool = False
+    help: str | None = None
 
-    p_nd = sub.add_parser("nd", help="print the twin-class decomposition")
-    p_nd.add_argument("file")
+    @property
+    def is_option(self):
+        return self.flag.startswith("-")
 
-    p_solve = sub.add_parser("solve", help="solve one instance")
-    p_solve.add_argument("file")
-    p_solve.add_argument("--problem", choices=list(ROUTES), help="must match the file header")
-    p_solve.add_argument("--model", choices=[m for _, routes in ROUTES.values() for m in routes])
-    p_solve.add_argument("--backend", choices=list(SOLVERS))
-    p_solve.add_argument("--algo", choices=["proximity", "rounding", "brute"])
-    p_solve.add_argument("--q", type=int, help="override part count (maxqcut)")
-    p_solve.add_argument("--budget", type=int)
-    p_solve.add_argument("--csv")
-    p_solve.add_argument("--no-timing", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="cross-check models against the oracle")
-    p_verify.add_argument("file")
-
-    p_graver = sub.add_parser("graver", help="Graver diagnostics for the stacked matrix")
-    p_graver.add_argument("file")
-    p_graver.add_argument("--stacking", action="store_true")
-    p_graver.add_argument("--max-elements", type=int, default=200_000)
-
-    p_bench = sub.add_parser("bench", help="bulk seeded run")
-    p_bench.add_argument("--problem", choices=list(ROUTES), required=True)
-    p_bench.add_argument("--count", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--max-n", type=int, default=8)
-    p_bench.add_argument("--max-k", type=int, default=4)
-    p_bench.add_argument("--csv")
-    p_bench.add_argument("--out-dir")
-    p_bench.add_argument("--no-timing", action="store_true")
-    return parser
+    @property
+    def dest(self):
+        return self.flag.lstrip("-").replace("-", "_")
 
 
+@dataclass(frozen=True)
+class Command:
+    """A command: what runs it, its help line and its arguments in order."""
+
+    run: Callable
+    help: str
+    args: tuple
+
+
+PROBLEMS = tuple(ROUTES)
+FILE = Arg("file")
+
+# The one description of the command line.  build_parser() turns it into
+# argparse parsers, and parse_plain() reads it directly.  The choices read
+# only the keys of ROUTES and SOLVERS; commands look up builders and solvers
+# in those tables when they run.
 COMMANDS = {
-    "nd": cmd_nd,
-    "solve": run_solve,
-    "verify": cmd_verify,
-    "graver": cmd_graver,
-    "bench": cmd_bench,
+    "nd": Command(cmd_nd, "print the twin-class decomposition", (FILE,)),
+    "solve": Command(run_solve, "solve one instance", (
+        FILE,
+        Arg("--problem", choices=PROBLEMS, help="must match the file header"),
+        Arg("--model", choices=tuple(m for _, routes in ROUTES.values() for m in routes)),
+        Arg("--backend", choices=tuple(SOLVERS)),
+        Arg("--algo", choices=("proximity", "rounding", "brute")),
+        Arg("--q", type=int, help="override part count (maxqcut)"),
+        Arg("--budget", type=int),
+        Arg("--csv"),
+        Arg("--no-timing", switch=True),
+    )),
+    "verify": Command(cmd_verify, "cross-check models against the oracle", (FILE,)),
+    "graver": Command(cmd_graver, "Graver diagnostics for the stacked matrix", (
+        FILE,
+        Arg("--stacking", switch=True),
+        Arg("--max-elements", type=int, default=200_000),
+    )),
+    "bench": Command(cmd_bench, "bulk seeded run", (
+        Arg("--problem", choices=PROBLEMS, required=True),
+        Arg("--count", type=int, default=10),
+        Arg("--seed", type=int, default=0),
+        Arg("--max-n", type=int, default=8),
+        Arg("--max-k", type=int, default=4),
+        Arg("--csv"),
+        Arg("--out-dir"),
+        Arg("--no-timing", switch=True),
+    )),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that exits with INPUT_ERROR on a rejected command line, so
+    that it is not taken for a budget stop; usage and message are argparse's."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser():
+    """The argparse parser of COMMANDS, built once per process."""
+    parser = _Parser(prog="ndsolve")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.args:
+            if arg.switch:
+                p.add_argument(arg.flag, action="store_true", help=arg.help)
+            elif arg.is_option:
+                p.add_argument(arg.flag, type=arg.type, choices=arg.choices, default=arg.default,
+                               required=arg.required, help=arg.help)
+            else:
+                p.add_argument(arg.flag, type=arg.type, choices=arg.choices, help=arg.help)
+    return parser
+
+
+def _plain_forms():
+    """command -> (its options by flag, its positionals, the dests a line
+    must give, the defaults of the rest): what parse_plain looks up."""
+    forms = {}
+    for name, command in COMMANDS.items():
+        options = {a.flag: a for a in command.args if a.is_option}
+        positionals = tuple(a for a in command.args if not a.is_option)
+        needed = tuple(a.dest for a in command.args if a.required or not a.is_option)
+        defaults = {
+            a.dest: False if a.switch else a.default
+            for a in options.values() if not a.required
+        }
+        forms[name] = (options, positionals, needed, defaults)
+    return forms
+
+
+_PLAIN_FORMS = _plain_forms()
+
+
+def parse_plain(argv):
+    """The Namespace build_parser() makes of a plain command line, else None.
+
+    A plain line is a command of COMMANDS, then its arguments in any order:
+    options spelled exactly, each value option followed by one value that
+    does not start with "-" and passes the option's type and choices, every
+    positional and every required option given.  A repeated option keeps
+    its last value, as in argparse.  Any other line (help, abbreviations,
+    "--opt=value", "--", values starting with "-", every line argparse
+    rejects) gets None, and is left to argparse.
+    """
+    form = _PLAIN_FORMS.get(argv[0]) if argv else None
+    if form is None:
+        return None
+    options, positionals, needed, defaults = form
+    values = dict(defaults)
+    given = 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if given == len(positionals):
+                return None
+            arg = positionals[given]
+            given += 1
+        else:
+            arg = options.get(token)
+            if arg is None:
+                return None
+            if arg.switch:
+                values[arg.dest] = True
+                continue
+            token = next(tokens, None)
+            if token is None or token[:1] == "-":
+                return None
+        try:
+            value = arg.type(token)
+        except (TypeError, ValueError):
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+    if not all(map(values.__contains__, needed)):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command].run(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

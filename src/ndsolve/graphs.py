@@ -111,8 +111,8 @@ class Graph:
     @cached_property
     def adj(self):
         """Neighbor frozensets, indexed by vertex: a view derived from
-        ``neighbors`` for callers that want set operations.  Nothing on a
-        solve path builds it."""
+        ``neighbors`` that only the benchmark's checker (``bench/check.py``)
+        reads; nothing in the package builds it."""
         return tuple(map(frozenset, self.neighbors))
 
     def has_edge(self, u, v):
@@ -143,7 +143,8 @@ def _contains(nbrs, v):
 
 def are_twins(g: Graph, u: int, v: int) -> bool:
     """True when u and v have identical neighborhoods outside {u, v}."""
-    return (g.adj[u] - {v}) == (g.adj[v] - {u})
+    nbr = g.neighbors
+    return [w for w in nbr[u] if w != v] == [w for w in nbr[v] if w != u]
 
 
 @dataclass(frozen=True)

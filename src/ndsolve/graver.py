@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from .errors import BudgetError
 from .matrices import IntMatrix
@@ -44,7 +44,7 @@ def _l1(v):
 
 
 def _neg(v):
-    return tuple(-a for a in v)
+    return tuple(map(neg, v))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,16 @@ def _pottier_completion(a: IntMatrix, max_elements: int):
     lie in no common orthant: otherwise v and g are both conformal to it and
     its normal form is 0.  Sums are taken smallest l1 first and reduced by
     the first conformal element in basis order.
+
+    The basis is pushed in pairs e, -e, so the sums come in pairs s, -s,
+    and only the smaller tuple of each pair is queued.  This is the one of
+    the pair that a queue of both would pop first (both have the same l1),
+    and it pushes the same elements: the first element conformal to -s is
+    the partner of the first conformal to s, so NF(-s) = -NF(s), and once
+    NF(s) and its negative are pushed, -s reduces to 0.  For the same
+    reason the sums of -r are the negatives of the sums of r, so each
+    reduced r enqueues its own sums alone.  The bases, and the point where
+    max_elements stops the completion, are those of queueing both.
     """
     gens = [v for v in kernel_lattice_basis(a) if any(v)]
     basis = []
@@ -247,12 +257,15 @@ def _pottier_completion(a: IntMatrix, max_elements: int):
             if not flip & gmask:
                 continue  # a common orthant: v and g are conformal to v + g
             s = tuple(map(add, v, g))
-            if s in in_queue or not any(s):
+            if not any(s):
+                continue
+            s = min(s, _neg(s))
+            if s in in_queue:
                 continue
             in_queue.add(s)
             heapq.heappush(queue, (_l1(s), s))
 
-    for e in basis:
+    for e in basis[::2]:
         enqueue_sums(e)
 
     while queue:
@@ -260,11 +273,9 @@ def _pottier_completion(a: IntMatrix, max_elements: int):
         r = _normal_form(_entry(s), basis)
         if any(r):
             r = _entry(r)
-            neg = _neg_entry(r)
             push(r)
-            push(neg)
+            push(_neg_entry(r))
             enqueue_sums(r)
-            enqueue_sums(neg)
 
     return _minimal_filter(e[0] for e in basis)
 

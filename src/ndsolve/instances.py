@@ -48,7 +48,8 @@ import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 
 from .graphs import CLIQUE, INDEPENDENT, Graph
 
@@ -236,13 +237,24 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_instance(inst: Instance) -> str:
+    """The instance file text.
+
+    The edge block is written one run of edges sharing their smaller
+    endpoint u at a time, as one join of the larger endpoints' labels with
+    "\ne u " between them.  Labels are made once per vertex that ends an
+    edge, not per vertex of the header, which may be far above the edges.
+    """
     g = inst.graph
     out = [f"p {inst.problem} {g.n} {g.m}"]
     if inst.problem == "cds":
         if g.capacity is None:
             raise ValueError("cds instance without capacities")
         out += [f"c {v + 1} {g.capacity[v]}" for v in range(g.n)]
-    out += [f"e {u + 1} {v + 1}" for u, v in g.edges]
+    ends = set(map(itemgetter(1), g.edges))
+    labels = dict(zip(ends, map(str, map((1).__add__, ends))))
+    for u, run in groupby(g.edges, itemgetter(0)):
+        head = f"e {u + 1} "
+        out.append(head + ("\n" + head).join([labels[v] for _, v in run]))
     if inst.problem == "maxqcut":
         if inst.q is None:
             raise ValueError("maxqcut instance without part count")

@@ -83,3 +83,26 @@ def test_checker_judges_dominator_only_cds_witness(tmp_path):
     assert check._cds_witness(case.inst.graph, text).dominators == dom
     assert check.witness_error(op, case.inst, value, text) is None
     assert check.witness_error(op, case.inst, 0, "D={}") == "invalid dominating set"
+
+
+def test_workload_lines_are_plain_lines(tmp_path):
+    """Every op line of both workloads is read by the option-table parser
+    into the Namespace argparse gives it, so no op pays for argparse."""
+    ops = workloads.desk(5, tmp_path)[1] + workloads.graver(5, tmp_path)[1]
+    assert {op.argv[0] for op in ops} == {"solve", "graver"}
+    for op in ops:
+        argv = list(op.argv)
+        args = cli.parse_plain(argv)
+        assert args is not None and args == cli.build_parser().parse_args(argv)
+
+
+def test_cli_main_runs_the_workload_lines(tmp_path, monkeypatch):
+    """cli.main still accepts the ops the benchmark sends it, without argparse."""
+    def no_argparse():
+        raise AssertionError("a workload line reached argparse")
+
+    ops = workloads.desk(5, tmp_path, per_problem=1)[1]
+    graver_ops = workloads.graver(5, tmp_path, count=2, max_n=12)[1]
+    monkeypatch.setattr(cli, "build_parser", no_argparse)
+    for op in ops + graver_ops:
+        assert run.call(cli.main, op.argv)[0] == 0, op.argv

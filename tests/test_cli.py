@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import os
+import random
 import subprocess
 import sys
 
@@ -7,7 +10,7 @@ import pytest
 
 import ndsolve
 from ndsolve import cli, graphs
-from ndsolve.cli import build_parser, main
+from ndsolve.cli import COMMANDS, build_parser, main, parse_plain
 from ndsolve.instances import Instance, write_instance
 
 from helpers import complete_graph, path_graph, star_graph
@@ -140,7 +143,7 @@ class TestSolve:
         build_parser.cache_clear()
         with pytest.raises(SystemExit) as err:
             main(["solve", "--budget", "3", "--model", "no-such-model", p3_sumcol])
-        assert err.value.code == 2
+        assert err.value.code == 3
         capsys.readouterr()
         assert main(["solve", "--no-timing", p3_sumcol]) == 0
         after_rejection = capsys.readouterr().out
@@ -202,3 +205,199 @@ class TestBench:
             else:
                 assert row[4].isdigit()
         assert captured.err.count("nfold/nfold: solver broke") == 2
+
+
+# The help of `ndsolve -h` and of each `ndsolve COMMAND -h` at COLUMNS=80,
+# byte for byte, as argparse printed it from the hand-written add_argument
+# calls that the option table replaced (Python 3.11).
+HELP = {
+    None: """\
+usage: ndsolve [-h] {nd,solve,verify,graver,bench} ...
+
+positional arguments:
+  {nd,solve,verify,graver,bench}
+    nd                  print the twin-class decomposition
+    solve               solve one instance
+    verify              cross-check models against the oracle
+    graver              Graver diagnostics for the stacked matrix
+    bench               bulk seeded run
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "nd": """\
+usage: ndsolve nd [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "solve": """\
+usage: ndsolve solve [-h] [--problem {cds,sumcol,maxqcut}]
+                     [--model {convex,ilp,nfold,convexfd,graver,quadratic}]
+                     [--backend {boxed,nfold,augment}]
+                     [--algo {proximity,rounding,brute}] [--q Q]
+                     [--budget BUDGET] [--csv CSV] [--no-timing]
+                     file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --problem {cds,sumcol,maxqcut}
+                        must match the file header
+  --model {convex,ilp,nfold,convexfd,graver,quadratic}
+  --backend {boxed,nfold,augment}
+  --algo {proximity,rounding,brute}
+  --q Q                 override part count (maxqcut)
+  --budget BUDGET
+  --csv CSV
+  --no-timing
+""",
+    "verify": """\
+usage: ndsolve verify [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "graver": """\
+usage: ndsolve graver [-h] [--stacking] [--max-elements MAX_ELEMENTS] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --stacking
+  --max-elements MAX_ELEMENTS
+""",
+    "bench": """\
+usage: ndsolve bench [-h] --problem {cds,sumcol,maxqcut} [--count COUNT]
+                     [--seed SEED] [--max-n MAX_N] [--max-k MAX_K] [--csv CSV]
+                     [--out-dir OUT_DIR] [--no-timing]
+
+options:
+  -h, --help            show this help message and exit
+  --problem {cds,sumcol,maxqcut}
+  --count COUNT
+  --seed SEED
+  --max-n MAX_N
+  --max-k MAX_K
+  --csv CSV
+  --out-dir OUT_DIR
+  --no-timing
+""",
+}
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _usage(command):
+    """The usage block that opens the pinned help of `command`."""
+    return HELP[command].split("\n\n")[0] + "\n"
+
+
+def _plain_line(rng, name, command):
+    """A random plain line of `command`: its positionals and a random set of
+    its options, each with a valid value, some options twice, in a random
+    order."""
+    groups = []
+    for arg in command.args:
+        option = arg.is_option
+        if option and not arg.required and rng.random() < 0.5:
+            continue
+        for _ in range(rng.choice((1, 1, 2)) if option else 1):
+            if arg.switch:
+                value = ()
+            elif arg.choices:
+                value = (rng.choice(arg.choices),)
+            elif arg.type is int:
+                value = (str(rng.randint(0, 10**6)),)
+            else:
+                value = (rng.choice(("x.txt", "runs/out.csv", "a b", "", "0", "=")),)
+            groups.append((arg.flag, *value) if option else value)
+    rng.shuffle(groups)
+    return [name] + [token for group in groups for token in group]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_is_pinned(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["-h"] if command is None else [command, "-h"]
+        assert parse_plain(argv) is None
+        assert _run(argv) == (0, HELP[command], "")
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_plain_lines_parse_as_argparse_does(self, name):
+        rng = random.Random(name)
+        command = COMMANDS[name]
+        used = set()
+        for _ in range(300):
+            argv = _plain_line(rng, name, command)
+            args = parse_plain(argv)
+            assert args is not None, argv
+            assert args == build_parser().parse_args(argv), argv
+            used.update(token for token in argv if token.startswith("--"))
+        assert used == {arg.flag for arg in command.args if arg.is_option}
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["solve", "f.txt", "--mod", "ilp"], "model", "ilp"),
+        (["solve", "f.txt", "--no-t"], "no_timing", True),
+        (["solve", "f.txt", "--q=3"], "q", 3),
+        (["graver", "--max-elements=7", "f.txt"], "max_elements", 7),
+        (["nd", "--", "-f"], "file", "-f"),
+        (["solve", "f.txt", "--budget", "-5"], "budget", -5),
+        (["solve", "-3"], "file", "-3"),
+        (["bench", "--prob", "cds", "--seed", "-1"], "seed", -1),
+    ])
+    def test_other_accepted_lines_are_left_to_argparse(self, argv, field, value):
+        assert parse_plain(argv) is None
+        assert getattr(build_parser().parse_args(argv), field) == value
+
+    def test_abbreviated_line_runs(self, p3_sumcol, capsys):
+        assert main(["solve", "--mod", "graver", "--back=augment", "--no-t", p3_sumcol]) == 0
+        assert "value: 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, command, message", [
+        ([], None, "ndsolve: error: the following arguments are required: command"),
+        (["solve"], "solve", "ndsolve solve: error: the following arguments are required: file"),
+        (["frob", "x"], None, "ndsolve: error: argument command: invalid choice: 'frob' "
+                              "(choose from 'nd', 'solve', 'verify', 'graver', 'bench')"),
+        (["solve", "f.txt", "--q"], "solve", "ndsolve solve: error: argument --q: expected one argument"),
+        (["solve", "f.txt", "--budget", "-x"], "solve",
+         "ndsolve solve: error: argument --budget: expected one argument"),
+        (["solve", "f.txt", "--model", "nope"], "solve",
+         "ndsolve solve: error: argument --model: invalid choice: 'nope' "
+         "(choose from 'convex', 'ilp', 'nfold', 'convexfd', 'graver', 'quadratic')"),
+        (["solve", "--mod", "nope", "f"], "solve",
+         "ndsolve solve: error: argument --model: invalid choice: 'nope' "
+         "(choose from 'convex', 'ilp', 'nfold', 'convexfd', 'graver', 'quadratic')"),
+        (["solve", "f.txt", "--q", "x"], "solve", "ndsolve solve: error: argument --q: invalid int value: 'x'"),
+        (["bench", "--count", "1.5", "--problem", "cds"], "bench",
+         "ndsolve bench: error: argument --count: invalid int value: '1.5'"),
+        (["graver", "f", "--max-elements=zz"], "graver",
+         "ndsolve graver: error: argument --max-elements: invalid int value: 'zz'"),
+        (["bench"], "bench", "ndsolve bench: error: the following arguments are required: --problem"),
+        (["solve", "f.txt", "--bogus"], None, "ndsolve: error: unrecognized arguments: --bogus"),
+        (["solve", "f.txt", "g.txt"], None, "ndsolve: error: unrecognized arguments: g.txt"),
+    ])
+    def test_rejected_lines_print_argparse_errors_and_exit_3(self, argv, command, message, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert parse_plain(argv) is None
+        assert _run(argv) == (3, "", _usage(command) + message + "\n")

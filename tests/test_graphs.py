@@ -159,6 +159,15 @@ def _random_gnp(seed):
     return random_graph(rng, n=rng.randint(0, 9), p=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_are_twins_by_definition(seed):
+    g = _random_gnp(seed)
+    nbr = [{v for e in g.edges if w in e for v in e if v != w} for w in range(g.n)]
+    for u in range(g.n):
+        for v in range(g.n):
+            assert are_twins(g, u, v) == (nbr[u] - {v} == nbr[v] - {u})
+
+
 def pairwise_twin_classes(g):
     """The equivalence classes of are_twins, by definition: each vertex with
     every vertex it is a twin of, classes ordered by smallest member."""

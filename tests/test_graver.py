@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from ndsolve import graver
 from ndsolve.errors import BudgetError
 from ndsolve.graver import (
     _entry,
@@ -330,3 +331,34 @@ def test_acceptance_bases_are_pinned():
         h.update(repr(sorted(graver_basis(matrix).elements)).encode())
     assert len(matrices) == 122
     assert h.hexdigest() == PINNED_BASES_DIGEST
+
+
+# sha256 over the repr of the list of the smallest max_elements with which
+# graver_basis finishes on each matrix above (0 for a trivial kernel), as
+# computed when the completion queued and reduced both sums s and -s.
+PINNED_COMPLETION_BUDGETS_DIGEST = "2de6abc22804a033c95ce30bacf41abe126b7ab140de73bffeb46198563dc083"
+
+
+def test_acceptance_completion_budgets_are_pinned(monkeypatch):
+    """The completion pushes the same elements in the same order, so it
+    stops at the same point: max_elements = size finishes, size - 1 raises."""
+    sizes = []
+    minimal_filter = graver._minimal_filter
+
+    def recorded(vectors):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return minimal_filter(vectors)
+
+    matrices = acceptance_graver_matrices()
+    with monkeypatch.context() as patch:
+        patch.setattr(graver, "_minimal_filter", recorded)
+        for matrix in matrices:
+            graver_basis(matrix)
+    assert len(sizes) == len(matrices)
+    for matrix, size in zip(matrices, sizes):
+        graver_basis(matrix, max_elements=size)
+        if size:
+            with pytest.raises(BudgetError):
+                graver_basis(matrix, max_elements=size - 1)
+    assert hashlib.sha256(repr(sizes).encode()).hexdigest() == PINNED_COMPLETION_BUDGETS_DIGEST

@@ -383,6 +383,26 @@ def test_blowup_streams_are_pinned():
     assert h.hexdigest() == PINNED_BLOWUP_DIGEST
 
 
+# sha256 of format_instance over every graph of blowup_streams(), written as a
+# sum-coloring and a max-q-cut (q = 2) instance, and as a domination instance
+# when it has capacities, as computed when each edge line had its own f-string.
+PINNED_FORMAT_DIGEST = "ed30ff7352d639ec4cabf2aabc4b689e7ef3e6230a49bea9e84ed57c1d38a17b"
+
+
+def test_formatted_streams_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for g in blowup_streams():
+        problems = [("sumcol", None), ("maxqcut", 2)]
+        if g.capacity is not None:
+            problems.append(("cds", None))
+        for problem, q in problems:
+            h.update(format_instance(Instance(g, problem, q)).encode())
+            count += 1
+    assert count == 1146
+    assert h.hexdigest() == PINNED_FORMAT_DIGEST
+
+
 def _definitional_template(rng):
     """A template with k <= 6 classes of weight 1..15, kinds all clique, all
     independent or mixed, no cross edges, all of them or a random set, and
