@@ -14,6 +14,15 @@ to the class size) and keeps the best decodable one, and a rounding scheme
 that rounds the served-counts up, takes per class the cheapest prefix with
 enough capacity, pins a class to its full size whenever its capacity cannot
 keep up, and re-solves; after at most k pins the rounding succeeds.
+
+These two are the CDS routes that run in f(k) poly(n).  Each LP has O(k^2)
+variables and k rows plus one per distinct capacity of a class; proximity
+tests its candidates on the type graph (models.cds_type_decodable, O(2^k)
+each) and decodes only the winner, and rounding decodes once, so each
+makes one vertex-level matching.  The ilp and convex models under
+solve_boxed are exact cross-checks, not such routes: their
+branch-and-bound branches over the y variables, whose boxes grow with the
+class sizes.
 """
 
 from __future__ import annotations
@@ -25,11 +34,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, TypeGraph, domination_capacity, twin_partition
+from .graphs import Graph, TypeGraph, twin_partition
 from .ipmodel import Linear
 from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
-from .models import CdsSolution, _match_subset, build_cds_ilp, cds_pairs, check_coloring, decode_cds
+from .models import (
+    CdsSolution,
+    _match_subset,
+    build_cds_ilp,
+    cds_hall_sets,
+    cds_pairs,
+    cds_type_decodable,
+    check_coloring,
+    decode_cds,
+)
 
 CDS_SIZE_GUARD = 10
 COLORING_SIZE_GUARD = 9
@@ -281,20 +299,29 @@ def proximity_box(t: TypeGraph, lp_point) -> ProximityBox:
 
 def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
     """Enumerate capacity-ordered candidates inside the proximity box around
-    the relaxation optimum; keep the smallest decodable one."""
+    the relaxation optimum; decode the smallest decodable one.
+
+    Candidates x are visited in lexicographic order, and one replaces the
+    incumbent only when it is strictly smaller, so the first smallest
+    decodable x wins.  Each is tested on the type graph by
+    cds_type_decodable (2^k - 1 Hall conditions, precomputed once per
+    solve), never by a vertex-level matching: only the winner goes through
+    decode_cds.  Its cost is one LP over O(k^2) variables and at most
+    (2k^2 + 2)^k tests of O(2^k) each, so f(k) poly(n).
+    """
     res = solve_lp(relax_model(build_cds_ilp(t)))
     if not res.optimal:
         raise RuntimeError("domination relaxation must be feasible and bounded")
     box = proximity_box(t, res.point)
-    best = [None]
+    hall_sets = cds_hall_sets(t)
+    best = [math.inf, None]  # size and class sizes of the incumbent
 
     def rec(i, prefix, total):
-        if best[0] is not None and total >= best[0].size:
+        if total >= best[0]:
             return
         if i == t.k:
-            sol = decode_cds(t, g, tuple(prefix))
-            if sol is not None and (best[0] is None or sol.size < best[0].size):
-                best[0] = sol
+            if cds_type_decodable(t, hall_sets, prefix):
+                best[:] = total, tuple(prefix)
             return
         for v in range(box.lo[i], box.hi[i] + 1):
             prefix.append(v)
@@ -302,9 +329,13 @@ def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
             prefix.pop()
 
     rec(0, [], 0)
-    if best[0] is None:
+    x = best[1]
+    if x is None:
         raise RuntimeError("no valid point inside the proximity box")
-    return best[0]
+    sol = decode_cds(t, g, x)
+    if sol is None:
+        raise RuntimeError(f"class sizes {list(x)} pass the type-level check but do not decode")
+    return sol
 
 
 def cds_rounding_approx(t: TypeGraph, g: Graph) -> CdsSolution:
@@ -317,6 +348,7 @@ def cds_rounding_approx(t: TypeGraph, g: Graph) -> CdsSolution:
     """
     model = build_cds_ilp(t)
     pairs = cds_pairs(t)
+    prefix = t.capacity_prefix
     k = t.k
     pins = set()
     while True:
@@ -325,26 +357,13 @@ def cds_rounding_approx(t: TypeGraph, g: Graph) -> CdsSolution:
             raise RuntimeError("domination relaxation must be feasible and bounded")
         y_hat = {p: math.ceil(res.point[k + idx]) for idx, p in enumerate(pairs)}
         need = [sum(y_hat[(i, j)] for j in sorted(t.neighbors(i))) for i in range(k)]
-        fails = {
-            i
-            for i in range(k)
-            if domination_capacity(t, i, t.weights[i]) < need[i]
-        }
+        fails = {i for i in range(k) if prefix[i][-1] < need[i]}
         new_pins = pins | fails
         if fails and new_pins != pins and len(pins) < k:
             pins = new_pins
             continue
-        x_hat = []
-        for i in range(k):
-            ell = next(
-                (
-                    l
-                    for l in range(t.weights[i] + 1)
-                    if domination_capacity(t, i, l) >= need[i]
-                ),
-                t.weights[i],
-            )
-            x_hat.append(ell)
+        # the shortest prefix covering need[i] (f_i is non-decreasing), or all of class i
+        x_hat = [min(bisect_left(prefix[i], need[i]), t.weights[i]) for i in range(k)]
         for j in range(k):
             cover = sum(y_hat[(i, j)] for i in sorted(t.neighbors(j)))
             x_hat[j] = max(x_hat[j], t.weights[j] - cover)

@@ -10,7 +10,9 @@ class of size >= 2.
 For capacitated instances each class additionally keeps its vertices sorted
 by non-increasing capacity, so that "the first l vertices of class i" is a
 well-defined prefix.  The domination capacity f_i(l) is the total capacity
-of that prefix; it is concave piecewise-linear in l.
+of that prefix; it is concave piecewise-linear in l.  The type graph keeps
+the prefix sums of each class's sorted capacities (TypeGraph.capacity_prefix),
+so f_i(l) is one lookup.
 
 A Graph's edges are the strictly increasing tuple of pairs (u, v),
 0 <= u < v < n: the order of the instance file format.  Graph() checks this
@@ -37,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
+from itertools import accumulate, starmap
 from operator import itemgetter, lt
 
 CLIQUE = "clique"
@@ -232,6 +234,14 @@ class TypeGraph:
     def neighbors(self, i):
         return self.neighbor_sets[i]
 
+    @cached_property
+    def capacity_prefix(self):
+        """Prefix sums of each class's sorted capacities: capacity_prefix[i][l]
+        is f_i(l), for 0 <= l <= |V_i|."""
+        if self.sorted_capacities is None:
+            raise ValueError("type graph carries no capacities")
+        return tuple(tuple(accumulate(caps, initial=0)) for caps in self.sorted_capacities)
+
 
 def build_type_graph(g: Graph, p: TypePartition) -> TypeGraph:
     """Compress g along its twin partition p.
@@ -287,7 +297,8 @@ def domination_capacity(t: TypeGraph, i: int, ell: int) -> int:
     """f_i(ell): total capacity of the ell highest-capacity vertices of class i.
 
     Clamped at ell = |V_i| for larger ell.  The increments are the sorted
-    capacities themselves, so f_i is concave.
+    capacities themselves, so f_i is concave.  One lookup in
+    TypeGraph.capacity_prefix.
     """
     if t.sorted_capacities is None:
         raise ValueError("type graph carries no capacities")
@@ -295,5 +306,5 @@ def domination_capacity(t: TypeGraph, i: int, ell: int) -> int:
         raise ValueError(f"unknown class index {i}")
     if ell < 0:
         raise ValueError("prefix length must be non-negative")
-    caps = t.sorted_capacities[i]
-    return sum(caps[: min(ell, len(caps))])
+    prefix = t.capacity_prefix[i]
+    return prefix[min(ell, len(prefix) - 1)]

@@ -17,17 +17,26 @@ bound with no pivot.  Phase 1 starts from the slack basis wherever a slack
 is feasible (a <= row with rhs >= 0 after the substitution, or a >= row
 with rhs <= 0); only the other rows carry an artificial variable.
 
-The tableau is kept in integer rows: every row, the reduced-cost rows
-included, is a list of Python ints over one positive int denominator, and
-after each pivot it is divided by the gcd of its ints and denominator (the
-integer-preserving elimination of Edmonds and Bareiss, in per-row form).
-Every value is exact, so the three outcomes (optimal / infeasible /
-unbounded) are decided without tolerances, and only the returned point and
-value are built as fractions.Fraction.  Bland's rule (the smallest eligible
-index enters; every ratio-test tie, the entering variable's own flip
-included, goes to the smallest index) guarantees termination.  Every optimum
-is re-checked on integers against the problem as given: boxes, rows and the
-objective.  The tableau is dense: these LPs have tens of rows.
+Problem data stay ints wherever they are integral: LpProblem.make keeps an
+int as it is and turns any other number into a fractions.Fraction, or into
+an int when it is integral, so the usual CDS relaxation, all ints, builds
+no Fraction until its result.  A coefficient over a box of fractional width
+q(u - l) becomes Fraction(a, q), never a float.  The tableau is kept in
+integer rows: every row, the reduced-cost rows included, is a list of
+Python ints over one positive int denominator, and after each pivot it is
+divided by the gcd of its ints and denominator (the integer-preserving
+elimination of Edmonds and Bareiss, in per-row form).  Every value is
+exact, so the three outcomes (optimal / infeasible / unbounded) are decided
+without tolerances, and the returned point and value are always built as
+Fractions.  Bland's rule (the smallest eligible index enters; every
+ratio-test tie, the entering variable's own flip included, goes to the
+smallest index) guarantees termination.  Every optimum is re-checked on
+integers against the problem as given: boxes, rows and the objective.
+
+The tableau is dense: these LPs have tens of rows.  The relaxations behind
+the CDS routes (algorithms.cds_proximity_solve and cds_rounding_approx)
+have O(k^2) variables and, besides the k domination rows, one tangent row
+per distinct capacity of each class, however large the classes are.
 """
 
 from __future__ import annotations
@@ -35,27 +44,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 LE, EQ, GE = "<=", "=", ">="
-_ZERO = Fraction(0)  # shared by every zero entry, so none is built per entry
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+_INT = frozenset({int})
 
 
-def _fractions(values):
-    """values as Fractions, every zero (None kept) the shared _ZERO."""
-    return tuple(v if v is None else Fraction(v) if v else _ZERO for v in values)
+def _number(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    f = Fraction(v)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _numbers(values):
+    """values as a tuple of _number(v) (None kept)."""
+    values = tuple(values)
+    if _INT.issuperset(map(type, values)):
+        return values
+    return tuple(v if v is None else _number(v) for v in values)
 
 
 @dataclass(frozen=True)
 class LpConstraint:
     coeffs: tuple
     rel: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     @classmethod
     def make(cls, coeffs, rel, rhs):
         if rel not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {rel!r}")
-        return cls(_fractions(coeffs), rel, Fraction(rhs) if rhs else _ZERO)
+        return cls(_numbers(coeffs), rel, _number(rhs))
 
 
 @dataclass(frozen=True)
@@ -76,7 +98,7 @@ class LpProblem:
         n = len(objective)
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        obj = _fractions(objective)
+        obj = _numbers(objective)
         cons = tuple(
             c if isinstance(c, LpConstraint) else LpConstraint.make(*c)
             for c in constraints
@@ -84,8 +106,8 @@ class LpProblem:
         for c in cons:
             if len(c.coeffs) != n:
                 raise ValueError("constraint dimension mismatch")
-        lo = _fractions(lower or [0] * n)
-        hi = _fractions(upper or [None] * n)
+        lo = _numbers(lower or [0] * n)
+        hi = _numbers(upper or [None] * n)
         if len(lo) != n or len(hi) != n:
             raise ValueError("bound dimension mismatch")
         return cls(sense, obj, cons, lo, hi)
@@ -114,7 +136,9 @@ def _scaled(values):
     """Integer row and positive denominator whose quotients are values (ints
     or Fractions); the denominator is the lcm of theirs, so it shares no
     factor with all of the row."""
-    den = math.lcm(*(v.denominator for v in values))
+    den = math.lcm(*map(_denominator, values))
+    if den == 1:
+        return list(map(_numerator, values)), 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
@@ -227,7 +251,7 @@ class _Tableau:
 
     cols: list
     cost: list
-    const: Fraction
+    const: int | Fraction
     width: list
     tab: list
     basis: list
@@ -242,14 +266,14 @@ def _tableau(p: LpProblem) -> _Tableau:
     cols = []
     cost = []
     width = []
-    const = Fraction(0)
+    const = 0
     for j in range(p.n):
         l, u = p.lower[j], p.upper[j]
         if l is not None:
             w = None if u is None else u - l
             q = 1 if w is None else w.denominator
             cols.append(("shift", len(cost), l, q))
-            cost.append(obj[j] if q == 1 else obj[j] / q)
+            cost.append(obj[j] if q == 1 else Fraction(obj[j], q))
             width.append(None if w is None else w.numerator)
             const += obj[j] * l
         elif u is not None:
@@ -281,7 +305,7 @@ def _tableau(p: LpProblem) -> _Tableau:
                 dense[arg] = -a
             else:
                 if kind == "shift":
-                    dense[z1] = a if q == 1 else a / q
+                    dense[z1] = a if q == 1 else Fraction(a, q)
                 else:
                     dense[z1] = -a
                 if arg:

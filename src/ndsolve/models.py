@@ -58,6 +58,8 @@ __all__ = [
     "build_sumcol_convex",
     "build_sumcol_graver",
     "build_sumcol_nfold",
+    "cds_hall_sets",
+    "cds_type_decodable",
     "column_cost",
     "decode_cds",
     "decode_coloring",
@@ -207,6 +209,60 @@ def decode_cds(t: TypeGraph, g: Graph, point) -> CdsSolution | None:
     if assignment is None:
         return None
     return CdsSolution.make(dominators, assignment)
+
+
+def cds_hall_sets(t: TypeGraph):
+    """The 2^k sets S of classes, as bitmasks s, each with its type
+    neighbourhood N_t(S), loops included: entry s is (s without its lowest
+    class j, j, the bitmask of N_t(S)), and entry 0 is the empty set.  The
+    conditions of cds_type_decodable, built once per type graph."""
+    table = [(0, -1, 0)]
+    for s in range(1, 1 << t.k):
+        low = s & -s
+        j = low.bit_length() - 1
+        nbrs = table[s ^ low][2]
+        for i in t.neighbors(j):
+            nbrs |= 1 << i
+        table.append((s ^ low, j, nbrs))
+    return tuple(table)
+
+
+def cds_type_decodable(t: TypeGraph, hall_sets, point) -> bool:
+    """Whether decode_cds(t, g, point) finds an assignment, decided on the
+    type graph: for every set S of classes (hall_sets = cds_hall_sets(t)),
+    sum_{j in S} (w_j - x_j) <= sum_{i in N_t(S)} f_i(x_i).
+
+    Proof.  An outside vertex of class j and a dominator of class i are
+    adjacent iff i is in N_t(j): across classes by the type edge, inside a
+    class by its loop.  So a vertex-level assignment sums to a class-level
+    flow F_ij, i in N_t(j), with sum_i F_ij = w_j - x_j and sum_j F_ij <=
+    f_i(x_i), the total capacity of the x_i dominators of class i.
+    Conversely, an integral class-level flow splits onto the vertices: class
+    i receives at most f_i(x_i) outside vertices, each adjacent to every
+    dominator of class i, so filling those dominators one by one up to their
+    capacities places them all, whatever the capacities of the twins.  Such
+    a flow is a transportation problem, so by Gale's supply-demand theorem
+    (max-flow min-cut, with integral flows) it exists iff the inequality
+    holds for every S.
+
+    Both sides are summed over all 2^k bitmasks, each from the entry
+    without its lowest class: O(2^k) per point, independent of n.
+    """
+    prefix = t.capacity_prefix
+    need = []
+    supply = []
+    for i, (x_i, w_i) in enumerate(zip(point, t.weights)):
+        if not 0 <= x_i <= w_i:
+            raise DecodeError(f"x_{i}={x_i} outside class bounds")
+        need.append(w_i - x_i)
+        supply.append(prefix[i][x_i])
+    need_sum = [0] * len(hall_sets)
+    supply_sum = [0] * len(hall_sets)
+    for s in range(1, len(hall_sets)):
+        rest, j, _ = hall_sets[s]
+        need_sum[s] = need_sum[rest] + need[j]
+        supply_sum[s] = supply_sum[rest] + supply[j]
+    return all(d <= supply_sum[nbrs] for d, (_, _, nbrs) in zip(need_sum, hall_sets))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import random
 import re
 
 from ndsolve.backends import _min_objective
-from ndsolve.graphs import Graph
+from ndsolve.graphs import Graph, type_graph
 from ndsolve.graver import _kernel_vectors_within, conformal
-from ndsolve.instances import PROBLEMS, Instance, ParseError
+from ndsolve.instances import PROBLEMS, Instance, ParseError, generate_blowup, random_template
 
 
 def complete_graph(n, capacity=None):
@@ -38,6 +38,21 @@ def random_graph(rng: random.Random, n, p=0.5, max_capacity=None):
     if max_capacity is not None:
         cap = [rng.randint(0, max_capacity) for _ in range(n)]
     return Graph.from_edges(n, edges, cap)
+
+
+PINNED_CDS_INSTANCES = 100
+
+
+def pinned_cds_instances():
+    """(type graph, graph) of the acceptance-gate generator (the suite of
+    its criterion 1)."""
+    out = []
+    for i in range(PINNED_CDS_INSTANCES):
+        rng = random.Random(11_000 + i)
+        template = random_template(rng, max_k=4, max_n=8, with_capacities=True, max_capacity=4)
+        g = generate_blowup(template, seed=rng.randrange(2**30))
+        out.append((type_graph(g), g))
+    return out
 
 
 def set_partitions(items):

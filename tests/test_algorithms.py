@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -20,17 +22,31 @@ from ndsolve.algorithms import (
     sumcol_brute,
 )
 from ndsolve.backends import solve_boxed
-from ndsolve.graphs import type_graph
+from ndsolve.graphs import Graph, type_graph
 from ndsolve.lp import solve_lp
-from ndsolve.models import CdsSolution, build_cds_ilp, decode_cds
+from ndsolve.instances import generate_blowup, random_template
+from ndsolve.models import (
+    CdsSolution,
+    build_cds_ilp,
+    cds_hall_sets,
+    cds_type_decodable,
+    decode_cds,
+)
 
 from helpers import (
     complete_graph,
     empty_graph,
     path_graph,
+    pinned_cds_instances,
     random_graph,
     star_graph,
 )
+
+
+# sha256 over repr((sorted dominators, assignment)) of cds_proximity_solve
+# on each pinned instance, as computed when every candidate was decoded by
+# a vertex-level matching.
+PINNED_PROXIMITY_WITNESSES = "dfab6d0c55dbb2b441d53af12c38e992bc1b70ee84f3968bfb20c0cb79dd12fd"
 
 
 def random_cds_graph(seed, n_max=7, cap_max=3):
@@ -272,13 +288,73 @@ class TestProximity:
         box = proximity_box(t, res.point)
         opt = cds_brute(g).size
         found = False
-        import itertools
-
         for xhat in itertools.product(*box.ranges()):
             if sum(xhat) == opt and decode_cds(t, g, xhat) is not None:
                 found = True
                 break
         assert found
+
+
+    def test_pinned_witnesses_with_one_decode_each(self, monkeypatch):
+        calls = []
+        real = algorithms.decode_cds
+
+        def decode(t, g, point):
+            calls.append(point)
+            return real(t, g, point)
+
+        monkeypatch.setattr(algorithms, "decode_cds", decode)
+        h = hashlib.sha256()
+        for t, g in pinned_cds_instances():
+            calls.clear()
+            sol = cds_proximity_solve(t, g)
+            assert len(calls) == 1
+            h.update(repr((sorted(sol.dominators), sol.assignment)).encode())
+        assert h.hexdigest() == PINNED_PROXIMITY_WITNESSES
+
+    def test_type_check_disagreeing_with_decode_is_loud(self, monkeypatch):
+        g = star_graph(3, capacity=[3, 0, 0, 0])
+        t = type_graph(g)
+        monkeypatch.setattr(algorithms, "decode_cds", lambda t, g, x: None)
+        with pytest.raises(RuntimeError, match="do not decode"):
+            cds_proximity_solve(t, g)
+
+
+class TestTypeLevelCheck:
+    """cds_type_decodable against the vertex-level matching of decode_cds."""
+
+    def test_agrees_with_decode_on_every_point(self):
+        vectors = outcomes = 0
+        zero_capacity = self_serving = 0
+        for seed in range(300):
+            rng = random.Random(7_000 + seed)
+            template = random_template(rng, max_k=4, max_n=10, with_capacities=True, max_capacity=4)
+            g = generate_blowup(template, seed=rng.randrange(2**30))
+            t = type_graph(g)
+            zero_capacity += 0 in g.capacity
+            self_serving += any(t.loop_at(i) for i in range(t.k))
+            hall_sets = cds_hall_sets(t)
+            for x in itertools.product(*(range(w + 1) for w in t.weights)):
+                ok = cds_type_decodable(t, hall_sets, x)
+                assert ok == (decode_cds(t, g, x) is not None), (g, x)
+                vectors += 1
+                outcomes += ok
+        assert vectors >= 7_000 and 0 < outcomes < vectors
+        assert zero_capacity >= 100 and self_serving >= 100
+
+    def test_hall_sets_are_the_type_neighbourhoods(self):
+        # classes: clique {0, 1} (looped), then 2 and 3, each joined to it
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], [1, 1, 5, 0])
+        t = type_graph(g)
+        assert t.k == 2 and t.loop_at(0) and not t.loop_at(1)
+        # bitmask 1 = {0} -> N = {0, 1}; 2 = {1} -> {0}; 3 = {0, 1} -> {0, 1}
+        assert cds_hall_sets(t) == ((0, -1, 0), (0, 0, 0b11), (0, 1, 0b01), (2, 0, 0b11))
+
+    def test_out_of_bounds_point_is_rejected(self):
+        g = star_graph(2, capacity=[2, 0, 0])
+        t = type_graph(g)
+        with pytest.raises(ValueError, match="outside class bounds"):
+            cds_type_decodable(t, cds_hall_sets(t), (2, 0))
 
 
 class TestRounding:

@@ -289,3 +289,17 @@ class TestDominationCapacity:
         t = type_graph(g)
         assert t.classes[0] == (1, 0, 2)
         assert t.sorted_capacities[0] == (3, 2, 2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_prefix_sums_are_the_sorted_capacity_sums(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 9), max_capacity=4)
+        t = type_graph(g)
+        for i, caps in enumerate(t.sorted_capacities):
+            assert t.capacity_prefix[i] == tuple(sum(caps[:ell]) for ell in range(len(caps) + 1))
+            for ell in range(len(caps) + 3):
+                assert domination_capacity(t, i, ell) == sum(caps[:ell])
+
+    def test_prefix_sums_require_capacities(self):
+        with pytest.raises(ValueError, match="no capacities"):
+            type_graph(empty_graph(3)).capacity_prefix

@@ -1,8 +1,13 @@
+import ast
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ndsolve
 from ndsolve.graphs import CLIQUE, INDEPENDENT, Graph, twin_partition
 from ndsolve.instances import (
     BlowupTemplate,
@@ -228,11 +233,17 @@ class TestParsing:
                 assert reference_parse(text) == parse_instance(text)
 
     def test_vertex_count_far_above_the_edges(self):
-        # labels past the edge block's token count take the line-by-line path
+        # labels past the edge block's token count take the line-by-line path;
+        # the parse and the write-back run in a child process whose address
+        # space is capped, so work or memory per header vertex fails the test
         text = "p sumcol 1000000000000 2\ne 1 7\ne 5 999999999999\n"
-        inst = parse_instance(text)
-        assert inst.graph.edges == ((0, 6), (4, 999999999998))
-        assert format_instance(inst) == text
+        edges, written = run_capped(
+            "from ndsolve.instances import format_instance, parse_instance\n"
+            f"inst = parse_instance({text!r})\n"
+            "print(repr((inst.graph.edges, format_instance(inst))))\n"
+        )
+        assert edges == ((0, 6), (4, 999999999998))
+        assert written == text
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "star.cds"
@@ -241,6 +252,31 @@ class TestParsing:
         assert read_instance(path) == inst
         write_instance(read_instance(path), tmp_path / "copy.cds")
         assert (tmp_path / "copy.cds").read_bytes() == path.read_bytes()
+
+
+ADDRESS_SPACE_CAP = 256 * 2**20
+
+
+def run_capped(code):
+    """The literal that code prints, run in a fresh interpreter whose address
+    space is capped at ADDRESS_SPACE_CAP (after it checks that the cap
+    holds), with this test run's ndsolve first on its path."""
+    guard = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_CAP}, {ADDRESS_SPACE_CAP}))\n"
+        "try:\n"
+        f"    bytearray({2 * ADDRESS_SPACE_CAP})\n"
+        "except MemoryError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('address space cap not in force')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndsolve.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", guard + code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
 
 
 def _blowup_text(rng, problem):

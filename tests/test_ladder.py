@@ -1,7 +1,8 @@
 """A ladder in n at fixed k, measured by work counters rather than clocks.
 
 One template, k = 3: (clique, independent, clique) with n/3 vertices each,
-cross edges {0,1} and {1,2}, vertex labels shuffled with seed 1.  Counters
+cross edges {0,1} and {1,2}, vertex labels shuffled with seed 1; the
+domination rungs give the three classes capacities 2, 1 and 3.  Counters
 are deterministic, so each ceiling below is today's count: a change that
 makes a route do more work on a rung fails here, and one that makes it do
 less lowers the ceiling on purpose.
@@ -9,19 +10,21 @@ less lowers the ceiling on purpose.
 
 import pytest
 
-from ndsolve.algorithms import cut_value, maxqcut_brute
+from ndsolve import algorithms
+from ndsolve.algorithms import cds_proximity_solve, check_cds, cut_value, maxqcut_brute
 from ndsolve.backends import Budget, solve_boxed
 from ndsolve.graphs import CLIQUE, type_graph
 from ndsolve.instances import INDEPENDENT, BlowupTemplate, generate_blowup
-from ndsolve.models import build_maxqcut, build_sumcol_nfold, class_slots
+from ndsolve.models import build_cds_ilp, build_maxqcut, build_sumcol_nfold, class_slots
 
 LADDER_BUDGET = Budget(max_nodes=2_000_000)
 
 
-def ladder_graph(n):
+def ladder_graph(n, capacities=None):
     w = n // 3
+    caps = None if capacities is None else tuple((c,) * w for c in capacities)
     template = BlowupTemplate((w, w, w), (CLIQUE, INDEPENDENT, CLIQUE),
-                              frozenset({(0, 1), (1, 2)}))
+                              frozenset({(0, 1), (1, 2)}), caps)
     return generate_blowup(template, seed=1)
 
 
@@ -54,3 +57,35 @@ def test_sumcol_nfold_bricks_are_class_slots(n):
     t = type_graph(ladder_graph(n))
     bricks = build_sumcol_nfold(t).nfold.n
     assert bricks == sum(class_slots(t, i) for i in range(t.k)) == 2 * (n // 3) + 1
+
+
+# (type-level candidate tests, value) of cds_proximity_solve.  Before the
+# type-level check, each candidate went through a vertex-level matching:
+# 181, 1,309 and 1,324 of them at n = 30, 75 and 150 (8.3 s at n = 150).
+PROXIMITY = {30: (180, 9), 75: (1308, 21), 150: (1323, 42)}
+
+
+@pytest.mark.parametrize("n", sorted(PROXIMITY))
+def test_cds_proximity_tests_candidates_on_the_type_graph(n, monkeypatch):
+    calls = {"test": 0, "decode": 0}
+    real_test, real_decode = algorithms.cds_type_decodable, algorithms.decode_cds
+
+    def test(*args):
+        calls["test"] += 1
+        return real_test(*args)
+
+    def decode(*args):
+        calls["decode"] += 1
+        return real_decode(*args)
+
+    monkeypatch.setattr(algorithms, "cds_type_decodable", test)
+    monkeypatch.setattr(algorithms, "decode_cds", decode)
+    g = ladder_graph(n, capacities=(2, 1, 3))
+    t = type_graph(g)
+    sol = cds_proximity_solve(t, g)
+    ceiling, value = PROXIMITY[n]
+    assert calls["decode"] == 1
+    assert calls["test"] <= ceiling
+    assert sol.size == value and check_cds(g, sol)
+    if n <= 30:
+        assert solve_boxed(build_cds_ilp(t), LADDER_BUDGET).value == value

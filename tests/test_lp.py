@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -9,10 +10,10 @@ import pytest
 from ndsolve import algorithms, lp as lp_module
 from ndsolve.algorithms import cds_rounding_approx, relax_model
 from ndsolve.backends import solve_boxed
-from ndsolve.graphs import type_graph
-from ndsolve.instances import generate_blowup, random_template
 from ndsolve.lp import LE, GE, EQ, LpProblem, solve_lp
 from ndsolve.models import build_cds_ilp
+
+from helpers import PINNED_CDS_INSTANCES, pinned_cds_instances
 
 
 def lp(sense, objective, constraints, lower=None, upper=None):
@@ -374,11 +375,70 @@ class TestBoundedPaths:
             lp_module._check_result(p, lp_module.LpResult("optimal", (Fraction(1),), Fraction(2)))
 
 
+def as_fractions(args):
+    """LP arguments with every number a Fraction (None kept)."""
+    sense, objective, constraints, lower, upper = args
+
+    def conv(values):
+        return [v if v is None else Fraction(v) for v in values]
+
+    rows = [(conv(row), rel, Fraction(rhs)) for row, rel, rhs in constraints]
+    return sense, conv(objective), rows, conv(lower), conv(upper)
+
+
+def as_numbers(args):
+    """LP arguments with every integral number an int."""
+    sense, objective, constraints, lower, upper = args
+
+    def conv(values):
+        return [v if v is None or Fraction(v).denominator != 1 else int(v) for v in values]
+
+    rows = [(conv(row), rel, conv([rhs])[0]) for row, rel, rhs in constraints]
+    return sense, conv(objective), rows, conv(lower), conv(upper)
+
+
+FRACTIONAL_WIDTHS = ("min", [-1, -2], [([1, 1], LE, Fraction(5, 2))],
+                     [Fraction(1, 3), Fraction(-1, 2)], [Fraction(7, 4), Fraction(3, 2)])
+
+
+class TestIntegerData:
+    """Integral problem data stay ints from LpProblem.make to the re-check;
+    only data that are not integral, and the result, are Fractions."""
+
+    def test_make_keeps_integers(self):
+        p = LpProblem.make("min", [1, Fraction(4, 2), Fraction(1, 2)],
+                           [([3, 0, Fraction(6, 3)], LE, Fraction(5))],
+                           [0, Fraction(-2), None], [2, None, Fraction(7, 2)])
+        assert [type(v) for v in p.objective] == [int, int, Fraction]
+        assert [type(v) for v in p.constraints[0].coeffs] == [int, int, int]
+        assert type(p.constraints[0].rhs) is int
+        assert p.lower == (0, -2, None) and type(p.lower[1]) is int
+        assert p.upper == (2, None, Fraction(7, 2))
+
+    def test_integer_coefficient_over_a_fractional_width_stays_exact(self):
+        # x0 in [1/3, 7/4] is x0 = 1/3 + z/12 with z in [0, 17]: the int
+        # cost -1 and row coefficient 1 of x0 become -1/12 and 1/12
+        t = lp_module._tableau(LpProblem.make(*FRACTIONAL_WIDTHS))
+        assert t.cost == [Fraction(-1, 12), -2] and type(t.cost[0]) is Fraction
+        assert t.width[:2] == [17, 2]
+        assert all(type(v) is int for row, den in t.tab for v in row + [den])
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_int_and_fraction_data_give_the_same_result(self, seed):
+        args, _, _ = random_lp(seed)
+        results = {repr(dataclasses.astuple(lp(*conv(args)))) for conv in (as_fractions, as_numbers)}
+        assert len(results) == 1
+
+    def test_fractional_box_widths_in_both_forms(self):
+        results = {repr(dataclasses.astuple(lp(*conv(FRACTIONAL_WIDTHS))))
+                   for conv in (as_fractions, as_numbers)}
+        assert results == {repr(("optimal", (Fraction(1), Fraction(3, 2)), Fraction(-4)))}
+
+
 # sha256 over the repr of (status, point, value) of every LP below.  Re-pinned
 # when the bounded simplex replaced the one with a row per finite box: 32 of
 # the 202 results moved their vertex, and none its status or value.  A
 # change of pivot order that moves any returned vertex changes it.
-PINNED_CDS_INSTANCES = 100
 PINNED_CDS_DIGEST = "f8b06ba594143fe05d334a7156be56666682261871d2eabc0ab9bf5f1ae909da"
 # sha256 over the repr of (status, value) of each instance's relaxation, and
 # over (status, point, value, nodes) of solve_boxed on its ilp model; both
@@ -386,18 +446,6 @@ PINNED_CDS_DIGEST = "f8b06ba594143fe05d334a7156be56666682261871d2eabc0ab9bf5f1ae
 # model, which must move neither.
 PINNED_CDS_RELAXATION_DIGEST = "75faf7e8f1d497798b29484427b821b73112331e274b74c8aaa30c4a76cd1169"
 PINNED_CDS_BOXED_DIGEST = "aecb0bd47adc9749575163462fe1ca91171fd973af738409e357ad49fe62e56f"
-
-
-def pinned_cds_instances():
-    """(type graph, graph) of the acceptance-gate generator (the suite of
-    its criterion 1)."""
-    out = []
-    for i in range(PINNED_CDS_INSTANCES):
-        rng = random.Random(11_000 + i)
-        template = random_template(rng, max_k=4, max_n=8, with_capacities=True, max_capacity=4)
-        g = generate_blowup(template, seed=rng.randrange(2**30))
-        out.append((type_graph(g), g))
-    return out
 
 
 def pinned_cds_lp_results():
