@@ -33,6 +33,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import countOf
 
 from .graphs import Graph, TypeGraph, twin_partition
 from .ipmodel import Linear
@@ -92,8 +93,12 @@ def check_cds(g: Graph, sol: CdsSolution) -> bool:
 
 
 def cut_value(g: Graph, partition) -> int:
-    """Number of edges whose endpoints land in distinct parts."""
-    return sum(1 for u, v in g.edges if partition[u] != partition[v])
+    """Number of edges whose endpoints land in distinct parts: per run of
+    g, the count of its larger ends outside the part of its head."""
+    part = partition.__getitem__
+    return sum(
+        len(run) - countOf(map(part, run), part(u)) for u, run in zip(g.heads, g.runs)
+    )
 
 
 def coloring_cost(coloring) -> int:

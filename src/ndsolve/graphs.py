@@ -14,19 +14,26 @@ of that prefix; it is concave piecewise-linear in l.  The type graph keeps
 the prefix sums of each class's sorted capacities (TypeGraph.capacity_prefix),
 so f_i(l) is one lookup.
 
-A Graph's edges are the strictly increasing tuple of pairs (u, v),
-0 <= u < v < n: the order of the instance file format.  Graph() checks this
-once, in __post_init__, the one place that owns the invariant, by whole-list
-comparisons with no Python step per edge, and stores edges and capacities as
-tuples.  Producers that know their pairs in that order hand them straight to
-Graph(): the instance parser, and the blow-up generator, which emits them
-from the class structure (instances.generate_blowup).  Graph.from_edges is
-the one constructor that normalises (orients each pair, sorts, drops
-repeats), for pairs from anywhere else (tests, matrices.primal_graph).
+A Graph holds its edges as runs, the edge block of the instance file format
+grouped by smaller endpoint: the strictly ascending heads u, and for each
+head the strictly increasing run of its larger neighbours v > u, with the
+edge count m stored.  No (u, v) pair is built to hold a graph.  Every
+producer goes through one check, Graph._store, the one place that owns the
+invariant (0 <= u < v < n, heads ascending, runs increasing): a few C-level
+passes over the heads and over each run, with no Python step per run or
+per edge.  The instance parser and the blow-up generator
+(instances.generate_blowup) hand their runs straight to Graph.from_runs;
+Graph(n, pairs) cuts strictly increasing pairs into runs where u changes
+(cut_runs) and goes through the same check; Graph.from_edges is the one
+constructor that normalises (orients each pair, sorts, drops repeats), for
+pairs from anywhere else (tests, matrices.primal_graph).  Graph.edges, the
+pair tuple, is a view built on first use for the few readers that want
+pairs; no solve path and no file writer builds it.
 
-Costs: the neighborhoods are one tuple of sorted neighbor tuples
-(Graph.neighbors), built on first use by one append pass over the m edges in
-sorted order; nothing on a solve path builds a set per vertex.  The twin
+Costs: holding a graph is O(m) whatever the header's n; the first O(n)
+allocation is Graph.neighbors, one tuple of sorted neighbor tuples built on
+first use by one pass over the runs (one extend per run, one append per
+edge); nothing on a solve path builds a set per vertex.  The twin
 partition groups vertices by hashing their open and closed neighborhoods,
 O(n + m) for a graph with m edges; the type graph adds O(k^2) binary-search
 probes of the neighbor tuples and the capacity sort.  The colouring check
@@ -37,53 +44,78 @@ as sets: O(n) C-level isdisjoint calls, not a Python step per edge.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, starmap
-from operator import itemgetter, lt
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, lt, ne
 
 CLIQUE = "clique"
 INDEPENDENT = "independent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """Undirected simple graph on vertices 0..n-1, optional vertex capacities.
 
-    ``edges`` is the strictly increasing tuple of pairs (u, v) with
-    0 <= u < v < n, so each edge appears once, oriented and in sorted order.
-    Graph(n, edges) takes the pairs in exactly that form (any sequence; it
-    is stored as a tuple) and raises ValueError naming the first bad pair;
+    The edges are stored as runs, grouped by their smaller endpoint:
+    ``heads`` is the strictly ascending tuple of the vertices u that are the
+    smaller end of some edge, and ``runs[i]`` the strictly increasing tuple
+    of the larger ends v > heads[i] of its edges; ``m`` is the edge count.
+    Graph.from_runs(n, heads, runs) takes the runs in exactly that form
+    (any sequences, stored as tuples); Graph(n, edges) takes the strictly
+    increasing pairs (u, v), 0 <= u < v < n, and cuts them into runs where u
+    changes; both raise ValueError naming the first bad pair.
     Graph.from_edges(n, edges) accepts the pairs in any order and
-    orientation, with repeats.  ``capacity``, when given, is any sequence of
-    n non-negative integers, likewise stored as a tuple, so graphs compare
-    and hash alike whatever sequence built them.
+    orientation, with repeats.  ``edges`` is the pair tuple, a view built on
+    first use.  ``capacity``, when given, is any sequence of n non-negative
+    integers, stored as a tuple, so graphs compare and hash alike whatever
+    sequences built them.
     """
 
     n: int
-    edges: tuple
-    capacity: tuple | None = None
+    heads: tuple
+    runs: tuple
+    capacity: tuple | None
+    m: int = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n, edges=(), capacity=None):
+        edges = tuple(edges)
+        us = tuple(map(itemgetter(0), edges))
+        starts, runs = cut_runs(us, tuple(map(itemgetter(1), edges)))
+        self._store(n, tuple(map(us.__getitem__, starts)), tuple(runs), capacity)
+
+    @classmethod
+    def from_runs(cls, n, heads, runs, capacity=None):
+        """The graph whose edges are (heads[i], v) for v in runs[i]."""
+        g = cls.__new__(cls)
+        g._store(n, tuple(heads), tuple(map(tuple, runs)), capacity)
+        return g
+
+    def _store(self, n, heads, runs, capacity):
+        """Check the runs, the one place that owns the edge invariant, and
+        set the fields.  One C-level pass over the heads and over each run,
+        with no Python step per run or per edge."""
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = tuple(self.edges)
-        if edges and not (
-            all(starmap(lt, edges))
-            and all(map(lt, edges, edges[1:]))
-            and edges[0][0] >= 0
-            and max(map(itemgetter(1), edges)) < n
+        if len(heads) != len(runs) or heads and not (
+            all(runs)  # no run is empty
+            and heads[0] >= 0
+            and all(map(lt, heads, heads[1:]))  # heads strictly ascending
+            and all(map(lt, heads, map(itemgetter(0), runs)))  # u < first v
+            # each run strictly increasing: all(map(lt, run, run[1:])) per run
+            and all(map(all, map(map, repeat(lt), runs, map(itemgetter(_TAIL), runs))))
+            and max(map(itemgetter(-1), runs)) < n  # last v < n
         ):
-            raise ValueError(_first_bad_edge(n, edges))
-        object.__setattr__(self, "edges", edges)
-        if self.capacity is not None:
-            capacity = tuple(self.capacity)
+            raise ValueError(_first_bad_edge(n, heads, runs))
+        if capacity is not None:
+            capacity = tuple(capacity)
             if len(capacity) != n:
                 raise ValueError("capacity must be defined on all vertices or none")
             if any(c < 0 for c in capacity):
                 raise ValueError("capacities must be non-negative")
-            object.__setattr__(self, "capacity", capacity)
+        # one update of the frozen instance's fields, cheaper than a
+        # object.__setattr__ call per field
+        self.__dict__.update(n=n, heads=heads, runs=runs, capacity=capacity, m=sum(map(len, runs)))
 
     @classmethod
     def from_edges(cls, n, edges, capacity=None):
@@ -96,18 +128,27 @@ class Graph:
         return cls(n, sorted(norm), capacity)
 
     @cached_property
+    def edges(self):
+        """The strictly increasing tuple of pairs (u, v), u < v: a view of
+        the runs for the readers that want pairs; no solve path builds it."""
+        return tuple(chain.from_iterable(map(zip, map(repeat, self.heads), self.runs)))
+
+    @cached_property
     def neighbors(self):
         """Sorted neighbor tuples, indexed by vertex.
 
-        One append pass over ``edges``, with no sort: the edges are strictly
-        increasing, so vertex w first receives the u of each (u, w), u < w,
-        in ascending order, then the v of each (w, v), v > w, in ascending
-        order.
+        One pass over the runs in ascending order of their heads, with no
+        sort: when the run of u is reached, u has already received every
+        smaller neighbour, in ascending order, so its run is its upper part,
+        added by one C-level extend, and u is appended to the list of each
+        vertex of the run, one append per edge.  (On CPython 3.11 this plain
+        loop beats appending through a C-level map of list.append.)
         """
         nbr = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
+        for u, run in zip(self.heads, self.runs):
+            nbr[u] += run
+            for v in run:
+                nbr[v].append(u)
         return tuple(map(tuple, nbr))
 
     @cached_property
@@ -120,21 +161,37 @@ class Graph:
     def has_edge(self, u, v):
         return 0 <= u < self.n and 0 <= v < self.n and _contains(self.neighbors[u], v)
 
-    @property
-    def m(self):
-        return len(self.edges)
+
+_TAIL = slice(1, None)
 
 
-def _first_bad_edge(n, edges):
+def cut_runs(firsts, seconds):
+    """Cut seconds where firsts changes: the start of each run, and the runs.
+
+    firsts and seconds are sequences of one length (seconds sliceable into
+    tuples, firsts comparable by !=); a run is a maximal stretch of equal
+    firsts.  One C-level != per pair and one slice per run.
+    """
+    starts = list(compress(range(len(firsts)), map(ne, firsts, chain((None,), firsts))))
+    ends = starts[1:]
+    ends.append(len(firsts))
+    return starts, [seconds[i:j] for i, j in zip(starts, ends)]
+
+
+def _first_bad_edge(n, heads, runs):
     """The message for the first pair of edges that breaks Graph's invariant."""
+    if len(heads) != len(runs) or not all(runs):
+        return "every head needs one non-empty run"
     prev = None
-    for e in edges:
-        u, v = e
-        if not 0 <= u < v < n:
-            return f"bad edge {e!r} for n={n}"
-        if prev is not None and e <= prev:
-            return f"edge {e!r} after {prev!r}: edges must be strictly increasing"
-        prev = e
+    for u, run in zip(heads, runs):
+        for v in run:
+            e = (u, v)
+            if not 0 <= u < v < n:
+                return f"bad edge {e!r} for n={n}"
+            if prev is not None and e <= prev:
+                return f"edge {e!r} after {prev!r}: edges must be strictly increasing"
+            prev = e
+    return "a head repeats: heads must be strictly increasing, one run each"
 
 
 def _contains(nbrs, v):

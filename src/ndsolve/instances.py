@@ -20,26 +20,31 @@ non-ASCII byte is an error on its line.
 
 The edge block, nearly all of a file, is read in bulk and never split into
 lines: it is the text from the first edge line on, less the q line if the
-problem has one.  Its tokens are split once, each endpoint is looked up in
-one table of canonical labels, and the line structure is checked by
-whole-list operations (see _edge_block), with no Python loop over the
-lines.  The pairs, in file order, go straight to Graph, which owns the edge
-invariant (0 <= u < v < n, strictly increasing) and checks it once.  A
-block that fails either step is read again line by line, which names its
-first bad line (or reads labels above the block's token count, which the
-table leaves out).  The few other lines are read one by one, and each
-integer in them is matched against the canonical form.
+problem has one.  Its tokens are split once, and the line structure is
+checked by whole-list operations (see _edge_block), with no Python loop
+over the lines.  The block is cut into runs where the smaller endpoint's
+token changes; the larger endpoints, and the token that starts each run,
+are looked up in one table of canonical labels.  No (u, v) pair is built:
+the runs go straight to Graph.from_runs, which owns the edge invariant
+(0 <= u < v < n, heads ascending, runs increasing) and checks it once per
+run.  A block that fails either step is read again line by line, which
+names its first bad line (or reads labels above the block's token count,
+which the table leaves out).  The few other lines are read one by one, and
+each integer in them is matched against the canonical form.  Parsing is
+O(m), whatever the header's n: nothing allocates per header vertex (the
+first such allocation is Graph.neighbors, on first use), and the writer
+makes one label per vertex that ends an edge.
 
 Blow-up templates prescribe a type graph (weights, kinds, cross edges,
 optional per-class capacities); realizing one yields a graph whose twin
 partition has at most as many classes.  Vertex labels are shuffled by the
 seed so class structure does not align with index order.  Every
 neighbourhood of a blow-up is a union of whole classes, so the generator
-emits the strictly increasing edge tuple straight from the class
-structure: per class the sorted labels it reaches, per vertex one bisection
-and the suffix above it, O(k n log n) plus O(m) C-level work with no Python
-step, set or sort per edge.  Graph checks the pairs once, as it does the
-parser's; generate_blowup proves they are the blow-up's edges in order.
+emits the graph's runs straight from the class structure: per class the
+sorted labels it reaches, per vertex one bisection and the suffix above
+it, its run, O(k n log n) plus O(m) C-level work with no Python step, set
+or sort per edge.  Graph checks the runs once, as it does the parser's;
+generate_blowup proves they are the blow-up's edges in order.
 """
 
 from __future__ import annotations
@@ -48,10 +53,9 @@ import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
-from operator import itemgetter
+from itertools import chain
 
-from .graphs import CLIQUE, INDEPENDENT, Graph
+from .graphs import CLIQUE, INDEPENDENT, Graph, cut_runs
 
 PROBLEMS = ("cds", "sumcol", "maxqcut")
 
@@ -94,23 +98,31 @@ def _fields(lines, i, line_no, expect_tag, n_fields):
 
 
 def _edge_block(rest, m, n, q_line):
-    """The 0-based pairs of a block of m lines 'e <u> <v>' at the start of
-    rest, and the lines after it; or None.
+    """The 0-based heads and runs of a block of m lines 'e <u> <v>' at the
+    start of rest, and the lines after it; or None.
 
     rest is the text from the first edge line on.  In a well-formed file the
     block is all of rest but the q line, if the problem has one, so its end
     is found from the end of rest, and it is checked as a whole, with no
-    Python loop over its lines.  Each endpoint token is looked up in one
-    table from the canonical labels '1', '2', ... to vertices, so a hit is a
-    canonical label in range.  If the block holds m newlines, starts with
-    'e ', every newline but its last is followed by 'e ', there are 3 tokens
-    per line and every endpoint token is in the table, then no 'e' token
-    sits at an endpoint position, so the lines start at tokens 0, 3, 6, ...
-    and each one is 'e <u> <v>'.  The table stops at the token count, so
-    that its cost is bounded by the block's; a block with a label above that
-    goes to _edge_lines, which reads it.  Any other block this rejects,
-    _edge_lines rejects too, and names its first bad line.  Whether the
-    pairs are ordered is Graph's check, not this one's.
+    Python loop over its lines.  Endpoint tokens are looked up in one table
+    from the canonical labels '1', '2', ... to vertices, so a hit is a
+    canonical label in range.  Only the larger endpoints are looked up one
+    by one: the smaller endpoints' tokens are cut into runs where the token
+    changes (cut_runs), and only the token that starts each run is looked
+    up, since every other token of the run is the same string.  So every
+    endpoint token is in the table once these lookups hit.  If the block
+    holds m newlines, starts with 'e ', every newline but its last is
+    followed by 'e ', there are 3 tokens per line and every endpoint token
+    is in the table, then no 'e' token sits at an endpoint position, so the
+    lines start at tokens 0, 3, 6, ... and each one is 'e <u> <v>'.  The
+    table stops at the token count, so that its cost is bounded by the
+    block's; a block with a label above that goes to _edge_lines, which
+    reads it.  Any other block this rejects, _edge_lines rejects too, and
+    names its first bad line.  No pair is built, and whether the runs are
+    ordered is Graph's check, not this one's: the table maps distinct
+    tokens to distinct vertices, so a smaller endpoint that comes back after
+    another one starts a second run with a repeated head, which Graph
+    rejects.
     """
     end = rest.rfind("\n", 0, len(rest) - 1) + 1 if q_line else len(rest)
     block = rest[:end]
@@ -118,7 +130,7 @@ def _edge_block(rest, m, n, q_line):
         return None
     after = rest[end:].split("\n")[:-1]
     if not m:
-        return (), after
+        return ((), ()), after
     if not block.startswith("e ") or block.count("\ne ") != m - 1:
         return None
     tokens = block.replace("\n", " ").split(" ")
@@ -126,10 +138,13 @@ def _edge_block(rest, m, n, q_line):
         return None
     vertex = {str(v + 1): v for v in range(min(n, 3 * m))}
     label = vertex.__getitem__
+    firsts = tokens[1::3]
     try:
-        return tuple(zip(map(label, tokens[1::3]), map(label, tokens[2::3]))), after
+        starts, runs = cut_runs(firsts, tuple(map(label, tokens[2::3])))
+        heads = tuple(map(label, map(firsts.__getitem__, starts)))
     except KeyError:
         return None
+    return (heads, runs), after
 
 
 def _edge_lines(rest, first_line_no, m, n):
@@ -210,7 +225,7 @@ def parse_instance(text: str) -> Instance:
     parsed = _edge_block(rest, m, n, problem == "maxqcut")
     if parsed is not None:
         try:
-            graph = Graph(n, parsed[0], capacity)
+            graph = Graph.from_runs(n, *parsed[0], capacity)
         except ValueError:
             pass
     if graph is None:
@@ -239,10 +254,10 @@ def parse_instance(text: str) -> Instance:
 def format_instance(inst: Instance) -> str:
     """The instance file text.
 
-    The edge block is written one run of edges sharing their smaller
-    endpoint u at a time, as one join of the larger endpoints' labels with
-    "\ne u " between them.  Labels are made once per vertex that ends an
-    edge, not per vertex of the header, which may be far above the edges.
+    The edge block is written one run of the graph (Graph.runs) at a time,
+    as one join of the larger endpoints' labels with "\ne u " between them.
+    Labels are made once per vertex that ends an edge, not per vertex of the
+    header, which may be far above the edges.
     """
     g = inst.graph
     out = [f"p {inst.problem} {g.n} {g.m}"]
@@ -250,11 +265,11 @@ def format_instance(inst: Instance) -> str:
         if g.capacity is None:
             raise ValueError("cds instance without capacities")
         out += [f"c {v + 1} {g.capacity[v]}" for v in range(g.n)]
-    ends = set(map(itemgetter(1), g.edges))
+    ends = set(chain.from_iterable(g.runs))
     labels = dict(zip(ends, map(str, map((1).__add__, ends))))
-    for u, run in groupby(g.edges, itemgetter(0)):
+    for u, run in zip(g.heads, g.runs):
         head = f"e {u + 1} "
-        out.append(head + ("\n" + head).join([labels[v] for _, v in run]))
+        out.append(head + ("\n" + head).join(map(labels.__getitem__, run)))
     if inst.problem == "maxqcut":
         if inst.q is None:
             raise ValueError("maxqcut instance without part count")
@@ -328,18 +343,19 @@ def generate_blowup(template: BlowupTemplate, seed: int) -> Graph:
     neighbours, and its own block if i is a clique), holds the neighbours of
     each vertex of class i, with the vertex itself when i is a clique.
 
-    The edges are emitted straight from reach, in the form Graph() checks:
-    for each u in ascending order, the pairs (u, v) for v in reach[class of
-    u] above u.  Proof that this is Graph's edge tuple: u < v are adjacent
-    exactly when v is in reach[class of u]; each pair is emitted once, from
-    its smaller end; u ascends and each suffix of a sorted list is sorted,
-    so the pairs are strictly increasing.  They are sorted(set(...)) of
-    every joined pair, the tuple Graph.from_edges would build from them.
+    The edges are emitted straight from reach as runs, in the form
+    Graph.from_runs checks: for each u in ascending order, its run is the
+    suffix of reach[class of u] above u, if not empty.  Proof that these
+    are Graph's runs: u < v are adjacent exactly when v is in reach[class
+    of u]; each edge is emitted once, from its smaller end; u ascends and
+    each suffix of a sorted tuple is sorted, so the heads ascend and each
+    run increases.  They are the runs Graph.from_edges would build from
+    every joined pair.
 
     Cost: k sorts of at most n labels, O(k n log n), and one Python step
     with one bisection per vertex, plus O(m) C-level work to slice the
-    suffixes, pair them up and check the tuple in Graph(); no Python step,
-    set or sort per edge.
+    suffixes and check the runs in Graph; no Python step, set or sort per
+    edge.
 
     The result's twin partition never has more classes than the template
     (classes with identical outside-neighborhoods may merge, so it can have
@@ -363,12 +379,15 @@ def generate_blowup(template: BlowupTemplate, seed: int) -> Graph:
         joined[j].append(i)
     reach_of = [None] * n
     for block, classes in zip(blocks, joined):
-        reach = sorted(chain.from_iterable(map(blocks.__getitem__, classes)))
+        reach = tuple(sorted(chain.from_iterable(map(blocks.__getitem__, classes))))
         for v in block:
             reach_of[v] = reach
-    edges = []
+    heads, runs = [], []
     for u, reach in enumerate(reach_of):
-        edges += zip(repeat(u), reach[bisect_right(reach, u) :])
+        run = reach[bisect_right(reach, u) :]
+        if run:
+            heads.append(u)
+            runs.append(run)
 
     capacity = None
     if template.capacities is not None:
@@ -376,7 +395,7 @@ def generate_blowup(template: BlowupTemplate, seed: int) -> Graph:
         for block, caps in zip(blocks, template.capacities):
             for v, c in zip(block, caps):
                 capacity[v] = c
-    return Graph(n, edges, capacity)
+    return Graph.from_runs(n, heads, runs, capacity)
 
 
 def random_template(

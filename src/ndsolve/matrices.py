@@ -129,9 +129,10 @@ def verify_decomposition(g: Graph, d: PathDecomposition) -> DecompositionReport:
     missing = set(range(g.n)) - covered
     if missing:
         return DecompositionReport(False, width, f"vertex {min(missing)} in no bag")
-    for u, v in g.edges:
-        if not any(u in b and v in b for b in d.bags):
-            return DecompositionReport(False, width, f"edge ({u},{v}) in no bag")
+    for u, run in zip(g.heads, g.runs):
+        for v in run:
+            if not any(u in b and v in b for b in d.bags):
+                return DecompositionReport(False, width, f"edge ({u},{v}) in no bag")
     for v in range(g.n):
         hits = [i for i, b in enumerate(d.bags) if v in b]
         if hits != list(range(hits[0], hits[-1] + 1)):

@@ -11,7 +11,7 @@ import pytest
 import ndsolve
 from ndsolve import cli, graphs
 from ndsolve.cli import COMMANDS, build_parser, main, parse_plain
-from ndsolve.instances import Instance, write_instance
+from ndsolve.instances import Instance, generate_blowup, random_template, read_instance, write_instance
 
 from helpers import complete_graph, path_graph, star_graph
 
@@ -167,6 +167,31 @@ class TestGraver:
         assert main(["graver", "--stacking", p3_sumcol]) == 0
         out = capsys.readouterr().out
         assert "g1(L)" in out and "holds" in out
+
+
+class TestPairView:
+    def test_sumcol_routes_and_graver_never_build_the_pair_view(self, tmp_path, monkeypatch, capsys):
+        """Graph.edges is a view for the few readers that want pairs: every
+        sum-coloring route of solve, and the graver command, read the runs
+        and the neighbor tuples only, so the view is never built on them."""
+        graph = generate_blowup(random_template(random.Random(3), max_k=3, max_n=10), seed=3)
+        assert graph.m >= 10
+        path = str(tmp_path / "blowup.txt")
+        write_instance(Instance(graph, "sumcol"), path)
+        built = []
+        pairs = graphs.Graph.edges.func
+        monkeypatch.setattr(graphs.Graph, "edges", property(lambda g: built.append(g) or pairs(g)))
+        routes = [
+            ["solve", "--model", model, "--backend", backend, "--no-timing", path]
+            for model, (_, backends) in cli.ROUTES["sumcol"][1].items()
+            for backend in backends
+        ]
+        assert len(routes) == 5
+        for argv in routes + [["graver", path]]:
+            assert main(argv) == 0, argv
+        assert built == []
+        read_instance(path).graph.edges
+        assert len(built) == 1  # the hook sees a read
 
 
 class TestBench:

@@ -10,6 +10,7 @@ from ndsolve.graphs import (
     TypePartition,
     are_twins,
     build_type_graph,
+    cut_runs,
     domination_capacity,
     twin_partition,
     type_graph,
@@ -55,6 +56,37 @@ class TestGraph:
     def test_constructor_checks_sorted_pairs(self, edges, bad):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             Graph(3, edges)
+
+    @pytest.mark.parametrize(
+        "heads, runs, message",
+        [
+            ((1, 0), ((2,), (1,)), "edge (0, 1) after (1, 2)"),  # heads not ascending
+            ((0, 0), ((1,), (2,)), "a head repeats"),  # the pairs alone are in order
+            ((0,), ((2, 1),), "edge (0, 1) after (0, 2)"),  # run not increasing
+            ((0,), ((1, 1),), "edge (0, 1) after (0, 1)"),  # repeated end
+            ((1,), ((1,),), "bad edge (1, 1) for n=3"),  # v == u
+            ((1,), ((0, 2),), "bad edge (1, 0) for n=3"),  # v < u
+            ((0,), ((1, 3),), "bad edge (0, 3) for n=3"),  # v >= n
+            ((-1,), ((1,),), "bad edge (-1, 1) for n=3"),  # u < 0
+            ((0,), ((),), "every head needs one non-empty run"),
+            ((0, 1), ((1,),), "every head needs one non-empty run"),
+            ((), ((1,),), "every head needs one non-empty run"),
+        ],
+    )
+    def test_from_runs_checks_runs(self, heads, runs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph.from_runs(3, heads, runs)
+
+    def test_from_runs_stores_tuples(self):
+        g = Graph.from_runs(3, [0, 1], [[1, 2], [2]], [1, 2, 3])
+        assert (g.heads, g.runs, g.capacity, g.m) == ((0, 1), ((1, 2), (2,)), (1, 2, 3), 3)
+        ref = Graph(3, [(0, 1), (0, 2), (1, 2)], (1, 2, 3))
+        assert g == ref and hash(g) == hash(ref)
+        assert Graph.from_runs(3, (), ()) == Graph(3, ()) == Graph(3, iter(()))
+
+    def test_cut_runs(self):
+        assert cut_runs((), ()) == ([], [])
+        assert cut_runs(("1", "1", "2", "1"), (4, 5, 6, 7)) == ([0, 2, 3], [(4, 5), (6,), (7,)])
 
     def test_list_input_stored_as_tuple(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -181,24 +181,45 @@ class TestParsing:
     @pytest.mark.parametrize("problem", ["cds", "sumcol", "maxqcut"])
     @pytest.mark.parametrize("seed", range(10))
     def test_parsed_graph_equals_from_edges(self, problem, seed):
-        """The parser builds its graph from its sorted pairs, with no second
-        walk over them; it equals Graph.from_edges of the same pairs in ==,
-        hash and adj.  The sparse graph's labels run above the edge block's
-        token count, so its block is read line by line."""
+        """The parser, Graph(n, pairs), Graph.from_edges and Graph.from_runs
+        build one graph from one edge set: equal in ==, hash, edges, m,
+        neighbors and adj, with the neighborhoods of the pairs' definition.
+        Covered: a blow-up, the same with isolated vertices after it, an
+        edgeless graph, and a sparse graph whose labels run above the edge
+        block's token count, so that its block is read line by line."""
         rng = random.Random(seed)
         cap = problem == "cds"
         template = random_template(rng, max_k=4, max_n=12, with_capacities=cap)
         blowup = generate_blowup(template, seed=seed)
         n = 30
         pairs = {(0, n - 1)} | {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2)}
-        sparse = Graph.from_edges(n, pairs, [rng.randint(0, 3) for _ in range(n)] if cap else None)
+        sparse = Graph.from_edges(n, pairs)
         assert max(v for _, v in sparse.edges) + 1 > 3 * sparse.m
-        for graph in (blowup, sparse):
-            text = format_instance(Instance(graph, problem, 3 if problem == "maxqcut" else None))
-            parsed = parse_instance(text).graph
-            ref = Graph.from_edges(graph.n, list(graph.edges), graph.capacity)
-            assert parsed == ref and hash(parsed) == hash(ref)
-            assert parsed.adj == ref.adj
+        isolated = Graph(blowup.n + 3, blowup.edges)
+        for graph in (blowup, isolated, Graph(rng.randint(0, 4), ()), sparse):
+            capacity = [rng.randint(0, 3) for _ in range(graph.n)] if cap else None
+            edges = sorted(graph.edges)
+            text = format_instance(Instance(Graph(graph.n, edges, capacity), problem,
+                                            3 if problem == "maxqcut" else None))
+            heads = sorted({u for u, _ in edges})
+            runs = [[v for u, v in edges if u == h] for h in heads]
+            flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            built = [
+                parse_instance(text).graph,
+                Graph(graph.n, edges, capacity),
+                Graph.from_edges(graph.n, flipped + flipped[:2], capacity),
+                Graph.from_runs(graph.n, heads, runs, capacity),
+            ]
+            nbrs = tuple(
+                tuple(sorted([v for u, v in edges if u == w] + [u for u, v in edges if v == w]))
+                for w in range(graph.n)
+            )
+            for g in built:
+                assert g == built[0] and hash(g) == hash(built[0])
+                assert g.edges == tuple(edges) and g.m == len(edges)
+                assert (g.heads, g.runs) == (tuple(heads), tuple(map(tuple, runs)))
+                assert g.neighbors == nbrs
+                assert g.adj == tuple(map(frozenset, nbrs))
 
     @pytest.mark.parametrize("problem", ["cds", "sumcol", "maxqcut"])
     def test_mutated_edge_blocks(self, problem):
@@ -243,6 +264,21 @@ class TestParsing:
             "print(repr((inst.graph.edges, format_instance(inst))))\n"
         )
         assert edges == ((0, 6), (4, 999999999998))
+        assert written == text
+
+    def test_parse_is_linear_in_the_edges(self):
+        # labels within the edge block's token count take the bulk path; the
+        # parse, the edge count, the pair view and the write-back run in a
+        # child process whose address space is capped, so work or memory
+        # per header vertex fails the test
+        text = "p sumcol 1000000000 1\ne 1 2\n"
+        m, edges, written = run_capped(
+            "from ndsolve.instances import format_instance, parse_instance\n"
+            f"inst = parse_instance({text!r})\n"
+            "g = inst.graph\n"
+            "print(repr((g.m, g.edges, format_instance(inst))))\n"
+        )
+        assert (m, edges) == (1, ((0, 1),))
         assert written == text
 
     def test_file_roundtrip(self, tmp_path):
