@@ -2,19 +2,24 @@
 
 solve_boxed is a depth-first branch-and-bound over the variable boxes in
 index order with ascending values, so the first point attaining the optimal
-value is the lexicographically smallest optimum.  Feasibility pruning uses
-per-row interval arithmetic over the unassigned suffix (precomputed, since
-the assignment order is fixed).  Objective pruning reads the model's
-optional remainder hook, an admissible lower bound on the minimize-oriented
-objective still to come given point[:depth].  Linear and separable convex
-objectives add it to their partial sum and take the larger of that and the
-per-variable suffix minima.  Quadratic and general convex objectives do not
-separate, so their partial sum is 0 and the hook alone bounds the whole
-objective, at every variable but the last, whose leaf evaluates the
-objective itself; without a hook they are enumerated.  A value is dropped
-when its bound is >= the incumbent, the same strict rule that keeps the
-first optimum found, so the lexicographically smallest optimum is returned
-with or without the hook.
+value is the lexicographically smallest optimum.  Its set-up is O(nnz + n):
+one backward pass over each row's nonzeros builds a per-depth table whose
+entry for variable d holds the checks of the rows with a nonzero at d,
+each with the interval the row's later variables can add, so a node
+narrows its variable's box by interval arithmetic over the unassigned
+suffix with no table of rows x variables.  Objective pruning reads the
+model's optional remainder hook, an admissible lower bound on the
+minimize-oriented objective still to come given point[:depth].  Linear and
+separable objectives add it to their partial sum and take the larger of
+that and the sum of the later variables' least values: slope bisection
+finds those of convex terms, and the box ends those of the negated, so
+concave, terms of a MAX objective.  Quadratic and general convex
+objectives do not separate, so their partial sum is 0 and the hook alone
+bounds the whole objective, at every variable but the last, whose leaves
+evaluate the objective itself; without a hook they are enumerated.  A value
+is dropped when its bound is >= the incumbent, the same strict rule that
+keeps the first optimum found, so the lexicographically smallest optimum is
+returned with or without the hook.  solve_boxed takes every model.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
 annotation.  Each step is a brick DP over the moves within the box, keeping
@@ -26,6 +31,13 @@ is taken only when the sum ends at zero, the box holds, and the objective
 strictly decreases.  This is exact, since every Graver element of the full
 n-fold matrix that moves a point within the box is such a step (see
 solve_nfold).
+
+solve_nfold and solve_augment need a linear objective, or a separable
+convex one under MIN, and linear rows only: they reject quadratic and
+general convex objectives, a maximized separable convex one (its negation
+is concave, and augmentation is exact only for convex objectives) and
+convex rows with ValueError.  solve_nfold also needs the n-fold annotation,
+and solve_augment equality rows only.
 
 Every optimal result of the three backends is certified before it is
 returned: its point is checked against the boxes, the rows and the convex
@@ -117,13 +129,19 @@ def _unary_min(f, lo, hi):
     return f(a)
 
 
+def _end_min(f, lo, hi):
+    """Minimum of a concave integer function on [lo, hi], taken at an end."""
+    return min(f(lo), f(hi))
+
+
 def _min_objective(model: IpModel):
     """The objective in minimize orientation, as (terms, value).
 
     ``terms`` are the per-variable evaluation rules, or None when the
     objective does not separate; ``value`` evaluates a whole point.  This is
     the only place a MAX objective is negated: MIN models get the model's
-    own rules, with no wrapper call per evaluation.
+    own rules, with no wrapper call per evaluation.  A negated separable
+    convex term is concave; a linear term is both convex and concave.
     """
     obj = model.objective
     if isinstance(obj, Linear):
@@ -141,124 +159,151 @@ def _min_objective(model: IpModel):
     return (None if terms is None else [negated(f) for f in terms]), negated(obj.value)
 
 
+def _convex_min_objective(model: IpModel, backend: str):
+    """_min_objective of a model whose minimize-oriented objective is
+    separable convex: linear, or separable convex under MIN.  Augmentation
+    is exact only for those; ValueError names the backend otherwise."""
+    terms, value = _min_objective(model)
+    if terms is None:
+        raise ValueError(f"{backend} needs a linear or separable convex objective")
+    if model.sense != MIN and isinstance(model.objective, SeparableConvex):
+        raise ValueError(f"{backend} cannot maximize a separable convex objective")
+    return terms, value
+
+
 def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Exact optimum over the box by depth-first branch-and-bound.
 
-    Returns the lexicographically smallest optimal point; raises BudgetError
-    when the node budget runs out.
+    Takes every model that validates, whatever its objective, rows and
+    convex rows.  Returns the lexicographically smallest optimal point;
+    raises BudgetError when the node budget runs out.  Every node counts
+    against budget.max_nodes, the root and the leaves included.
+
+    The set-up is O(nnz + n): one backward pass over each row's nonzeros
+    gives, per depth, the checks (row, coef, rhs, upper side?, lower side?,
+    rest_lo, rest_hi) of the rows that hold that variable, rest_lo and
+    rest_hi being the least and the greatest the row's later variables can
+    add.  A node at depth d narrows variable d's box by those checks, then
+    walks its values in ascending order; a value whose objective bound is
+    >= the incumbent, or whose box breaks a convex row's box_min, is
+    dropped.  The children at the last variable are leaves, evaluated in
+    their parent's value loop.  The per-variable least values behind the
+    suffix minima come from slope bisection for convex terms and from the
+    box ends for the negated, concave, terms of a MAX objective.
     """
     model.validate()
     budget = budget or Budget()
     n = model.n_vars
     lower, upper = model.lower, model.upper
-    contrib, min_value = _min_objective(model)
-    has_partial = contrib is not None
+    terms, min_value = _min_objective(model)
     hook = model.remainder_bound
-
-    if has_partial:
-        suffix_min = [0] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            suffix_min[j] = suffix_min[j + 1] + _unary_min(contrib[j], lower[j], upper[j])
-    else:
-        suffix_min = None
-
-    # Row machinery: activity plus precomputed suffix ranges per depth.
+    convex_rows = model.convex_rows
     rows = model.rows
-    # constant rows are never reached by the interval checks
+    # constant rows are never reached by the row checks
     if not all(_holds(row, 0) for row in rows if not row.coeffs):
         return SolveResult("infeasible", None, None, 0)
-    m = len(rows)
-    rows_by_var = [[] for _ in range(n)]
-    for r, row in enumerate(rows):
-        for i, c in row.coeffs:
-            rows_by_var[i].append((r, c))
-    rmin = [[0] * (n + 1) for _ in range(m)]
-    rmax = [[0] * (n + 1) for _ in range(m)]
-    for r, row in enumerate(rows):
-        cmap = dict(row.coeffs)
-        for j in range(n - 1, -1, -1):
-            c = cmap.get(j, 0)
-            alo = min(c * lower[j], c * upper[j])
-            ahi = max(c * lower[j], c * upper[j])
-            rmin[r][j] = rmin[r][j + 1] + alo
-            rmax[r][j] = rmax[r][j + 1] + ahi
 
-    acts = [0] * m
+    checks = [[] for _ in range(n)]
+    for r, row in enumerate(rows):
+        up, low = row.rel != GE, row.rel != LE
+        rest_lo = rest_hi = 0
+        for i, c in sorted(row.coeffs, reverse=True):
+            checks[i].append((r, c, row.rhs, up, low, rest_lo, rest_hi))
+            a, b = c * lower[i], c * upper[i]
+            rest_lo += min(a, b)
+            rest_hi += max(a, b)
+    # per depth: box, term, least objective of the later variables, hook
+    # (the last variable's leaf evaluates a non-separable objective itself),
+    # row checks and activity updates (none at the last: no check reads them)
+    last = n - 1
+    least = _unary_min if model.sense == MIN else _end_min
+    rest_min = 0
+    levels = [None] * n
+    for d in range(last, -1, -1):
+        term = None if terms is None else terms[d]
+        level_hook = hook if term is not None or d < last else None
+        updates = () if d == last else tuple((r, c) for r, c, *_ in checks[d])
+        levels[d] = (lower[d], upper[d], term, rest_min, level_hook, tuple(checks[d]), updates)
+        if term is not None:
+            rest_min += least(term, lower[d], upper[d])
+
+    ceil_div = _ceil_div
+    max_nodes = budget.max_nodes
+    acts = [0] * len(rows)
     point = [0] * n
     lo_box = list(lower)
     hi_box = list(upper)
-    nodes = 0
+    nodes = 1  # the root
     best_val = None
     best_pt = None
 
-    def rec(depth, partial):
+    def rec(d, partial):
         nonlocal nodes, best_val, best_pt
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise BudgetError("branch-and-bound node budget exceeded")
-        if depth == n:
-            for cr in model.convex_rows:
-                if cr.fn(point) > 0:
-                    return
-            val = partial if has_partial else min_value(point)
-            if best_val is None or val < best_val:
-                best_val = val
-                best_pt = tuple(point)
-            return
-
-        vlo, vhi = lower[depth], upper[depth]
-        for r, c in rows_by_var[depth]:
-            row = rows[r]
-            rest_lo = rmin[r][depth + 1]
-            rest_hi = rmax[r][depth + 1]
-            base = row.rhs - acts[r]
-            if row.rel != GE:  # upper side: c*v <= base - rest_lo
-                room = base - rest_lo
+        vlo, vhi, term, rest_min, level_hook, row_checks, updates = levels[d]
+        for r, c, rhs, up, low, rest_lo, rest_hi in row_checks:
+            base = rhs - acts[r]
+            if up:  # c*v <= base - rest_lo
                 if c > 0:
-                    vhi = min(vhi, room // c)
+                    t = (base - rest_lo) // c
+                    if t < vhi:
+                        vhi = t
                 else:
-                    vlo = max(vlo, _ceil_div(room, c))
-            if row.rel != LE:  # lower side: c*v >= base - rest_hi
-                need = base - rest_hi
+                    t = ceil_div(base - rest_lo, c)
+                    if t > vlo:
+                        vlo = t
+            if low:  # c*v >= base - rest_hi
                 if c > 0:
-                    vlo = max(vlo, _ceil_div(need, c))
+                    t = ceil_div(base - rest_hi, c)
+                    if t > vlo:
+                        vlo = t
                 else:
-                    vhi = min(vhi, need // c)
-        if vlo > vhi:
-            return
-
-        # the last variable needs no bound: its leaf evaluates the objective
-        bound_whole = hook is not None and not has_partial and depth + 1 < n
+                    t = (base - rest_hi) // c
+                    if t < vhi:
+                        vhi = t
+        new = partial  # 0 when the objective does not separate
         for v in range(vlo, vhi + 1):
-            for r, c in rows_by_var[depth]:
-                acts[r] += c * v
-            point[depth] = v
-            lo_box[depth] = hi_box[depth] = v
-            ok = True
-            if has_partial:
-                newpartial = partial + contrib[depth](v)
-                bound = newpartial + suffix_min[depth + 1]
-                if hook is not None:
-                    bound = max(bound, newpartial + hook(point, depth + 1))
-                if best_val is not None and bound >= best_val:
-                    ok = False
+            point[d] = v
+            if term is not None:
+                new = partial + term(v)
+                if best_val is not None:
+                    bound = new + rest_min
+                    if level_hook is not None:
+                        bound = max(bound, new + level_hook(point, d + 1))
+                    if bound >= best_val:
+                        continue
+            elif level_hook is not None and best_val is not None:
+                if level_hook(point, d + 1) >= best_val:
+                    continue
+            if convex_rows:
+                lo_box[d] = hi_box[d] = v
+                if any(cr.box_min(lo_box, hi_box) > 0 for cr in convex_rows):
+                    continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetError("branch-and-bound node budget exceeded")
+            if d == last:
+                if convex_rows and any(cr.fn(point) > 0 for cr in convex_rows):
+                    continue
+                val = new if term is not None else min_value(point)
+                if best_val is None or val < best_val:
+                    best_val = val
+                    best_pt = tuple(point)
             else:
-                newpartial = partial  # 0: the hook bounds the whole objective
-                if bound_whole and best_val is not None and hook(point, depth + 1) >= best_val:
-                    ok = False
-            if ok:
-                for cr in model.convex_rows:
-                    if cr.box_min(lo_box, hi_box) > 0:
-                        ok = False
-                        break
-            if ok:
-                rec(depth + 1, newpartial)
-            for r, c in rows_by_var[depth]:
-                acts[r] -= c * v
-            lo_box[depth] = lower[depth]
-            hi_box[depth] = upper[depth]
+                for r, c in updates:
+                    acts[r] += c * v
+                rec(d + 1, new)
+                for r, c in updates:
+                    acts[r] -= c * v
+        if convex_rows:
+            lo_box[d] = lower[d]
+            hi_box[d] = upper[d]
 
-    rec(0, 0)
+    if nodes > max_nodes:
+        raise BudgetError("branch-and-bound node budget exceeded")
+    if n:
+        rec(0, 0)
+    elif all(cr.fn(point) <= 0 for cr in convex_rows):
+        best_val, best_pt = (0 if terms is not None else min_value(point)), ()
     if best_val is None:
         return SolveResult("infeasible", None, None, nodes)
     return SolveResult("optimal", best_pt, _certify(model, best_pt, best_val), nodes)
@@ -290,7 +335,9 @@ def _initial_point(model: IpModel, budget: Budget):
 def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Exact augmentation over the n-fold block structure.
 
-    Let W be the largest box width max(u - l).  The moves per brick are the
+    Needs the n-fold annotation, linear rows only and a linear objective,
+    or a separable convex one under MIN.  Let W be the largest box width
+    max(u - l).  The moves per brick are the
     zero vector and every h with A2 h = 0 and ||h||_inf <= W; each step is
     the best choice of one move per brick that stays in the box and whose
     A1-parts cancel, found by a DP over bricks, at step length 1.
@@ -298,7 +345,8 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     Why the fixpoint is optimal: if x is feasible and x* is a better point,
     x* - x is a conformal sum of Graver elements g_i of the full n-fold
     matrix, each x + g_i is feasible, and for a separable convex objective
-    some g_i improves on x.  Each brick of g_i is an A2-kernel vector with
+    (in minimize orientation, hence the rejection of a maximized one) some
+    g_i improves on x.  Each brick of g_i is an A2-kernel vector with
     ||.||_inf <= W, as |g_i| <= |x* - x| <= u - l, and the A1-parts of its
     bricks sum to zero, so the DP sees g_i.  A longer feasible step
     lambda*h is itself such a move, so no step length needs a search.  Each
@@ -329,9 +377,7 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
         raise ValueError("n-fold backend needs linear rows only")
     budget = budget or Budget()
     nf = model.nfold
-    fns, _ = _min_objective(model)
-    if fns is None:
-        raise ValueError("n-fold backend needs a linear or separable convex objective")
+    fns, _ = _convex_min_objective(model, "n-fold backend")
     lower, upper = model.lower, model.upper
 
     x = _initial_point(model, budget)
@@ -447,7 +493,8 @@ def clear_graver_cache():
 def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Graver-best augmentation over the model's full constraint matrix.
 
-    Needs equality rows only and a linear or separable convex objective.
+    Needs equality rows only and a linear objective, or a separable convex
+    one under MIN.
     The basis is computed by the completion procedure (and cached: models
     built from the same type-graph shape share their matrix).
     """
@@ -455,9 +502,7 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     budget = budget or Budget()
     if any(row.rel != EQ for row in model.rows) or model.convex_rows:
         raise ValueError("augmentation needs a pure equality standard form")
-    terms, f = _min_objective(model)
-    if terms is None:
-        raise ValueError("augmentation needs a linear or separable convex objective")
+    _, f = _convex_min_objective(model, "augmentation")
 
     x0 = _initial_point(model, budget)
     if x0 is None:

@@ -27,9 +27,16 @@ from ndsolve.ipmodel import (
     SeparableConvex,
 )
 from ndsolve.matrices import IntMatrix
-from ndsolve.models import build_maxqcut, build_sumcol_convex, build_sumcol_nfold, decode_coloring
+from ndsolve.models import (
+    build_cds_convex,
+    build_maxqcut,
+    build_sumcol_convex,
+    build_sumcol_graver,
+    build_sumcol_nfold,
+    decode_coloring,
+)
 
-from helpers import nfold_reference_step
+from helpers import nfold_reference_step, pinned_cds_instances
 
 
 def simple_model(sense, objective, n, lower, upper, rows=(), **kw):
@@ -76,6 +83,42 @@ def brute_optimum(model):
             ):
                 best, best_pt = val, pt
     return best, best_pt
+
+
+def table_term(values, lo):
+    """The integer function that takes values[v - lo] at v."""
+    return lambda v: values[v - lo]
+
+
+def random_separable_convex_model(rng, sense, n_rows, rel=None):
+    """1-3 variables, boxes of width <= 4, convex terms given by their
+    tables (sorted increments), and n_rows random rows."""
+    n = rng.randint(1, 3)
+    lower = [rng.randint(-2, 2) for _ in range(n)]
+    upper = [lo + rng.randint(0, 4) for lo in lower]
+    terms = []
+    for lo, hi in zip(lower, upper):
+        values = [rng.randint(-5, 5)]
+        for step in sorted(rng.randint(-4, 4) for _ in range(hi - lo)):
+            values.append(values[-1] + step)
+        terms.append(table_term(tuple(values), lo))
+    rows = [({j: rng.randint(-2, 2) for j in range(n)}, rel or rng.choice([LE, EQ, GE]),
+             rng.randint(-3, 5)) for _ in range(n_rows)]
+    return simple_model(sense, SeparableConvex(tuple(terms)), n, lower, upper, rows=rows)
+
+
+def budget_boundary_model(name):
+    if name == "several-last-values":
+        # min x0 - x1 + 2 x2, x0 + x1 + x2 >= 4: the last variable ranges
+        return simple_model(MIN, Linear((1, -1, 2)), 3, [0] * 3, [3] * 3,
+                            rows=[({0: 1, 1: 1, 2: 1}, GE, 4)])
+    if name == "hook-only-quadratic":
+        t, _ = pinned_sumcol_instances()[3]
+        return build_maxqcut(t, 3)
+    if name == "convex-rows":
+        t, _ = pinned_cds_instances()[0]
+        return build_cds_convex(t)
+    return simple_model(MIN, Linear(()), 0, [], [])
 
 
 class TestSolveBoxed:
@@ -228,6 +271,36 @@ class TestSolveBoxed:
                     for t, _ in pinned_sumcol_instances())
         assert nodes == 2049
 
+    def test_maximizes_a_separable_convex_objective(self):
+        # the negated terms (2, 4, 4, 1) and (-5, -1, -1, -7) are concave:
+        # their least values, 1 and -7, lie at the box end 3, while slope
+        # bisection stops at 0 with 2 and -5, a bound that prunes (3, 3)
+        m = simple_model(MAX, SeparableConvex((table_term((-2, -4, -4, -1), 0),
+                                               table_term((5, 1, 1, 7), 0))),
+                         2, [0, 0], [3, 3])
+        res = solve_boxed(m)
+        assert (res.value, res.point) == (6, (3, 3)) == brute_optimum(m)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_maximized_separable_convex_agrees_with_exhaustive_oracle(self, seed):
+        rng = random.Random(1700 + seed)
+        for _ in range(500):
+            m = random_separable_convex_model(rng, MAX, rng.randint(0, 2))
+            res = solve_boxed(m)
+            assert (res.value, res.point) == brute_optimum(m)
+
+    @pytest.mark.parametrize("model", ["several-last-values", "hook-only-quadratic",
+                                       "convex-rows", "no-variables"])
+    def test_budget_boundary(self, model):
+        # every node counts, the leaves in their parent's loop included: the
+        # exact count solves, one fewer stops
+        m = budget_boundary_model(model)
+        res = solve_boxed(m)
+        assert res.optimal
+        assert solve_boxed(m, Budget(max_nodes=res.nodes)) == res
+        with pytest.raises(BudgetError):
+            solve_boxed(m, Budget(max_nodes=res.nodes - 1))
+
     def test_remainder_bound_hook_preserves_optimum(self):
         # admissible hook (true remaining minimum is >= 0 here)
         m = simple_model(
@@ -245,6 +318,23 @@ class TestSolveAugment:
                          rows=[({0: 1, 1: 1}, EQ, 2)], initial_point=(0, 0))
         with pytest.raises(ValueError, match="initial point"):
             solve_augment(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_exhaustive_oracle_or_rejects(self, seed):
+        # separable convex under MIN and linear under MAX are exact; a
+        # maximized separable convex objective is rejected
+        rng = random.Random(1800 + seed)
+        for _ in range(100):
+            m = random_separable_convex_model(rng, rng.choice([MIN, MAX]), 1, rel=EQ)
+            if m.sense == MAX and rng.random() < 0.5:
+                m = IpModel(**{**m.__dict__, "objective": Linear(
+                    tuple(rng.randint(-3, 3) for _ in range(m.n_vars)))})
+            if m.sense == MAX and isinstance(m.objective, SeparableConvex):
+                with pytest.raises(ValueError, match="cannot maximize"):
+                    solve_augment(m)
+                continue
+            res = solve_augment(m)
+            assert res.value == brute_optimum(m)[0]
 
     def test_final_point_is_rechecked(self, monkeypatch):
         # max x + y, x - y = 0; a "basis" holding (1, 0), which is no kernel
@@ -294,6 +384,14 @@ class TestSolveNFold:
         m = nfold_model(MIN, Quadratic(()), a1, a2, 2, [3], [[] for _ in range(2)],
                         [0, 0], [3, 3])
         with pytest.raises(ValueError):
+            solve_nfold(m)
+
+    def test_rejects_a_maximized_separable_convex_objective(self):
+        a1 = IntMatrix.from_rows([[1]])
+        a2 = IntMatrix.from_dict(0, 1, {})
+        m = nfold_model(MAX, SeparableConvex((lambda v: v * v,) * 2), a1, a2, 2, [3],
+                        [[] for _ in range(2)], [0, 0], [3, 3])
+        with pytest.raises(ValueError, match="cannot maximize"):
             solve_nfold(m)
 
     def test_separable_convex_bricks(self):
@@ -541,6 +639,49 @@ def test_sumcol_colorings_are_pinned():
 
 def test_maxqcut_results_are_pinned():
     assert maxqcut_digest() == PINNED_MAXQCUT_DIGEST
+
+
+def boxed_digest(models):
+    """sha256 over the repr of (status, point, value, nodes) of solve_boxed
+    on each model."""
+    h = hashlib.sha256()
+    for m in models:
+        res = solve_boxed(m)
+        h.update(repr((res.status, res.point, res.value, res.nodes)).encode())
+    return h.hexdigest()
+
+
+# Computed with the search that filled per-row tables of rows x (vars + 1)
+# suffix ranges and made one call per leaf: the per-depth row checks, with
+# leaves evaluated in their parent's loop, must walk the same tree.  The
+# cds convex digest equals PINNED_CDS_BOXED_DIGEST of the ilp model: on
+# these instances each capacity rule's box_min prunes exactly where its
+# tangent rows do.
+PINNED_BOXED_SEARCH_DIGESTS = {
+    "sumcol/nfold": "9485f106d70f7e919c953254085f4ffc912a96a4772a967ed906c123dba48a99",
+    "sumcol/convexfd": "d6f57802814bf77b67aad8d51f247c965fad2e2eb85d8a6df563f01b47a6933f",
+    "sumcol/graver": "2a80668260f5da1687b26e8759a3b52ff187dd346b1930d94122cc29e85bf0e1",
+    "maxqcut/quadratic": "b0895a85ac877cd4a4c8de69025899b1cd39f73715a8d5f5e11bb5ee54dea4c2",
+    "cds/convex": "aecb0bd47adc9749575163462fe1ca91171fd973af738409e357ad49fe62e56f",
+}
+
+
+def pinned_boxed_models(route):
+    sumcol = [t for t, _ in pinned_sumcol_instances()]
+    if route == "sumcol/nfold":
+        return map(build_sumcol_nfold, sumcol)
+    if route == "sumcol/convexfd":
+        return map(build_sumcol_convex, sumcol)
+    if route == "sumcol/graver":
+        return map(build_sumcol_graver, sumcol)
+    if route == "maxqcut/quadratic":
+        return (build_maxqcut(t, q) for t in sumcol[:100] for q in (2, 3))
+    return (build_cds_convex(t) for t, _ in pinned_cds_instances())
+
+
+@pytest.mark.parametrize("route", sorted(PINNED_BOXED_SEARCH_DIGESTS))
+def test_boxed_searches_are_pinned(route):
+    assert boxed_digest(pinned_boxed_models(route)) == PINNED_BOXED_SEARCH_DIGESTS[route]
 
 
 def widened_nfold_model(seed, bricks=(2, 3)):

@@ -15,7 +15,14 @@ from ndsolve.algorithms import cds_proximity_solve, check_cds, cut_value, maxqcu
 from ndsolve.backends import Budget, solve_boxed
 from ndsolve.graphs import CLIQUE, type_graph
 from ndsolve.instances import INDEPENDENT, BlowupTemplate, generate_blowup
-from ndsolve.models import build_cds_ilp, build_maxqcut, build_sumcol_nfold, class_slots
+from ndsolve.models import (
+    build_cds_ilp,
+    build_maxqcut,
+    build_sumcol_convex,
+    build_sumcol_graver,
+    build_sumcol_nfold,
+    class_slots,
+)
 
 LADDER_BUDGET = Budget(max_nodes=2_000_000)
 
@@ -50,6 +57,30 @@ def test_sumcol_nfold_boxed_nodes():
     res = solve_boxed(build_sumcol_nfold(type_graph(ladder_graph(30))), LADDER_BUDGET)
     assert res.value == 140
     assert res.nodes <= 19_091
+
+
+# (B&B nodes, value) of the sum-coloring catalog models on solve_boxed.
+CATALOG_BOXED = {
+    "convexfd": (build_sumcol_convex, {30: (35, 140), 75: (105, 725), 150: (205, 2700)}),
+    "graver": (build_sumcol_graver, {30: (58, 140), 75: (158, 725), 150: (308, 2700)}),
+}
+
+
+@pytest.mark.parametrize("model,n", [(m, n) for m in CATALOG_BOXED for n in (30, 75, 150)])
+def test_sumcol_catalog_boxed_nodes(model, n):
+    build, rungs = CATALOG_BOXED[model]
+    res = solve_boxed(build(type_graph(ladder_graph(n))), LADDER_BUDGET)
+    ceiling, value = rungs[n]
+    assert res.nodes <= ceiling
+    assert res.value == value
+
+
+def test_cds_ilp_boxed_nodes():
+    # the branching runs over the y variables, whose boxes grow with n
+    res = solve_boxed(build_cds_ilp(type_graph(ladder_graph(30, capacities=(2, 1, 3)))),
+                      LADDER_BUDGET)
+    assert res.value == 9
+    assert res.nodes <= 10_066
 
 
 @pytest.mark.parametrize("n", [6, 30, 75])
