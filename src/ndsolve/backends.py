@@ -176,7 +176,9 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
 
     Takes every model that validates, whatever its objective, rows and
     convex rows.  Returns the lexicographically smallest optimal point;
-    raises BudgetError when the node budget runs out.  Every node counts
+    raises BudgetError when the node budget runs out, and ValueError when
+    the search goes deeper than the interpreter's recursion limit (one level
+    per variable, so from about 1,000 variables on).  Every node counts
     against budget.max_nodes, the root and the leaves included.
 
     The set-up is O(nnz + n): one backward pass over each row's nonzeros
@@ -301,7 +303,11 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     if nodes > max_nodes:
         raise BudgetError("branch-and-bound node budget exceeded")
     if n:
-        rec(0, 0)
+        try:
+            rec(0, 0)
+        except RecursionError:
+            raise ValueError(f"a model of {n} variables is too deep for the recursive "
+                             "branch-and-bound") from None
     elif all(cr.fn(point) <= 0 for cr in convex_rows):
         best_val, best_pt = (0 if terms is not None else min_value(point)), ()
     if best_val is None:

@@ -2,9 +2,8 @@
 
 Subcommands:
   nd FILE        print the neighborhood-diversity decomposition
-  solve FILE     build a model for the instance's problem and solve it
-  verify FILE    solve with every applicable model/backend plus the
-                 brute-force oracle and check they agree
+  solve FILE     answer the instance by one route of its problem (ROUTES)
+  verify FILE    check every route of the problem against its oracle
   graver FILE    Graver diagnostics of the stacked sum-coloring matrix
   bench          generate seeded blow-up instances and solve them in bulk
 
@@ -28,6 +27,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from fnmatch import fnmatchcase
 
 from .algorithms import (
     cds_brute,
@@ -59,50 +59,119 @@ from .models import (
 )
 
 OK, INFEASIBLE, BUDGET, INPUT_ERROR = 0, 1, 2, 3
-
-# problem -> (default model, {model: (builder, backends)}).  Dict order is the
-# order in which verify and bench run a problem's models.  The builders are
-# lambdas so that each build_* name is looked up in this module at call time.
-ROUTES = {
-    "cds": ("ilp", {
-        "convex": (lambda t, q: build_cds_convex(t), ("boxed",)),
-        "ilp": (lambda t, q: build_cds_ilp(t), ("boxed",)),
-    }),
-    "sumcol": ("nfold", {
-        "nfold": (lambda t, q: build_sumcol_nfold(t), ("boxed", "nfold")),
-        "convexfd": (lambda t, q: build_sumcol_convex(t), ("boxed",)),
-        "graver": (lambda t, q: build_sumcol_graver(t), ("boxed", "augment")),
-    }),
-    "maxqcut": ("quadratic", {
-        "quadratic": (lambda t, q: build_maxqcut(t, q), ("boxed",)),
-    }),
-}
+MODEL, ALGORITHM, ORACLE = "model", "algorithm", "oracle"
 SOLVERS = {"boxed": solve_boxed, "nfold": solve_nfold, "augment": solve_augment}
 
 
-def _print_stats(inst: Instance, t):
-    g = inst.graph
+def _read(path, problem=None):
+    """The instance in the file and its type graph, whose sizes are printed;
+    a problem given must be the file's."""
+    inst = read_instance(path)
+    if problem and problem != inst.problem:
+        raise ValueError(f"file holds a {inst.problem!r} instance, not {problem!r}")
+    t = type_graph(inst.graph)
     kinds = ", ".join(f"{w}x{kind}" for w, kind in zip(t.weights, t.kinds))
-    print(f"instance: {inst.problem} n={g.n} m={g.m}")
+    print(f"instance: {inst.problem} n={inst.graph.n} m={inst.graph.m}")
     print(f"nd: {t.k} [{kinds}]")
+    return inst, t
 
 
-def _witness(inst, t, res, model_tag):
-    g = inst.graph
-    if res.point is None:
-        return "none"
-    if inst.problem == "cds":
-        sol = decode_cds(t, g, res.point)
-        if sol is None:
-            return "undecodable"
-        dom = ",".join(str(v + 1) for v in sorted(sol.dominators))
-        pairs = " ".join(f"{x + 1}->{y + 1}" for x, y in sol.assignment)
-        return f"D={{{dom}}} {pairs}"
-    if inst.problem == "sumcol":
-        coloring = decode_coloring(t, g, res.point, model_tag)
-        return " ".join(f"{v + 1}:{coloring[v]}" for v in range(g.n))
-    partition = decode_partition(t, g, res.point)
-    return " ".join(f"{v + 1}:{partition[v]}" for v in range(g.n))
+def _dominators(sol):
+    return "D={" + ",".join(str(v + 1) for v in sorted(sol.dominators)) + "}"
+
+
+@dataclass(frozen=True)
+class Route:
+    """One way to answer a problem.  ``build(inst, t)`` makes the model of a
+    MODEL route, which the backend ``SOLVERS[method]`` solves, or runs an
+    ALGORITHM (a dominating set from the type graph) or the ORACLE (brute
+    force).  ``model`` and ``method`` fill a CSV row's model and backend
+    columns.  An answer is at most ``gap(t)`` above the optimum."""
+
+    kind: str
+    model: str
+    method: str
+    build: Callable
+    gap: Callable = lambda t: 0
+
+    def solve(self, inst, t, budget=None):
+        """(value, nodes, the report lines of `ndsolve solve`); the value is
+        None on an infeasible model, whose witness is decoded only when the
+        lines are iterated."""
+        if self.kind == MODEL:
+            model = self.build(inst, t)
+            res = SOLVERS[self.method](model, budget=budget)
+            if not res.optimal:
+                return None, res.nodes, ["infeasible"]
+            return res.value, res.nodes, self._report(inst, t, model, res)
+        found = self.build(inst, t)
+        if self.kind == ORACLE:
+            return found, 0, [f"algo: {self.method} value: {found}"]
+        if not check_cds(inst.graph, found):
+            raise RuntimeError(f"{self.method} returned an invalid dominating set")
+        return found.size, 0, [f"algo: {self.method} value: {found.size} witness: {_dominators(found)}"]
+
+    def _report(self, inst, t, model, res):
+        yield f"model: {inst.problem}/{self.model} backend: {self.method}"
+        yield f"value: {res.value}"
+        g, x = inst.graph, res.point
+        if inst.problem != "cds":
+            sumcol = inst.problem == "sumcol"
+            labels = decode_coloring(t, g, x, model.tag) if sumcol else decode_partition(t, g, x)
+            yield "witness: " + " ".join(f"{v + 1}:{labels[v]}" for v in range(g.n))
+        elif (sol := decode_cds(t, g, x)) is None:
+            yield "witness: undecodable"
+        else:
+            pairs = " ".join(f"{a + 1}->{b + 1}" for a, b in sol.assignment)
+            yield f"witness: {_dominators(sol)} {pairs}"
+
+
+def _table(default, *routes):
+    """A model route is named "model/backend", any other by its method."""
+    return default, {f"{r.model}/{r.method}" if r.kind == MODEL else r.method: r for r in routes}
+
+
+# problem -> (default route name, {name: route}), in the order in which
+# verify and bench run the routes: every way `ndsolve solve` answers.  The
+# builds are lambdas so that each name they call is looked up at call time.
+ROUTES = {
+    "cds": _table(
+        "proximity",
+        Route(MODEL, "convex", "boxed", lambda inst, t: build_cds_convex(t)),
+        Route(MODEL, "ilp", "boxed", lambda inst, t: build_cds_ilp(t)),
+        Route(ALGORITHM, "-", "proximity", lambda inst, t: cds_proximity_solve(t, inst.graph)),
+        Route(ALGORITHM, "-", "rounding", lambda inst, t: cds_rounding_approx(t, inst.graph),
+              gap=lambda t: t.k * t.k),
+        Route(ORACLE, "-", "brute", lambda inst, t: cds_brute(inst.graph).size),
+    ),
+    "sumcol": _table(
+        "graver/augment",
+        Route(MODEL, "nfold", "boxed", lambda inst, t: build_sumcol_nfold(t)),
+        Route(MODEL, "nfold", "nfold", lambda inst, t: build_sumcol_nfold(t)),
+        Route(MODEL, "convexfd", "boxed", lambda inst, t: build_sumcol_convex(t)),
+        Route(MODEL, "graver", "boxed", lambda inst, t: build_sumcol_graver(t)),
+        Route(MODEL, "graver", "augment", lambda inst, t: build_sumcol_graver(t)),
+        Route(ORACLE, "-", "brute", lambda inst, t: coloring_cost(sumcol_brute(inst.graph))),
+    ),
+    "maxqcut": _table(
+        "quadratic/boxed",
+        Route(MODEL, "quadratic", "boxed", lambda inst, t: build_maxqcut(t, inst.q)),
+        Route(ORACLE, "-", "brute",
+              lambda inst, t: cut_value(inst.graph, maxqcut_brute(inst.graph, inst.q))),
+    ),
+}
+
+
+def _route(args, problem) -> Route:
+    """The problem's first route whose name the line spells: ``--algo X``
+    spells X; ``--model M``/``--backend B`` spell "M/B", "*" for a half not
+    given (a model alone runs on boxed, its first backend); none, the default."""
+    default, routes = ROUTES[problem]
+    spelled = args.algo or (args.model or args.backend) and f"{args.model or '*'}/{args.backend or '*'}"
+    for name, route in routes.items():
+        if fnmatchcase(name, spelled or default):
+            return route
+    raise ValueError(f"route {spelled!r} does not fit problem {problem!r}")
 
 
 def _csv_row(path, row):
@@ -115,19 +184,8 @@ def _csv_row(path, row):
         writer.writerow(row)
 
 
-def _brute_value(inst: Instance):
-    g = inst.graph
-    if inst.problem == "cds":
-        return cds_brute(g).size
-    if inst.problem == "sumcol":
-        return coloring_cost(sumcol_brute(g))
-    return cut_value(g, maxqcut_brute(g, inst.q))
-
-
 def cmd_nd(args) -> int:
-    inst = read_instance(args.file)
-    t = type_graph(inst.graph)
-    _print_stats(inst, t)
+    t = _read(args.file)[1]
     for i in range(t.k):
         members = ",".join(str(v + 1) for v in sorted(t.classes[i]))
         print(f"class {i + 1}: weight={t.weights[i]} kind={t.kinds[i]} vertices={{{members}}}")
@@ -138,88 +196,38 @@ def run_solve(args) -> int:
     """Solve one instance; prints the report and appends a CSV row on request."""
     if args.budget is not None and args.budget <= 0:
         raise ValueError(f"--budget must be positive, got {args.budget}")
-    inst = read_instance(args.file)
-    if args.problem and args.problem != inst.problem:
-        print(f"file holds a {inst.problem!r} instance, not {args.problem!r}", file=sys.stderr)
-        return INPUT_ERROR
+    inst, t = _read(args.file, args.problem)
     if args.q is not None:
         inst = Instance(inst.graph, inst.problem, args.q)
-    g = inst.graph
-    t = type_graph(g)
-    _print_stats(inst, t)
+    route = _route(args, inst.problem)
     budget = Budget(max_nodes=args.budget, max_dp_states=args.budget) if args.budget else Budget()
 
     started = time.perf_counter()
-    if args.algo:
-        if inst.problem != "cds" and args.algo != "brute":
-            print(f"algo {args.algo!r} applies to cds only", file=sys.stderr)
-            return INPUT_ERROR
-        label_model, label_backend = "-", args.algo
-        if args.algo == "brute":
-            value = _brute_value(inst)
-            nodes = 0
-            print(f"algo: brute value: {value}")
-        else:
-            solver = cds_proximity_solve if args.algo == "proximity" else cds_rounding_approx
-            sol = solver(t, g)
-            if not check_cds(g, sol):
-                raise RuntimeError(f"{args.algo} returned an invalid dominating set")
-            value, nodes = sol.size, 0
-            dom = ",".join(str(v + 1) for v in sorted(sol.dominators))
-            print(f"algo: {args.algo} value: {value} witness: D={{{dom}}}")
-    else:
-        default_model, routes = ROUTES[inst.problem]
-        model_name = args.model or default_model
-        if model_name not in routes:
-            print(f"model {model_name!r} does not fit problem {inst.problem!r}", file=sys.stderr)
-            return INPUT_ERROR
-        build, backends = routes[model_name]
-        backend = args.backend or "boxed"
-        if backend not in backends:
-            print(f"backend {backend!r} does not fit model {model_name!r}", file=sys.stderr)
-            return INPUT_ERROR
-        label_model, label_backend = model_name, backend
-        model = build(t, inst.q)
-        res = SOLVERS[backend](model, budget=budget)
-        if res.status == "infeasible":
-            print("infeasible")
-            return INFEASIBLE
-        value, nodes = res.value, res.nodes
-        print(f"model: {inst.problem}/{model_name} backend: {backend}")
-        print(f"value: {value}")
-        print(f"witness: {_witness(inst, t, res, model.tag)}")
+    value, nodes, report = route.solve(inst, t, budget=budget)
+    for line in report:
+        print(line)
+    if value is None:
+        return INFEASIBLE
     millis = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
     print(f"nodes: {nodes} millis: {millis}")
     if args.csv:
-        _csv_row(args.csv, [args.file, inst.problem, label_model, label_backend, value, nodes, millis])
+        _csv_row(args.csv, [args.file, inst.problem, route.model, route.method, value, nodes, millis])
     return OK
 
 
 def cmd_verify(args) -> int:
-    """Cross-check every applicable model/backend against the oracle."""
-    inst = read_instance(args.file)
-    g = inst.graph
-    t = type_graph(g)
-    _print_stats(inst, t)
-    expected = _brute_value(inst)
+    """Cross-check every route but the oracle against the oracle."""
+    inst, t = _read(args.file)
+    routes = ROUTES[inst.problem][1]
+    expected = routes["brute"].solve(inst, t)[0]
     print(f"oracle: {expected}")
     ok = True
-    for model_name, (build, backends) in ROUTES[inst.problem][1].items():
-        model = build(t, inst.q)
-        for backend in backends:
-            res = SOLVERS[backend](model)
-            agree = res.optimal and res.value == expected
+    for name, route in routes.items():
+        if route.kind != ORACLE:
+            value = route.solve(inst, t)[0]
+            agree = value is not None and 0 <= value - expected <= route.gap(t)
             ok = ok and agree
-            print(f"{model_name}/{backend}: {res.value} {'ok' if agree else 'MISMATCH'}")
-    if inst.problem == "cds":
-        for name, fn in (("proximity", cds_proximity_solve), ("rounding", cds_rounding_approx)):
-            sol = fn(t, g)
-            if name == "proximity":
-                agree = sol.size == expected
-            else:
-                agree = 0 <= sol.size - expected <= t.k * t.k
-            ok = ok and agree
-            print(f"{name}: {sol.size} {'ok' if agree else 'MISMATCH'}")
+            print(f"{name}: {value} {'ok' if agree else 'MISMATCH'}")
     print("verdict:", "ok" if ok else "MISMATCH")
     return OK if ok else INFEASIBLE
 
@@ -249,7 +257,7 @@ def cmd_graver(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Seeded bulk run; one CSV row per (instance, model, backend).
+    """Seeded bulk run; one CSV row per (instance, model route), build timed.
 
     Rows are emitted in instance order (solves could run in parallel, the
     report order would not change).  A route that raises ValueError,
@@ -260,32 +268,23 @@ def cmd_bench(args) -> int:
     rows = []
     failed = False
     for idx in range(args.count):
-        template = random_template(
-            rng_master,
-            max_k=args.max_k,
-            max_n=args.max_n,
-            with_capacities=args.problem == "cds",
-        )
+        template = random_template(rng_master, max_k=args.max_k, max_n=args.max_n,
+                                   with_capacities=args.problem == "cds")
         g = generate_blowup(template, seed=rng_master.randrange(2**30))
-        q = 2 if args.problem == "maxqcut" else None
-        inst = Instance(g, args.problem, q)
+        inst = Instance(g, args.problem, 2 if args.problem == "maxqcut" else None)
         t = type_graph(g)
         name = f"blowup-{args.seed}-{idx}"
-        for model_name, (build, backends) in ROUTES[args.problem][1].items():
-            model = None
-            for backend in backends:
-                started = time.perf_counter()
-                try:
-                    if model is None:
-                        model = build(t, q)
-                        started = time.perf_counter()
-                    res = SOLVERS[backend](model)
-                    value, nodes = res.value, res.nodes
-                except (ValueError, RuntimeError, BudgetError) as exc:
-                    print(f"{name} {model_name}/{backend}: {exc}", file=sys.stderr)
-                    value, nodes, failed = "error", "-", True
-                millis = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
-                rows.append([name, args.problem, model_name, backend, value, nodes, millis])
+        for route_name, route in ROUTES[args.problem][1].items():
+            if route.kind != MODEL:
+                continue
+            started = time.perf_counter()
+            try:
+                value, nodes, _ = route.solve(inst, t)
+            except (ValueError, RuntimeError, BudgetError) as exc:
+                print(f"{name} {route_name}: {exc}", file=sys.stderr)
+                value, nodes, failed = "error", "-", True
+            millis = 0 if args.no_timing else int((time.perf_counter() - started) * 1000)
+            rows.append([name, args.problem, route.model, route.method, value, nodes, millis])
         if args.out_dir:
             write_instance(inst, os.path.join(args.out_dir, f"{name}.txt"))
     for row in rows:
@@ -328,19 +327,19 @@ class Command:
 
 PROBLEMS = tuple(ROUTES)
 FILE = Arg("file")
+_ROUTES = [r for _, routes in ROUTES.values() for r in routes.values()]
 
 # The one description of the command line.  build_parser() turns it into
-# argparse parsers, and parse_plain() reads it directly.  The choices read
-# only the keys of ROUTES and SOLVERS; commands look up builders and solvers
-# in those tables when they run.
+# argparse parsers, and parse_plain() reads it directly.  The choices are
+# the names in ROUTES; commands look up routes and solvers when they run.
 COMMANDS = {
     "nd": Command(cmd_nd, "print the twin-class decomposition", (FILE,)),
     "solve": Command(run_solve, "solve one instance", (
         FILE,
         Arg("--problem", choices=PROBLEMS, help="must match the file header"),
-        Arg("--model", choices=tuple(m for _, routes in ROUTES.values() for m in routes)),
-        Arg("--backend", choices=tuple(SOLVERS)),
-        Arg("--algo", choices=("proximity", "rounding", "brute")),
+        Arg("--model", choices=tuple(dict.fromkeys(r.model for r in _ROUTES if r.kind == MODEL))),
+        Arg("--backend", choices=tuple(dict.fromkeys(r.method for r in _ROUTES if r.kind == MODEL))),
+        Arg("--algo", choices=tuple(dict.fromkeys(r.method for r in _ROUTES if r.kind != MODEL))),
         Arg("--q", type=int, help="override part count (maxqcut)"),
         Arg("--budget", type=int),
         Arg("--csv"),

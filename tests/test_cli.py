@@ -11,6 +11,7 @@ import pytest
 import ndsolve
 from ndsolve import cli, graphs
 from ndsolve.cli import COMMANDS, build_parser, main, parse_plain
+from ndsolve.graphs import type_graph
 from ndsolve.instances import Instance, generate_blowup, random_template, read_instance, write_instance
 
 from helpers import complete_graph, path_graph, star_graph
@@ -93,7 +94,7 @@ class TestSolve:
         with pytest.raises(RuntimeError, match="proximity returned an invalid dominating set"):
             main(["solve", "--algo", "proximity", star_cds])
 
-    @pytest.mark.parametrize("route", [["--algo", "proximity"], ["--model", "ilp"]])
+    @pytest.mark.parametrize("route", [["--algo", "proximity"], ["--model", "ilp"], []])
     def test_same_run_without_asserts(self, star_cds, route):
         """python -O drops every assert, so a check kept in one would vanish
         from the second run; both runs must print and exit the same."""
@@ -112,6 +113,20 @@ class TestSolve:
 
     def test_wrong_model_for_problem(self, star_cds):
         assert main(["solve", "--model", "nfold", star_cds]) == 3
+
+    def test_search_deeper_than_the_recursion_limit_is_an_input_error(self, tmp_path, capsys):
+        """The n-fold model of a 1,100-vertex clique has a variable per
+        brick, 1,100 of them, and boxed recurses once per variable: past the
+        interpreter's recursion limit that is exit 3 and one named line."""
+        n = 1100
+        path = tmp_path / "clique.txt"
+        edges = "".join(f"e {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1))
+        path.write_text(f"p sumcol {n} {n * (n - 1) // 2}\n{edges}")
+        argv = ["solve", "--model", "nfold", "--backend", "boxed", "--budget", "200000", str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == ("input error: a model of 1100 variables is too deep for the recursive "
+                       "branch-and-bound\n")
 
     def test_budget_exit_code(self, p3_sumcol):
         assert main(["solve", "--model", "nfold", "--budget", "3", p3_sumcol]) == 2
@@ -153,6 +168,87 @@ class TestSolve:
         assert capsys.readouterr().out == after_rejection
 
 
+def _spelling(problem, name):
+    """The route flags that name the route of ROUTES[problem] called name."""
+    route = cli.ROUTES[problem][1][name]
+    if route.kind == cli.MODEL:
+        return ["--model", route.model, "--backend", route.method]
+    return ["--algo", route.method]
+
+
+ROUTE_NAMES = [(p, name) for p, (_, routes) in cli.ROUTES.items() for name in routes]
+
+
+class TestRoutes:
+    """Every way `ndsolve solve` answers is one entry of cli.ROUTES."""
+
+    @pytest.fixture
+    def files(self, star_cds, p3_sumcol, k4_cut):
+        return {"cds": star_cds, "sumcol": p3_sumcol, "maxqcut": k4_cut}
+
+    def test_defaults_and_oracles(self):
+        assert [(p, default) for p, (default, _) in cli.ROUTES.items()] == [
+            ("cds", "proximity"), ("sumcol", "graver/augment"), ("maxqcut", "quadratic/boxed")]
+        for _, routes in cli.ROUTES.values():
+            assert [name for name, r in routes.items() if r.kind == cli.ORACLE] == ["brute"]
+
+    @pytest.mark.parametrize("problem, name", ROUTE_NAMES)
+    def test_each_route_runs_by_its_spelling_and_prints_its_entry(self, files, problem, name):
+        """The spelled route prints the file's sizes, then exactly the lines
+        of its entry, then its nodes; the default spelling prints the same
+        bytes as the default route's own spelling."""
+        route = cli.ROUTES[problem][1][name]
+        argv = ["solve", "--no-timing", *_spelling(problem, name), files[problem]]
+        code, out, err = _run(argv)
+        assert (code, err) == (0, "")
+        stats = _run(["nd", files[problem]])[1].splitlines(keepends=True)[:2]
+        inst = read_instance(files[problem])
+        value, nodes, lines = route.solve(inst, type_graph(inst.graph))
+        assert out == "".join(stats) + "".join(f"{line}\n" for line in lines) + f"nodes: {nodes} millis: 0\n"
+        if name == cli.ROUTES[problem][0]:
+            assert _run(["solve", "--no-timing", files[problem]]) == (0, out, "")
+
+    @pytest.mark.parametrize("problem", list(cli.ROUTES))
+    def test_verify_runs_every_route_but_the_oracle(self, files, problem):
+        code, out, _ = _run(["verify", files[problem]])
+        assert code == 0
+        checked = [line.split(":")[0] for line in out.splitlines()[3:-1]]
+        routes = cli.ROUTES[problem][1]
+        assert checked == [name for name, r in routes.items() if r.kind != cli.ORACLE]
+
+    @pytest.mark.parametrize("problem", list(cli.ROUTES))
+    def test_bench_runs_every_model_route(self, problem):
+        code, out, _ = _run(["bench", "--problem", problem, "--count", "2", "--no-timing", "--max-n", "5"])
+        assert code == 0
+        rows = [line.split(" ") for line in out.splitlines()]
+        models = [[r.model, r.method] for r in cli.ROUTES[problem][1].values() if r.kind == cli.MODEL]
+        assert [row[2:4] for row in rows] == models * 2
+
+    @pytest.mark.parametrize("problem, flags, spelled", [
+        ("sumcol", ["--algo", "proximity"], "proximity"),
+        ("maxqcut", ["--algo", "rounding"], "rounding"),
+        ("cds", ["--model", "nfold"], "nfold/*"),
+        ("sumcol", ["--model", "nfold", "--backend", "augment"], "nfold/augment"),
+        ("maxqcut", ["--backend", "augment"], "*/augment"),
+    ])
+    def test_a_route_outside_the_problem_is_an_input_error(self, files, problem, flags, spelled):
+        code, out, err = _run(["solve", *flags, files[problem]])
+        assert (code, out) == (3, _run(["nd", files[problem]])[1].split("class")[0])
+        assert err == f"input error: route {spelled!r} does not fit problem {problem!r}\n"
+
+    @pytest.mark.parametrize("flags, route", [
+        (["--model", "nfold"], "nfold/boxed"),
+        (["--model", "graver"], "graver/boxed"),
+        (["--backend", "nfold"], "nfold/nfold"),
+        (["--backend", "boxed"], "nfold/boxed"),
+        (["--backend", "augment"], "graver/augment"),
+        (["--algo", "brute", "--model", "nfold"], "brute"),
+    ])
+    def test_partial_spellings_name_the_first_matching_route(self, p3_sumcol, flags, route):
+        expected = _run(["solve", "--no-timing", *_spelling("sumcol", route), p3_sumcol])
+        assert _run(["solve", "--no-timing", *flags, p3_sumcol]) == expected
+
+
 class TestVerify:
     def test_verify_ok(self, p3_sumcol, capsys):
         assert main(["verify", p3_sumcol]) == 0
@@ -182,9 +278,8 @@ class TestPairView:
         pairs = graphs.Graph.edges.func
         monkeypatch.setattr(graphs.Graph, "edges", property(lambda g: built.append(g) or pairs(g)))
         routes = [
-            ["solve", "--model", model, "--backend", backend, "--no-timing", path]
-            for model, (_, backends) in cli.ROUTES["sumcol"][1].items()
-            for backend in backends
+            ["solve", "--model", route.model, "--backend", route.method, "--no-timing", path]
+            for route in cli.ROUTES["sumcol"][1].values() if route.kind == cli.MODEL
         ]
         assert len(routes) == 5
         for argv in routes + [["graver", path]]:

@@ -8,13 +8,17 @@ makes a route do more work on a rung fails here, and one that makes it do
 less lowers the ceiling on purpose.
 """
 
+import contextlib
+import io
+
 import pytest
 
-from ndsolve import algorithms
+from ndsolve import algorithms, backends
 from ndsolve.algorithms import cds_proximity_solve, check_cds, cut_value, maxqcut_brute
 from ndsolve.backends import Budget, solve_boxed
+from ndsolve.cli import main
 from ndsolve.graphs import CLIQUE, type_graph
-from ndsolve.instances import INDEPENDENT, BlowupTemplate, generate_blowup
+from ndsolve.instances import INDEPENDENT, BlowupTemplate, Instance, generate_blowup, write_instance
 from ndsolve.models import (
     build_cds_ilp,
     build_maxqcut,
@@ -96,27 +100,56 @@ def test_sumcol_nfold_bricks_are_class_slots(n):
 PROXIMITY = {30: (180, 9), 75: (1308, 21), 150: (1323, 42)}
 
 
+def record_calls(monkeypatch, owner, *names):
+    """{name: the result of each call}, kept by wrappers of owner's functions."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recorded(*args, _real=getattr(owner, name), _results=calls[name], **kwargs):
+            _results.append(_real(*args, **kwargs))
+            return _results[-1]
+
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 @pytest.mark.parametrize("n", sorted(PROXIMITY))
 def test_cds_proximity_tests_candidates_on_the_type_graph(n, monkeypatch):
-    calls = {"test": 0, "decode": 0}
-    real_test, real_decode = algorithms.cds_type_decodable, algorithms.decode_cds
-
-    def test(*args):
-        calls["test"] += 1
-        return real_test(*args)
-
-    def decode(*args):
-        calls["decode"] += 1
-        return real_decode(*args)
-
-    monkeypatch.setattr(algorithms, "cds_type_decodable", test)
-    monkeypatch.setattr(algorithms, "decode_cds", decode)
+    calls = record_calls(monkeypatch, algorithms, "cds_type_decodable", "decode_cds")
     g = ladder_graph(n, capacities=(2, 1, 3))
     t = type_graph(g)
     sol = cds_proximity_solve(t, g)
     ceiling, value = PROXIMITY[n]
-    assert calls["decode"] == 1
-    assert calls["test"] <= ceiling
+    assert len(calls["decode_cds"]) == 1
+    assert len(calls["cds_type_decodable"]) <= ceiling
     assert sol.size == value and check_cds(g, sol)
     if n <= 30:
         assert solve_boxed(build_cds_ilp(t), LADDER_BUDGET).value == value
+
+
+def solve_default(tmp_path, problem, capacities=None, n=150):
+    """stdout of `ndsolve solve FILE`, no route flag, on the ladder file."""
+    path = str(tmp_path / f"{problem}.txt")
+    write_instance(Instance(ladder_graph(n, capacities), problem), path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", "--no-timing", path]) == 0
+    return out.getvalue().splitlines()
+
+
+def test_cds_default_route_is_proximity(tmp_path, monkeypatch):
+    # the default's rung: ilp/boxed stops at a 2M-node budget on this file
+    calls = record_calls(monkeypatch, algorithms, "cds_type_decodable", "decode_cds")
+    lines = solve_default(tmp_path, "cds", capacities=(2, 1, 3))
+    assert lines[2].startswith("algo: proximity value: 42 witness: D={")
+    assert lines[3] == "nodes: 0 millis: 0"
+    assert len(calls["decode_cds"]) == 1
+    assert len(calls["cds_type_decodable"]) <= PROXIMITY[150][0]
+
+
+def test_sumcol_default_route_is_graver_augment(tmp_path, monkeypatch):
+    # the default's rung: nfold/boxed takes 1,911,139 nodes on this file
+    calls = record_calls(monkeypatch, backends, "cached_graver_basis")
+    lines = solve_default(tmp_path, "sumcol")
+    assert lines[2:4] == ["model: sumcol/graver backend: augment", "value: 2700"]
+    assert lines[5] == "nodes: 1 millis: 0"  # augmentation steps
+    assert [len(basis) for basis in calls["cached_graver_basis"]] == [2]
