@@ -25,12 +25,12 @@ solve_nfold runs iterative augmentation on models with an n-fold block
 annotation.  Each step is a brick DP over the moves within the box, keeping
 only states that can still return to zero: the moves per brick are the
 A2-kernel vectors with infinity-norm at most the largest box width W, the DP
-state is the running sum of A1 times the chosen moves, and a state is kept
-only while the bricks still to come can bring that sum back to zero.  A step
-is taken only when the sum ends at zero, the box holds, and the objective
-strictly decreases.  This is exact, since every Graver element of the full
-n-fold matrix that moves a point within the box is such a step (see
-solve_nfold).
+state is the running sum of A1 times the chosen moves, packed into one int,
+and a state is kept only while the bricks still to come can bring that sum
+back to zero.  A step is taken only when the sum ends at zero, the box
+holds, and the objective strictly decreases.  This is exact, since every
+Graver element of the full n-fold matrix that moves a point within the box
+is such a step (see solve_nfold).
 
 solve_nfold and solve_augment need a linear objective, or a separable
 convex one under MIN, and linear rows only: they reject quadratic and
@@ -47,10 +47,9 @@ value the backend reached (_certify, which raises RuntimeError).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import groupby
-from operator import add, itemgetter, le, sub
+from itertools import compress
+from operator import lshift, mul, sub
 
 from .errors import BudgetError
 from .graver import augment_to_optimum, graver_basis, _kernel_vectors_within
@@ -367,14 +366,36 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     kept predecessors.  Every kept state therefore gets the same value and
     back-pointer as without the pruning, written in the same order (states
     in sorted order, each brick's keys in sorted order, the first best
-    kept).  For each state only the keys whose first A1 coordinate lands in
-    the first row's window are visited: the keys are sorted, so they are
-    one bisected slice holding exactly the keys that pass that row's test,
-    in the same order, and the full window test still judges the other
-    rows.  The states come in sorted order, so those that share their first
-    coordinate are consecutive and share one slice.  The step chosen, the
-    final point, the lexicographic tie-breaking and the step count are the
-    same.  The A2-kernel enumeration is bounded by budget.max_nodes.
+    kept).  The step chosen, the final point, the lexicographic tie-breaking
+    and the step count are the same.  The A2-kernel enumeration is bounded
+    by budget.max_nodes.
+
+    Why the packing changes nothing: a state, the A1 sum of the moves of
+    the bricks so far, is held as one int, the sum of one field per A1 row
+    shifted into place, row 0 in the highest.  Let R be the largest
+    |A1-part| of a move in a row; the move set is symmetric (h and -h), so
+    -R is the least A1-part and n*R the row's bias.  A state after b <= n
+    bricks, and every window bound (the bricks after the first add at most
+    (n - 1)*R), lies in [-n*R, n*R], so biased it lies in [0, 2*n*R] and
+    fits bit_length(2*n*R) bits, under one guard bit that stays 0.  A key,
+    the packed A1-part of a move, is the sum of its unbiased, possibly
+    negative, rows shifted alike, so a transition is the one addition
+    sigma + key, and its sum is the packed new state.  As no field leaves
+    its range, comparing two states compares their rows in order: int order
+    is tuple order, so the sorted states, the sorted keys and the first best
+    kept are those of tuples.  Setting every guard bit G of one operand,
+    the subtraction (new | G) - lo borrows inside each field only, and
+    leaves a field's guard bit set exactly when that field of new is at
+    least that of lo; so ((new | G) - lo) & G == G and
+    ((hi | G) - new) & G == G test every row of the window at once.  The
+    DP forms sigma + (G - lo) and (hi + G) - sigma once per state, so a
+    (state, key) pair costs one addition and one subtraction before its
+    test, and a kept state stores only the state it came from: the move is
+    the one kept for the key new - sigma.
+
+    The objective change of a move is summed from one table per coordinate
+    and step, the change of each value within the coordinate's box, so no
+    term is evaluated outside its box.
     """
     model.validate()
     if model.nfold is None:
@@ -383,7 +404,8 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
         raise ValueError("n-fold backend needs linear rows only")
     budget = budget or Budget()
     nf = model.nfold
-    fns, _ = _convex_min_objective(model, "n-fold backend")
+    n, t = nf.n, nf.t
+    fns, min_value = _convex_min_objective(model, "n-fold backend")
     lower, upper = model.lower, model.upper
 
     x = _initial_point(model, budget)
@@ -391,80 +413,103 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
         return SolveResult("infeasible", None, None, 0)
     x = list(x)
 
-    width = max((u - l for l, u in zip(lower, upper)), default=0)
-    moves = sorted([(0,) * nf.t] + _kernel_vectors_within(nf.a2, width, budget.max_nodes))
-    a1_rows = nf.a1.to_rows()
-    a1h = {h: tuple(sum(r[j] * h[j] for j in range(nf.t)) for r in a1_rows) for h in moves}
-    zero = (0,) * nf.r
+    width = max(map(sub, upper, lower), default=0)
+    moves = sorted([(0,) * t] + _kernel_vectors_within(nf.a2, width, budget.max_nodes))
+    # per A1 row, the A1-part of each move; the packing layout is built
+    # from the lowest field, the last row's, up
+    a1_parts = [[sum(map(mul, row, h)) for h in moves] for row in nf.a1.to_rows()]
+    shifts = []
+    shift = guard = origin = 0
+    for col in reversed(a1_parts):
+        bias = n * max(map(abs, col))
+        shifts.append(shift)
+        origin += bias << shift  # the packed zero state
+        shift += (2 * bias).bit_length() + 1
+        guard |= 1 << (shift - 1)
+    shifts.reverse()
+
+    def pack(part):
+        return sum(map(lshift, part, shifts))
+
+    part_of = {}  # packed A1-part -> A1-part
+    move_list = []  # per move: (move, packed A1-part, non-zero (coordinate, value) pairs)
+    for h, part in zip(moves, zip(*a1_parts) if a1_parts else [()] * len(moves)):
+        key = pack(part)
+        part_of[key] = part
+        move_list.append((h, key, tuple(compress(enumerate(h), h))))
 
     def improve():
         """Take the best strictly improving step, if there is one, and return
         its objective change (0 when there is none)."""
-        per_brick = []  # per brick: A1-part -> (objective change, move), best change kept
-        for b in range(nf.n):
-            base = b * nf.t
+        tables = []  # per coordinate: move value -> objective change, inside the box only
+        for f, v, l, u in zip(fns, x, lower, upper):
+            f0 = f(v)
+            tables.append({d: f(v + d) - f0 for d in range(l - v, u - v + 1) if d})
+        per_brick = []  # per brick: packed A1-part -> (objective change, move), best change kept
+        for base in range(0, n * t, t):
+            change = tables[base:base + t]
             cands = {}
-            for h in moves:
+            for h, key, support in move_list:
                 delta = 0
-                for j in range(nf.t):
-                    if h[j]:
-                        v = x[base + j] + h[j]
-                        if not lower[base + j] <= v <= upper[base + j]:
-                            break
-                        delta += fns[base + j](v) - fns[base + j](x[base + j])
+                for j, d in support:
+                    c = change[j].get(d)
+                    if c is None:
+                        break  # the move leaves the box
+                    delta += c
                 else:
-                    key = a1h[h]
-                    if key not in cands or delta < cands[key][0]:
+                    best = cands.get(key)
+                    if best is None or delta < best[0]:
                         cands[key] = (delta, h)
             per_brick.append(cands)
         if all(len(c) == 1 and next(iter(c.values()))[0] >= 0 for c in per_brick):
             return 0  # every brick is pinned to a non-improving move
-        # window[b]: per A1 row, the least and the greatest sum a state after
+        # window[b]: the packed least and greatest A1 sums a state after
         # brick b may hold and still return to zero over bricks b+1..
-        lo = hi = zero
+        lo = hi = origin
         window = [(lo, hi)]
         for cands in per_brick[:0:-1]:
-            lo = tuple(map(sub, lo, map(max, zip(*cands))))
-            hi = tuple(map(sub, hi, map(min, zip(*cands))))
+            cols = list(zip(*map(part_of.__getitem__, cands)))
+            lo -= pack(map(max, cols))
+            hi -= pack(map(min, cols))
             window.append((lo, hi))
         window.reverse()
         layers = []
-        states = {zero: 0}
-        for b in range(nf.n):
-            items = sorted(per_brick[b].items())
-            firsts = [key[:1] for key, _ in items]
-            lo, hi = window[b]
+        states = {origin: 0}
+        for cands, (lo, hi) in zip(per_brick, window):
+            items = sorted(cands.items())
+            # new = sigma + key holds no guard bit, so (new | G) - lo is
+            # sigma + (G - lo) + key and (hi | G) - new is (hi + G - sigma) - key
+            floor, ceiling = guard - lo, hi + guard
             nxt = {}
-            back = {}
-            for first, run in groupby(sorted(states), itemgetter(slice(1))):
-                # the keys that keep the first A1 row inside its window
-                start = bisect_left(firsts, tuple(map(sub, lo[:1], first)))
-                stop = bisect_right(firsts, tuple(map(sub, hi[:1], first)))
-                visit = items[start:stop]
-                for sigma in run:
-                    sdelta = states[sigma]
-                    for key, (delta, h) in visit:
-                        new = tuple(map(add, sigma, key))
-                        if not (all(map(le, lo, new)) and all(map(le, new, hi))):
-                            continue  # bricks b+1.. cannot bring new back to zero
-                        cand = sdelta + delta
-                        if new not in nxt or cand < nxt[new]:
-                            nxt[new] = cand
-                            back[new] = (sigma, h)
+            back = {}  # new state -> the state it came from
+            for sigma in sorted(states):
+                sdelta = states[sigma]
+                above, below = sigma + floor, ceiling - sigma
+                for key, (delta, _) in items:
+                    if (above + key) & (below - key) & guard != guard:
+                        continue  # bricks b+1.. cannot bring new back to zero
+                    new = sigma + key
+                    cand = sdelta + delta
+                    old = nxt.get(new)
+                    if old is None or cand < old:
+                        nxt[new] = cand
+                        back[new] = sigma
             if len(nxt) > budget.max_dp_states:
                 raise BudgetError("n-fold DP state budget exceeded")
             layers.append(back)
             states = nxt
-        if zero not in states or states[zero] >= 0:
+        if origin not in states or states[origin] >= 0:
             return 0
-        sigma = zero
-        for b in range(nf.n - 1, -1, -1):
-            sigma, h = layers[b][sigma]
+        sigma = origin
+        for b in range(n - 1, -1, -1):
+            prev = layers[b][sigma]
+            h = per_brick[b][sigma - prev][1]
+            sigma = prev
             for j, d in enumerate(h):
-                x[b * nf.t + j] += d
-        return states[zero]
+                x[b * t + j] += d
+        return states[origin]
 
-    value = sum(f(v) for f, v in zip(fns, x))
+    value = min_value(x)
     steps = 0
     while delta := improve():
         value += delta
@@ -483,12 +528,14 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
 _BASIS_CACHE = {}
 
 
-def cached_graver_basis(matrix, max_elements=200_000):
-    """Completion-computed basis, memoized on the exact matrix."""
+def cached_graver_basis(matrix):
+    """Completion-computed basis, memoized on the exact matrix.  Every entry
+    is computed under graver_basis's default element budget, so a hit
+    answers the call it would have made."""
     key = (matrix.m, matrix.n, matrix.entries)
     hit = _BASIS_CACHE.get(key)
     if hit is None:
-        hit = _BASIS_CACHE[key] = graver_basis(matrix, max_elements=max_elements)
+        hit = _BASIS_CACHE[key] = graver_basis(matrix)
     return hit
 
 

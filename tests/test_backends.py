@@ -569,6 +569,20 @@ class TestSolveNFold:
                 pass
         assert pruned > 100
 
+    def test_packed_states_agree_with_the_tuple_dp(self):
+        # three A1 rows with entries of both signs up to 3 and 6-8 bricks, so
+        # the packed fields hold sums of either sign next to each other; the
+        # first variable's term raises outside its box
+        for seed in range(100):
+            m = widened_nfold_model(seed, bricks=(6, 8), rows=(3, 3), entries=3, guarded=True)
+            x, steps = m.initial_point, 0
+            while (nxt := nfold_reference_step(m, x)[0]) is not None:
+                x, steps = nxt, steps + 1
+            res = solve_nfold(m)
+            assert (res.status, res.point, res.value, res.nodes) == (
+                "optimal", x, m.objective_value(x), steps), seed
+            assert res.value == solve_boxed(m).value, seed
+
     def test_sumcol_results_are_pinned(self):
         h = hashlib.sha256()
         for t, _ in pinned_sumcol_instances():
@@ -684,12 +698,16 @@ def test_boxed_searches_are_pinned(route):
     assert boxed_digest(pinned_boxed_models(route)) == PINNED_BOXED_SEARCH_DIGESTS[route]
 
 
-def widened_nfold_model(seed, bricks=(2, 3)):
+def widened_nfold_model(seed, bricks=(2, 3), rows=(1, 2), entries=2, guarded=False):
+    """A random n-fold model: A1 entries in [-entries, entries], one A2 row,
+    negative lower bounds, box widths up to 3 and targets outside the box.
+    With guarded, the first variable's term raises outside its box."""
     rng = random.Random(seed)
     n_bricks = rng.randint(*bricks)
     t = rng.randint(2, 3)
-    r = rng.randint(1, 2)
-    a1 = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(t)] for _ in range(r)])
+    r = rng.randint(*rows)
+    a1 = IntMatrix.from_rows([[rng.randint(-entries, entries) for _ in range(t)]
+                              for _ in range(r)])
     a2 = IntMatrix.from_rows([[rng.randint(-1, 1) for _ in range(t)]])
     lower = [rng.randint(-2, 0) for _ in range(n_bricks * t)]
     upper = [lo + rng.randint(0, 3) for lo in lower]
@@ -703,6 +721,17 @@ def widened_nfold_model(seed, bricks=(2, 3)):
         for b in range(n_bricks)
     ]
     targets = [rng.randint(lo - 1, hi + 1) for lo, hi in zip(lower, upper)]
-    terms = tuple((lambda v, c=c: (v - c) ** 2) for c in targets)
-    return nfold_model(MIN, SeparableConvex(terms), a1, a2, n_bricks, rhs_top, rhs_brick,
-                       lower, upper, initial=tuple(x0))
+    terms = [(lambda v, c=c: (v - c) ** 2) for c in targets]
+    if guarded:
+        terms[0] = boxed_term(terms[0], lower[0], upper[0])
+    return nfold_model(MIN, SeparableConvex(tuple(terms)), a1, a2, n_bricks, rhs_top,
+                       rhs_brick, lower, upper, initial=tuple(x0))
+
+
+def boxed_term(f, lo, hi):
+    """f, raising AssertionError when evaluated outside [lo, hi]."""
+    def term(v):
+        if not lo <= v <= hi:
+            raise AssertionError(f"term evaluated at {v}, outside [{lo}, {hi}]")
+        return f(v)
+    return term

@@ -15,8 +15,9 @@ import pytest
 
 from ndsolve import algorithms, backends
 from ndsolve.algorithms import cds_proximity_solve, check_cds, cut_value, maxqcut_brute
-from ndsolve.backends import Budget, solve_boxed
+from ndsolve.backends import Budget, solve_boxed, solve_nfold
 from ndsolve.cli import main
+from ndsolve.errors import BudgetError
 from ndsolve.graphs import CLIQUE, type_graph
 from ndsolve.instances import INDEPENDENT, BlowupTemplate, Instance, generate_blowup, write_instance
 from ndsolve.models import (
@@ -85,6 +86,21 @@ def test_cds_ilp_boxed_nodes():
                       LADDER_BUDGET)
     assert res.value == 9
     assert res.nodes <= 10_066
+
+
+# (value, augmentation steps, largest surviving layer of the brick DP) of
+# nfold/nfold: Budget(max_dp_states=L) solves and L - 1 raises.
+NFOLD = {30: (140, 1, 242), 75: (725, 1, 1352)}
+
+
+@pytest.mark.parametrize("n", sorted(NFOLD))
+def test_sumcol_nfold_dp_states(n):
+    model = build_sumcol_nfold(type_graph(ladder_graph(n)))
+    value, steps, largest = NFOLD[n]
+    res = solve_nfold(model, Budget(max_dp_states=largest))
+    assert (res.value, res.nodes) == (value, steps)
+    with pytest.raises(BudgetError, match="n-fold DP state budget exceeded"):
+        solve_nfold(model, Budget(max_dp_states=largest - 1))
 
 
 @pytest.mark.parametrize("n", [6, 30, 75])
