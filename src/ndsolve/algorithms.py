@@ -7,8 +7,10 @@ the coloring oracle enumerates proper colorings directly on the graph, and
 the cut oracle enumerates partitions.  All three refuse graphs above a size
 guard.
 
-On top of the LP relaxation of the linear domination model sit the
-polynomial-time routines: a proximity search that enumerates the integer
+On top of the LP relaxation of the linear domination model (relax_model:
+the model's own integer rows over its finite boxes, minimized, which
+lp.solve_lp answers as optimal or infeasible) sit the polynomial-time
+routines: a proximity search that enumerates the integer
 points around the fractional optimum (each coordinate within k^2, clamped
 to the class size) and keeps the best decodable one, and a rounding scheme
 that rounds the served-counts up, takes per class the cheapest prefix with
@@ -32,11 +34,10 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import countOf
 
 from .graphs import Graph, TypeGraph, twin_partition
-from .ipmodel import Linear
+from .ipmodel import MIN, Linear
 from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
 from .models import (
@@ -263,30 +264,25 @@ def is_capacity_ordered(g: Graph, dominators) -> bool:
 # ---------------------------------------------------------------------------
 
 def relax_model(model, pins=None) -> LpProblem:
-    """Continuous relaxation of a linear model; pins fix chosen variables."""
+    """The continuous relaxation of a linear MIN model: its own integer rows
+    over its finite boxes, minimized; pins fix chosen variables."""
     if model.convex_rows:
         raise ValueError("relaxation needs a fully linear model")
     if not isinstance(model.objective, Linear):
         raise ValueError("relaxation needs a linear objective")
-    n = model.n_vars
-    cons = []
-    for row in model.rows:
-        dense = [0] * n
-        for i, c in row.coeffs:
-            dense[i] = c
-        cons.append((dense, row.rel, row.rhs))
+    if model.sense != MIN:
+        raise ValueError("relaxation needs a MIN model")
     lower = list(model.lower)
     upper = list(model.upper)
     for i, v in (pins or {}).items():
         lower[i] = upper[i] = v
-    return LpProblem.make(model.sense, model.objective.coeffs, cons, lower, upper)
+    return LpProblem.make(model.objective.coeffs, model.rows, lower, upper)
 
 
 @dataclass(frozen=True)
 class ProximityBox:
     """Per-coordinate integer ranges around the fractional class sizes."""
 
-    center: tuple
     lo: tuple
     hi: tuple
 
@@ -296,10 +292,9 @@ class ProximityBox:
 
 def proximity_box(t: TypeGraph, lp_point) -> ProximityBox:
     ksq = t.k * t.k
-    center = tuple(Fraction(lp_point[i]) for i in range(t.k))
-    lo = tuple(max(0, math.floor(center[i]) - ksq) for i in range(t.k))
-    hi = tuple(min(t.weights[i], math.ceil(center[i]) + ksq) for i in range(t.k))
-    return ProximityBox(center, lo, hi)
+    lo = tuple(max(0, math.floor(lp_point[i]) - ksq) for i in range(t.k))
+    hi = tuple(min(t.weights[i], math.ceil(lp_point[i]) + ksq) for i in range(t.k))
+    return ProximityBox(lo, hi)
 
 
 def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:

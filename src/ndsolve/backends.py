@@ -560,9 +560,6 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     x0 = _initial_point(model, budget)
     if x0 is None:
         return SolveResult("infeasible", None, None, 0)
-    matrix = model.matrix()
-    basis = cached_graver_basis(matrix)
-    res = augment_to_optimum(
-        matrix, x0, f, (model.lower, model.upper), basis=basis, max_steps=budget.max_steps
-    )
+    basis = cached_graver_basis(model.matrix())
+    res = augment_to_optimum(x0, f, (model.lower, model.upper), basis, max_steps=budget.max_steps)
     return SolveResult("optimal", res.point, _certify(model, res.point, res.value), res.steps)

@@ -234,6 +234,8 @@ def cmd_verify(args) -> int:
 
 def cmd_graver(args) -> int:
     """Norm diagnostics of the stacked sum-coloring matrix of the instance."""
+    if args.max_elements <= 0:
+        raise ValueError(f"--max-elements must be positive, got {args.max_elements}")
     inst = read_instance(args.file)
     t = type_graph(inst.graph)
     model = build_sumcol_graver(t)

@@ -372,10 +372,9 @@ class AugmentResult:
     steps: int
 
 
-def augment_to_optimum(a: IntMatrix, x0, f, bounds, basis=None, max_steps=100_000) -> AugmentResult:
-    """Apply Graver-best steps until none improves; the fixpoint is optimal."""
-    if basis is None:
-        basis = graver_basis(a)
+def augment_to_optimum(x0, f, bounds, basis, max_steps=100_000) -> AugmentResult:
+    """Apply Graver-best steps of basis until none improves; the fixpoint is
+    optimal."""
     x = tuple(x0)
     steps = 0
     while True:

@@ -106,3 +106,20 @@ def test_cli_main_runs_the_workload_lines(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", no_argparse)
     for op in ops + graver_ops:
         assert run.call(cli.main, op.argv)[0] == 0, op.argv
+
+
+def test_traced_cds_ops_count_their_lps(tmp_path):
+    """The traced benchmark reads every LpProblem it counts (its boxes, its
+    rows and their relations) in ``spans._tableau_cells``: the ``desk``
+    proximity and rounding ops of one CDS case solve one LP each, and the
+    tracer counts both and their tableau cells."""
+    cases, ops = workloads.desk(5, tmp_path, per_problem=1)
+    case = next(c for c in cases if c.inst.problem == "cds")
+    tracer = spans.Tracer()
+    with tracer:
+        for route in ("proximity", "rounding"):
+            op = next(o for o in ops if o.case == case.name and o.route == route)
+            assert run.call(tracer.main, op.argv)[0] == 0, op.argv
+    metrics = tracer.layer_metrics()
+    assert metrics["lp.in_algorithms.calls"] == 2
+    assert metrics["lp.tableau_cells"] > 0

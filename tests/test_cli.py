@@ -131,12 +131,16 @@ class TestSolve:
     def test_budget_exit_code(self, p3_sumcol):
         assert main(["solve", "--model", "nfold", "--budget", "3", p3_sumcol]) == 2
 
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_budget_must_be_positive(self, p3_sumcol, capsys, budget):
-        argv = ["solve", "--model", "nfold", "--backend", "nfold", "--budget", budget, p3_sumcol]
-        assert main(argv) == 3
+    @pytest.mark.parametrize("line, flag, budget", [
+        pytest.param(["solve", "--model", "nfold", "--backend", "nfold"], "--budget", "0", id="0"),
+        pytest.param(["solve", "--model", "nfold", "--backend", "nfold"], "--budget", "-1", id="-1"),
+        pytest.param(["graver"], "--max-elements", "0", id="max-elements-0"),
+        pytest.param(["graver"], "--max-elements", "-3", id="max-elements--3"),
+    ])
+    def test_budget_must_be_positive(self, p3_sumcol, capsys, line, flag, budget):
+        assert main([*line, flag, budget, p3_sumcol]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err == f"input error: --budget must be positive, got {budget}\n"
+        assert out == "" and err == f"input error: {flag} must be positive, got {budget}\n"
 
     def test_csv_schema_and_rows(self, star_cds, tmp_path, capsys):
         out = tmp_path / "report.csv"

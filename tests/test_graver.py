@@ -233,7 +233,7 @@ class TestAugmentation:
         a = IntMatrix.from_dict(1, 1, {})
         basis = graver_basis(a)
         f = lambda p: p[0] * p[0]
-        res = augment_to_optimum(a, (3,), f, ((-5,), (5,)), basis=basis)
+        res = augment_to_optimum((3,), f, ((-5,), (5,)), basis)
         assert res.point == (0,) and res.value == 0
         assert res.steps <= 2
 

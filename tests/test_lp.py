@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,66 +11,90 @@ import pytest
 from ndsolve import algorithms, lp as lp_module
 from ndsolve.algorithms import cds_rounding_approx, relax_model
 from ndsolve.backends import solve_boxed
-from ndsolve.lp import LE, GE, EQ, LpProblem, solve_lp
+from ndsolve.graphs import type_graph
+from ndsolve.ipmodel import EQ, GE, LE, MAX, LinearRow
+from ndsolve.lp import LpProblem, solve_lp
 from ndsolve.models import build_cds_ilp
 
-from helpers import PINNED_CDS_INSTANCES, pinned_cds_instances
+from helpers import PINNED_CDS_INSTANCES, pinned_cds_instances, star_graph
 
 
-def lp(sense, objective, constraints, lower=None, upper=None):
-    return solve_lp(LpProblem.make(sense, objective, constraints, lower, upper))
+def problem(objective, constraints, lower, upper):
+    """The LpProblem of dense (row, rel, rhs) constraints."""
+    rows = [LinearRow.make(enumerate(row), rel, rhs) for row, rel, rhs in constraints]
+    return LpProblem.make(objective, rows, lower, upper)
+
+
+def lp(objective, constraints, lower, upper):
+    return solve_lp(problem(objective, constraints, lower, upper))
 
 
 class TestBasics:
     def test_max_with_upper(self):
-        res = lp("max", [1], [([1], LE, 5)])
-        assert res.optimal and res.value == 5 and res.point == (5,)
+        # max x, x <= 5 as min -x
+        res = lp([-1], [([1], LE, 5)], [0], [9])
+        assert res.optimal and res.value == -5 and res.point == (5,)
 
     def test_infeasible(self):
-        res = lp("min", [1], [([1], GE, 1), ([1], LE, 0)])
+        res = lp([1], [([1], GE, 1), ([1], LE, 0)], [0], [5])
         assert res.status == "infeasible"
 
-    def test_unbounded(self):
-        res = lp("max", [1], [])
-        assert res.status == "unbounded"
-
     def test_fractional_vertex_exact(self):
-        res = lp("min", [1, 1], [([2, 1], GE, 1), ([1, 3], GE, 2)])
+        res = lp([1, 1], [([2, 1], GE, 1), ([1, 3], GE, 2)], [0, 0], [5, 5])
         assert res.value == Fraction(4, 5)
         assert res.point == (Fraction(1, 5), Fraction(3, 5))
 
     def test_equality_row(self):
-        res = lp("min", [1, 0], [([1, 1], EQ, 4), ([0, 1], LE, 1)])
+        res = lp([1, 0], [([1, 1], EQ, 4), ([0, 1], LE, 1)], [0, 0], [9, 9])
         assert res.value == 3
 
-    def test_free_variable(self):
-        res = lp("min", [1], [([1], GE, -7)], lower=[None])
-        assert res.value == -7
-
     def test_negative_lower_bound(self):
-        res = lp("min", [1], [], lower=[-3], upper=[9])
+        res = lp([1], [], [-3], [9])
         assert res.value == -3
 
-    def test_upper_bounded_only_variable(self):
-        res = lp("max", [1], [], lower=[None], upper=[2])
-        assert res.value == 2
-
     def test_beale_cycling_example_terminates(self):
-        # classic degenerate instance that cycles without an anti-cycling rule
+        # classic degenerate instance that cycles without an anti-cycling
+        # rule, its data scaled by 100 to ints
         res = lp(
-            "min",
-            [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+            [-75, 15000, -2, 600],
             [
-                ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
-                ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
+                ([25, -6000, -4, 900], LE, 0),
+                ([50, -9000, -2, 300], LE, 0),
                 ([0, 0, 1, 0], LE, 1),
             ],
+            [0] * 4,
+            [100] * 4,
         )
-        assert res.value == Fraction(-1, 20)
+        assert res.value == -5
 
     def test_redundant_equalities(self):
-        res = lp("min", [1, 1], [([1, 1], EQ, 2), ([2, 2], EQ, 4)])
+        res = lp([1, 1], [([1, 1], EQ, 2), ([2, 2], EQ, 4)], [0, 0], [9, 9])
         assert res.value == 2
+
+
+class TestContract:
+    """Every datum of an LpProblem is an int and every box is finite; the
+    only producer in the package is relax_model, on a MIN model."""
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, None], ids=["fraction", "float", "none"])
+    def test_make_rejects_a_non_int_datum(self, bad):
+        with pytest.raises(ValueError, match="must be ints"):
+            problem([1, 1], [([1, 1], LE, 3)], [0, 0], [2, bad])
+        with pytest.raises(ValueError, match="must be ints"):
+            problem([1, bad], [([1, 1], LE, 3)], [0, 0], [2, 2])
+        with pytest.raises(ValueError, match="must be ints"):
+            problem([1, 1], [([1, 1], LE, bad)], [0, 0], [2, 2])
+
+    def test_make_rejects_a_dimension_mismatch_and_an_index_out_of_range(self):
+        with pytest.raises(ValueError, match="dimension"):
+            problem([1, 1], [], [0], [2, 2])
+        with pytest.raises(ValueError, match="out of range"):
+            LpProblem.make([1], [LinearRow.make({1: 1}, LE, 3)], [0], [2])
+
+    def test_relax_model_rejects_a_max_model(self):
+        model = dataclasses.replace(build_cds_ilp(type_graph(star_graph(3, capacity=[3, 0, 0, 0]))), sense=MAX)
+        with pytest.raises(ValueError, match="MIN model"):
+            relax_model(model)
 
 
 def solve_square(rows, rhs):
@@ -119,7 +144,7 @@ class TestAgainstVertexEnumeration:
         for _ in range(rng.randint(1, 4)):
             rows.append([rng.randint(-3, 3) for _ in range(n)])
             rhs.append(rng.randint(-2, 6))
-        # box rows keep the region bounded
+        # box rows, which the boxes repeat
         for j in range(n):
             rows.append([1 if i == j else 0 for i in range(n)])
             rhs.append(5)
@@ -129,7 +154,7 @@ class TestAgainstVertexEnumeration:
 
         constraints = [(row, LE, b) for row, b in zip(rows, rhs)]
         expected = brute_min_over_vertices(objective, constraints)
-        res = lp("min", objective, constraints, lower=[0] * n, upper=[None] * n)
+        res = lp(objective, constraints, [0] * n, [5] * n)
         if expected is None:
             assert res.status == "infeasible"
         else:
@@ -137,89 +162,68 @@ class TestAgainstVertexEnumeration:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_weak_duality_direction(self, seed):
-        # any feasible point gives an upper bound on a minimum
+        # any feasible point bounds a minimum from above; here max as min
+        # of the negated objective
         rng = random.Random(1000 + seed)
         n = 3
         rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(3)]
         rhs = [rng.randint(2, 8) for _ in range(3)]
         objective = [rng.randint(0, 4) for _ in range(n)]
         res = lp(
-            "max",
-            objective,
+            [-c for c in objective],
             [(row, LE, b) for row, b in zip(rows, rhs)],
-            upper=[10] * n,
+            [0] * n,
+            [10] * n,
         )
         assert res.optimal
-        assert res.value >= 0  # x = 0 is feasible
+        assert res.value <= 0  # x = 0 is feasible
 
 
-BIG = 10**9  # beyond every vertex coordinate of the small random LPs below
-
-
-def brute_lp(sense, objective, constraints, lower, upper):
-    """(status, value) of any LP with LE/GE/EQ rows and optional bounds, by
-    vertex enumeration.
-
-    A box of half-width BIG makes the region pointed and bounded; no vertex
-    inside it means infeasible.  The LP is unbounded exactly when some
-    direction d of its recession cone, cut to |d_j| <= 1, has c.d < 0.
-    """
+def brute_lp(objective, constraints, lower, upper):
+    """(status, value) of a min LP with LE/GE/EQ rows over finite boxes, by
+    vertex enumeration: the boxes make the region a polytope, so it is
+    infeasible exactly when it has no vertex.  Rational data are fine."""
     n = len(objective)
-    c = [Fraction(x) for x in objective]
-    if sense == "max":
-        c = [-x for x in c]
     unit = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    bounds = [(unit[j], GE, lower[j]) for j in range(n) if lower[j] is not None]
-    bounds += [(unit[j], LE, upper[j]) for j in range(n) if upper[j] is not None]
-    rows = list(constraints) + bounds
-    box = [(unit[j], rel, sign * BIG) for j in range(n) for rel, sign in ((LE, 1), (GE, -1))]
-    best = brute_min_over_vertices(c, rows + box)
-    if best is None:
-        return "infeasible", None
-    cone = [(row, rel, 0) for row, rel, _ in rows]
-    cone += [(unit[j], rel, sign) for j in range(n) for rel, sign in ((LE, 1), (GE, -1))]
-    if brute_min_over_vertices(c, cone) < 0:
-        return "unbounded", None
-    return "optimal", best if sense == "min" else -best
+    bounds = [(unit[j], GE, lower[j]) for j in range(n)]
+    bounds += [(unit[j], LE, upper[j]) for j in range(n)]
+    best = brute_min_over_vertices(objective, list(constraints) + bounds)
+    return ("infeasible", None) if best is None else ("optimal", best)
 
 
 def random_lp(seed):
-    """A small LP with fractional data, every relation, every kind of
-    variable and, now and then, a redundant or a degenerate row.
+    """A small min LP with int data over finite boxes, every relation and,
+    now and then, a redundant or a degenerate row.  Each rhs lies near the
+    row's value at a random integer point of the boxes, so about half of
+    these LPs are feasible.
 
-    Kinds: "zero" (x >= 0), "shift" (x >= l, l != 0), "box" (l <= x <= u),
-    "flip" (x <= u only) and "free"; solve_lp substitutes the last two by
-    x = u - z and x = z+ - z-.
+    Kinds of box: "zero" (0 <= x <= u), "negative" (l < 0 <= u or l <= u <
+    0), "positive" (0 < l <= u) and "pinned" (l = u).
     """
     rng = random.Random(seed)
-
-    def frac():
-        return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
-
     n = rng.randint(1, 3)
-    kinds = [rng.choice(("zero", "shift", "box", "flip", "free")) for _ in range(n)]
+    kinds = [rng.choice(("zero", "negative", "positive", "pinned")) for _ in range(n)]
     lower, upper = [], []
     for kind in kinds:
-        lo = hi = None
         if kind == "zero":
             lo = 0
-        elif kind == "shift":
-            lo = frac() or Fraction(1, 2)
-        elif kind == "box":
-            lo = frac()
-            hi = lo + abs(frac())
-        elif kind == "flip":
-            hi = frac()
+        elif kind == "negative":
+            lo = rng.randint(-12, -1)
+        elif kind == "positive":
+            lo = rng.randint(1, 12)
+        else:
+            lo = rng.randint(-12, 12)
         lower.append(lo)
-        upper.append(hi)
+        upper.append(lo if kind == "pinned" else lo + rng.randint(1, 12))
     constraints = []
     for _ in range(rng.randint(1, 3)):
-        row = [frac() if rng.random() < 0.7 else 0 for _ in range(n)]
-        constraints.append((row, rng.choice((LE, GE, EQ)), frac()))
+        row = [rng.randint(-12, 12) if rng.random() < 0.7 else 0 for _ in range(n)]
+        rhs = sum(a * rng.randint(lo, hi) for a, lo, hi in zip(row, lower, upper))
+        constraints.append((row, rng.choice((LE, GE, EQ)), rhs + rng.randint(-6, 6)))
     extras = []
     if rng.random() < 0.25:
         row, rel, rhs = constraints[0]
-        f = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        f = rng.randint(2, 3)
         constraints.append(([f * a for a in row], rel, f * rhs))
         extras.append("redundant")
     same = [con for con in constraints if con[1] == constraints[0][1]]
@@ -227,12 +231,51 @@ def random_lp(seed):
         (r1, rel, b1), (r2, _, b2) = same[:2]
         constraints.append(([a + b for a, b in zip(r1, r2)], rel, b1 + b2))
         extras.append("degenerate")
-    objective = [frac() for _ in range(n)]
-    sense = rng.choice(("min", "max"))
-    return (sense, objective, constraints, lower, upper), kinds, extras
+    objective = [rng.randint(-12, 12) for _ in range(n)]
+    return (objective, constraints, lower, upper), kinds, extras
 
 
 RANDOM_SEEDS = range(80)
+
+
+def on_integer_boxes(objective, constraints, lower, upper):
+    """A min LP with rational data over finite boxes as an LP that solve_lp
+    takes, and the map of its result back.
+
+    Each variable becomes x = l + z/q, with q the denominator of its width
+    u - l, so z has the integer box [0, q(u - l)]; each row and the
+    objective are then scaled to ints by the lcm of their denominators.
+    back(result) is (status, point, value) of the rational LP.
+    """
+    q = [Fraction(u - l).denominator for l, u in zip(lower, upper)]
+
+    def scaled(values):
+        den = math.lcm(*(v.denominator for v in values))
+        return [int(v * den) for v in values], den
+
+    rows = []
+    for row, rel, rhs in constraints:
+        shifted = rhs - sum(a * l for a, l in zip(row, lower))
+        ints, _ = scaled([Fraction(a) / qj for a, qj in zip(row, q)] + [Fraction(shifted)])
+        rows.append((ints[:-1], rel, ints[-1]))
+    cost, den = scaled([Fraction(c) / qj for c, qj in zip(objective, q)])
+    const = sum(Fraction(c) * l for c, l in zip(objective, lower))
+    width = [int((u - l) * qj) for l, u, qj in zip(lower, upper, q)]
+
+    def back(res):
+        if not res.optimal:
+            return res.status, None, None
+        point = tuple(l + z / qj for l, z, qj in zip(lower, res.point, q))
+        return res.status, point, const + res.value / den
+
+    return (cost, rows, [0] * len(q), width), back
+
+
+def rational_lp(*args):
+    """(status, point, value) of a min LP with rational data, solved as the
+    int LP of on_integer_boxes."""
+    int_args, back = on_integer_boxes(*args)
+    return back(lp(*int_args))
 
 
 class TestAgainstGeneralVertexEnumeration:
@@ -250,18 +293,22 @@ class TestAgainstGeneralVertexEnumeration:
         for seed in RANDOM_SEEDS:
             args, k, e = random_lp(seed)
             kinds.update(k)
-            rels.update(rel for _, rel, _ in args[2])
+            rels.update(rel for _, rel, _ in args[1])
             extras.update(e)
             statuses[lp(*args).status] += 1
-        assert set(kinds) == {"zero", "shift", "box", "flip", "free"}
+        assert set(kinds) == {"zero", "negative", "positive", "pinned"}
         assert set(rels) == {LE, GE, EQ}
         assert set(extras) == {"redundant", "degenerate"}
-        assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 5
+        assert min(statuses[s] for s in ("optimal", "infeasible")) >= 5
 
     def test_fractional_lower_bound_shift(self):
-        res = lp("min", [2, 1], [([1, 1], GE, Fraction(7, 2))], lower=[Fraction(5, 3), Fraction(-1, 2)])
-        assert res.value == Fraction(31, 6)
-        assert res.point == (Fraction(5, 3), Fraction(11, 6))
+        # rational data reach solve_lp shifted and scaled to ints
+        status, point, value = rational_lp(
+            [2, 1], [([1, 1], GE, Fraction(7, 2))],
+            [Fraction(5, 3), Fraction(-1, 2)], [9, 9],
+        )
+        assert status == "optimal" and value == Fraction(31, 6)
+        assert point == (Fraction(5, 3), Fraction(11, 6))
 
     def test_drive_out_pivots_on_a_negative_entry(self, monkeypatch):
         # Phase 1 ends with the artificial of -x1 - 2 x2 = 0 basic at level
@@ -275,78 +322,93 @@ class TestAgainstGeneralVertexEnumeration:
             real(tab, basis, r, c)
 
         monkeypatch.setattr(lp_module, "_pivot", recording)
-        res = lp("min", [1, 0, -1], [([-1, -2, 0], EQ, 0), ([1, 1, 1], LE, 3)])
+        res = lp([1, 0, -1], [([-1, -2, 0], EQ, 0), ([1, 1, 1], LE, 3)], [0] * 3, [5] * 3)
         assert res.value == -3 and res.point == (0, 0, 3)
         assert any(p < 0 for p in pivots)
 
 
+def recorded_steps(monkeypatch):
+    """The list that every pivot and bound flip of solve_lp is appended to."""
+    steps = []
+    real_pivot, real_flip = lp_module._pivot, lp_module._flip
+
+    def pivot(tab, basis, r, c):
+        steps.append(("pivot", basis[r], c))
+        real_pivot(tab, basis, r, c)
+
+    def flip(tab, cost, c, w):
+        steps.append(("flip", c))
+        real_flip(tab, cost, c, w)
+
+    monkeypatch.setattr(lp_module, "_pivot", pivot)
+    monkeypatch.setattr(lp_module, "_flip", flip)
+    return steps
+
+
 class TestBoundedPaths:
     """Upper bounds live in the ratio test: each case is checked against
-    brute_lp, and its simplex steps show which bounded path it took."""
+    brute_lp, and its simplex steps show which bounded path it took.  A
+    max case is min of the negated objective, on the same tableau."""
 
     @staticmethod
     def solve(monkeypatch, *args):
-        steps = []
-        real_pivot, real_flip = lp_module._pivot, lp_module._flip
-
-        def pivot(tab, basis, r, c):
-            steps.append(("pivot", basis[r], c))
-            real_pivot(tab, basis, r, c)
-
-        def flip(tab, cost, c, w):
-            steps.append(("flip", c))
-            real_flip(tab, cost, c, w)
-
-        monkeypatch.setattr(lp_module, "_pivot", pivot)
-        monkeypatch.setattr(lp_module, "_flip", flip)
+        steps = recorded_steps(monkeypatch)
         res = lp(*args)
-        status, value = brute_lp(*args)
-        assert res.status == status and res.value == value
+        assert (res.status, res.value) == brute_lp(*args)
         return res, steps
+
+    @staticmethod
+    def solve_rational(monkeypatch, *args):
+        steps = recorded_steps(monkeypatch)
+        status, point, value = rational_lp(*args)
+        assert (status, value) == brute_lp(*args)
+        return point, value, steps
 
     def test_optimum_with_a_nonbasic_variable_at_its_upper_bound(self, monkeypatch):
         # max x + y, x + 2y <= 4, x in [0, 1]: x flips to 1 and stays nonbasic
-        res, steps = self.solve(monkeypatch, "max", [1, 1], [([1, 2], LE, 4)], [0, 0], [1, 5])
-        assert res.value == Fraction(5, 2) and res.point == (1, Fraction(3, 2))
+        res, steps = self.solve(monkeypatch, [-1, -1], [([1, 2], LE, 4)], [0, 0], [1, 5])
+        assert res.value == Fraction(-5, 2) and res.point == (1, Fraction(3, 2))
         assert steps == [("flip", 0), ("pivot", 2, 1)]
 
     def test_fractional_box_widths(self, monkeypatch):
-        res, steps = self.solve(
-            monkeypatch, "min", [-1, -2], [([1, 1], LE, Fraction(5, 2))],
+        # x0 in [1/3, 7/4] is x0 = 1/3 + z/12 with z in [0, 17]
+        point, value, steps = self.solve_rational(
+            monkeypatch, [-1, -2], [([1, 1], LE, Fraction(5, 2))],
             [Fraction(1, 3), Fraction(-1, 2)], [Fraction(7, 4), Fraction(3, 2)],
         )
-        assert res.value == -4 and res.point == (1, Fraction(3, 2))
+        assert value == -4 and point == (1, Fraction(3, 2))
         assert ("flip", 0) in steps
 
     def test_basic_variable_leaves_at_its_upper_bound(self, monkeypatch):
         # max x, x <= y: x enters at 0, then y lifts it to its bound 2
-        res, steps = self.solve(monkeypatch, "max", [1, 0], [([1, -1], LE, 0)], [0, 0], [2, 5])
+        res, steps = self.solve(monkeypatch, [-1, 0], [([1, -1], LE, 0)], [0, 0], [2, 5])
         assert res.point == (2, 2)
         assert steps == [("pivot", 2, 0), ("pivot", 0, 1)]
 
     def test_tie_between_a_flip_and_a_slack_goes_to_the_flip(self, monkeypatch):
         # min -x, x + y <= 2, x in [0, 2]: the flip of x (index 0) and the
         # slack (index 2) both stop at 2; the smaller index wins, no pivot
-        res, steps = self.solve(monkeypatch, "min", [-1, 0], [([1, 1], LE, 2)], [0, 0], [2, 3])
+        res, steps = self.solve(monkeypatch, [-1, 0], [([1, 1], LE, 2)], [0, 0], [2, 3])
         assert res.point == (2, 0) and steps == [("flip", 0)]
 
     def test_tie_between_a_flip_and_a_basic_variable_goes_to_the_variable(self, monkeypatch):
         # max x, x <= y, both in [0, 2]: y entering reaches its own bound
         # just as basic x (index 0 < 1) reaches its, so x leaves
-        res, steps = self.solve(monkeypatch, "max", [1, 0], [([1, -1], LE, 0)], [0, 0], [2, 2])
-        assert res.value == 2 and steps == [("pivot", 2, 0), ("pivot", 0, 1)]
+        res, steps = self.solve(monkeypatch, [-1, 0], [([1, -1], LE, 0)], [0, 0], [2, 2])
+        assert res.value == -2 and steps == [("pivot", 2, 0), ("pivot", 0, 1)]
 
     def test_beale_cycling_example_with_finite_boxes(self, monkeypatch):
-        # Beale's instance with its row x3 <= 1 turned into boxes
+        # Beale's instance, its data scaled by 100 to ints, with its row
+        # x3 <= 1 turned into boxes
         res, _ = self.solve(
-            monkeypatch, "min", [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+            monkeypatch, [-75, 15000, -2, 600],
             [
-                ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
-                ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
+                ([25, -6000, -4, 900], LE, 0),
+                ([50, -9000, -2, 300], LE, 0),
             ],
             [0] * 4, [1, 1, 1, 1],
         )
-        assert res.value == Fraction(-1, 20)
+        assert res.value == -5
         assert res.point == (Fraction(1, 25), 0, 1, 0)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -361,78 +423,55 @@ class TestBoundedPaths:
         upper = [lo + abs(frac()) for lo in lower]
         rows = [([frac() for _ in range(n)], rng.choice((LE, GE, EQ)), frac())
                 for _ in range(rng.randint(1, 3))]
-        self.solve(monkeypatch, rng.choice(("min", "max")), [frac() for _ in range(n)],
-                   rows, lower, upper)
+        objective = [frac() for _ in range(n)]
+        if rng.choice(("min", "max")) == "max":
+            objective = [-c for c in objective]
+        self.solve_rational(monkeypatch, objective, rows, lower, upper)
 
     def test_empty_box_is_infeasible(self):
-        assert lp("min", [1], [], lower=[2], upper=[1]).status == "infeasible"
+        assert lp([1], [], [2], [1]).status == "infeasible"
 
     def test_wrong_optimum_raises(self):
-        p = LpProblem.make("min", [1], [([1], GE, 1)])
+        p = problem([1], [([1], GE, 1)], [0], [5])
         with pytest.raises(RuntimeError, match="invalid optimum"):
             lp_module._check_result(p, lp_module.LpResult("optimal", (Fraction(1, 2),), Fraction(1, 2)))
         with pytest.raises(RuntimeError, match="invalid optimum"):
             lp_module._check_result(p, lp_module.LpResult("optimal", (Fraction(1),), Fraction(2)))
+        with pytest.raises(RuntimeError, match="invalid optimum"):
+            lp_module._check_result(p, lp_module.LpResult("optimal", (Fraction(6),), Fraction(6)))
 
 
 def as_fractions(args):
-    """LP arguments with every number a Fraction (None kept)."""
-    sense, objective, constraints, lower, upper = args
+    """LP arguments with every number a Fraction."""
+    objective, constraints, lower, upper = args
 
     def conv(values):
-        return [v if v is None else Fraction(v) for v in values]
+        return [Fraction(v) for v in values]
 
     rows = [(conv(row), rel, Fraction(rhs)) for row, rel, rhs in constraints]
-    return sense, conv(objective), rows, conv(lower), conv(upper)
-
-
-def as_numbers(args):
-    """LP arguments with every integral number an int."""
-    sense, objective, constraints, lower, upper = args
-
-    def conv(values):
-        return [v if v is None or Fraction(v).denominator != 1 else int(v) for v in values]
-
-    rows = [(conv(row), rel, conv([rhs])[0]) for row, rel, rhs in constraints]
-    return sense, conv(objective), rows, conv(lower), conv(upper)
-
-
-FRACTIONAL_WIDTHS = ("min", [-1, -2], [([1, 1], LE, Fraction(5, 2))],
-                     [Fraction(1, 3), Fraction(-1, 2)], [Fraction(7, 4), Fraction(3, 2)])
+    return conv(objective), rows, conv(lower), conv(upper)
 
 
 class TestIntegerData:
-    """Integral problem data stay ints from LpProblem.make to the re-check;
-    only data that are not integral, and the result, are Fractions."""
+    """LpProblem.make keeps int data as they are and rejects any other
+    number; rational data reach solve_lp only as the int LP of
+    on_integer_boxes."""
 
     def test_make_keeps_integers(self):
-        p = LpProblem.make("min", [1, Fraction(4, 2), Fraction(1, 2)],
-                           [([3, 0, Fraction(6, 3)], LE, Fraction(5))],
-                           [0, Fraction(-2), None], [2, None, Fraction(7, 2)])
-        assert [type(v) for v in p.objective] == [int, int, Fraction]
-        assert [type(v) for v in p.constraints[0].coeffs] == [int, int, int]
-        assert type(p.constraints[0].rhs) is int
-        assert p.lower == (0, -2, None) and type(p.lower[1]) is int
-        assert p.upper == (2, None, Fraction(7, 2))
-
-    def test_integer_coefficient_over_a_fractional_width_stays_exact(self):
-        # x0 in [1/3, 7/4] is x0 = 1/3 + z/12 with z in [0, 17]: the int
-        # cost -1 and row coefficient 1 of x0 become -1/12 and 1/12
-        t = lp_module._tableau(LpProblem.make(*FRACTIONAL_WIDTHS))
-        assert t.cost == [Fraction(-1, 12), -2] and type(t.cost[0]) is Fraction
-        assert t.width[:2] == [17, 2]
-        assert all(type(v) is int for row, den in t.tab for v in row + [den])
+        rows = [LinearRow.make(enumerate([3, 0, 2]), LE, 5)]
+        p = LpProblem.make([1, 2, -3], rows, [0, -2, 1], [2, 4, 7])
+        assert p.constraints == tuple(rows) and p.constraints[0] is rows[0]
+        assert p.constraints[0].coeffs == ((0, 3), (2, 2))
+        assert all(type(v) is int for v in (*p.objective, *p.lower, *p.upper))
 
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_int_and_fraction_data_give_the_same_result(self, seed):
+        # solve_lp's own shift z = x - l and the caller's give one vertex
         args, _, _ = random_lp(seed)
-        results = {repr(dataclasses.astuple(lp(*conv(args)))) for conv in (as_fractions, as_numbers)}
-        assert len(results) == 1
-
-    def test_fractional_box_widths_in_both_forms(self):
-        results = {repr(dataclasses.astuple(lp(*conv(FRACTIONAL_WIDTHS))))
-                   for conv in (as_fractions, as_numbers)}
-        assert results == {repr(("optimal", (Fraction(1), Fraction(3, 2)), Fraction(-4)))}
+        with pytest.raises(ValueError, match="must be ints"):
+            problem(*as_fractions(args))
+        res = lp(*args)
+        assert rational_lp(*as_fractions(args)) == (res.status, res.point, res.value)
 
 
 # sha256 over the repr of (status, point, value) of every LP below.  Re-pinned
