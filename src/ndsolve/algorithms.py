@@ -154,7 +154,10 @@ def sumcol_brute(g: Graph, max_n: int = COLORING_SIZE_GUARD) -> dict:
                 rec(d + 1, cost + c)
         colors[d] = 0
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # it holds itself through its cell
     return dict(best[0]) if n else {}
 
 
@@ -184,7 +187,10 @@ def maxqcut_brute(g: Graph, q: int, max_n: int = CUT_SIZE_GUARD) -> dict:
             rec(d + 1, cut + sum(1 for u in below[d] if parts[u] != p))
         parts[d] = 0
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # it holds itself through its cell
     return best[0] if n else {}
 
 
@@ -328,7 +334,10 @@ def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
             rec(i + 1, prefix, total + v)
             prefix.pop()
 
-    rec(0, [], 0)
+    try:
+        rec(0, [], 0)
+    finally:
+        del rec  # it holds itself through its cell
     x = best[1]
     if x is None:
         raise RuntimeError("no valid point inside the proximity box")

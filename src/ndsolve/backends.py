@@ -235,6 +235,8 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     lo_box = list(lower)
     hi_box = list(upper)
     nodes = 1  # the root
+    if nodes > max_nodes:
+        raise BudgetError("branch-and-bound node budget exceeded")
     best_val = None
     best_pt = None
 
@@ -299,16 +301,16 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
             lo_box[d] = lower[d]
             hi_box[d] = upper[d]
 
-    if nodes > max_nodes:
-        raise BudgetError("branch-and-bound node budget exceeded")
-    if n:
-        try:
+    try:
+        if n:
             rec(0, 0)
-        except RecursionError:
-            raise ValueError(f"a model of {n} variables is too deep for the recursive "
-                             "branch-and-bound") from None
-    elif all(cr.fn(point) <= 0 for cr in convex_rows):
-        best_val, best_pt = (0 if terms is not None else min_value(point)), ()
+        elif all(cr.fn(point) <= 0 for cr in convex_rows):
+            best_val, best_pt = (0 if terms is not None else min_value(point)), ()
+    except RecursionError:
+        raise ValueError(f"a model of {n} variables is too deep for the recursive "
+                         "branch-and-bound") from None
+    finally:
+        del rec  # rec holds itself through its cell, and with it the levels and terms
     if best_val is None:
         return SolveResult("infeasible", None, None, nodes)
     return SolveResult("optimal", best_pt, _certify(model, best_pt, best_val), nodes)

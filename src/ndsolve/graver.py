@@ -2,10 +2,19 @@
 
 The Graver basis of an integer matrix A is the set of conformally minimal
 non-zero integer kernel vectors: x is conformal to y when they lie in the
-same orthant and |x_i| <= |y_i| coordinatewise.  The basis is computed by a
-completion procedure in the style of Pottier's normal-form algorithm, which
-starts from a lattice basis of the kernel and closes the set under conformal
-reduction of pairwise sums; the result is always complete.
+same orthant and |x_i| <= |y_i| coordinatewise.  In general the basis is
+computed by a completion procedure in the style of Pottier's normal-form
+algorithm, which starts from a lattice basis of the kernel and closes the
+set under conformal reduction of pairwise sums; the result is always
+complete.
+
+A node-arc incidence matrix, where each column has entries in {-1, +1} with
+at most one of each sign, is answered without the completion.  Such a matrix
+is totally unimodular, so its Graver basis is its set of circuits (Sturmfels,
+Groebner Bases and Convex Polytopes, 1996, Prop. 8.11), and the circuits of
+an incidence matrix are the signed simple cycles of its graph, which are
+listed directly.  The counter block L of the stacked sum-coloring model is
+such a matrix.
 
 The completion keeps each vector with its absolute values and its sign mask
 (one bit per positive and one per negative coordinate).  A conformal test
@@ -186,7 +195,10 @@ def _kernel_vectors_within(a: IntMatrix, cap: int, max_nodes: int):
                 partial[r] -= rows[r][d] * val
         vec[d] = 0
 
-    dfs(0)
+    try:
+        dfs(0)
+    finally:
+        del dfs  # it holds itself through its cell
     return out
 
 
@@ -280,13 +292,130 @@ def _pottier_completion(a: IntMatrix, max_elements: int):
     return _minimal_filter(e[0] for e in basis)
 
 
-def graver_basis(a: IntMatrix, max_elements: int = 200_000) -> GraverBasis:
-    """Compute the Graver basis of a by the completion procedure.
+def _incidence_arcs(a: IntMatrix):
+    """The arc (tail, head) of each column when a is a node-arc incidence
+    matrix, else None.
 
-    Exceeding ``max_elements`` raises BudgetError.
+    Nodes are the rows and a ground node m.  A column holds entries in
+    {-1, +1}, at most one of each sign: its -1 row is the tail, its +1 row
+    the head, and a missing end is the ground node, so that a zero column
+    is a loop at the ground node.  a is then the incidence matrix of that
+    graph less the ground row, which is minus the sum of the other rows, so
+    both have the same kernel.
+    """
+    ground = a.m
+    tail = [ground] * a.n
+    head = [ground] * a.n
+    for (r, c), v in a.entries:
+        if v == 1 and head[c] == ground:
+            head[c] = r
+        elif v == -1 and tail[c] == ground:
+            tail[c] = r
+        else:
+            return None
+    return list(zip(tail, head))
+
+
+def _reach(nbr, goal, avoid):
+    """Bitmask of the nodes joined to goal by a path that meets no node of
+    the mask avoid (goal included); nbr[w] is the neighbour mask of node w."""
+    seen = frontier = 1 << goal
+    while frontier:
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            new |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new & ~avoid & ~seen
+        seen |= frontier
+    return seen
+
+
+def _signed_cycles(arcs, nodes: int, max_elements: int):
+    """Both signs of the signed simple cycles of a graph on nodes 0..nodes-1.
+
+    A cycle traversed in one direction is the vector with +1 on its arcs
+    run from tail to head, -1 on those run backwards and 0 elsewhere; a
+    loop gives the unit vector of its arc.  Each cycle is found once, from
+    its smallest arc e0 = (t0, h0): a depth-first search over the larger
+    arcs for the paths from h0 back to t0 whose nodes are distinct.  It
+    steps only to nodes joined to t0 by the larger arcs through nodes not on
+    the path, so every branch it explores ends in a cycle.  With m + 1
+    nodes and n arcs, a search node costs one breadth-first search, O(m)
+    operations on node bitmasks, and a scan of its arcs, O(n); every search
+    node lies at most m + 1 levels above a cycle, and writing out a cycle
+    costs O(n), so the work is O(n (m + n)) for the starts and
+    O(m (m + n)) per element.  No recursion: the search keeps its own stack.
+    Stops with BudgetError as soon as the element count would pass
+    max_elements.
+    """
+    n = len(arcs)
+    adj = [[] for _ in range(nodes)]  # (x, e, sign of e run from w to x), e > e0
+    nbr = [0] * nodes  # neighbour masks over the same arcs
+    vec = [0] * n  # the signs of the current path's arcs
+    out = []
+
+    def emit():
+        if len(out) + 2 > max_elements:
+            raise BudgetError("Graver basis budget exceeded")
+        v = tuple(vec)
+        out.append(v)
+        out.append(_neg(v))
+
+    for e0 in range(n - 1, -1, -1):
+        t0, h0 = arcs[e0]
+        vec[e0] = 1
+        if t0 == h0:
+            emit()
+            vec[e0] = 0
+            continue
+        if nbr[t0] and nbr[h0]:
+            path = [(e0, h0)]  # (arc, node it leads to)
+            used = 1 << h0
+            reach = _reach(nbr, t0, used)
+            stack = [iter([s for s in adj[h0] if reach >> s[0] & 1])]
+            while stack:
+                step = next(stack[-1], None)
+                if step is None:
+                    stack.pop()
+                    e, x = path.pop()
+                    vec[e] = 0
+                    used ^= 1 << x
+                    continue
+                x, e, vec[e] = step
+                if x == t0:
+                    emit()
+                    vec[e] = 0
+                else:
+                    path.append((e, x))
+                    used |= 1 << x
+                    reach = _reach(nbr, t0, used)
+                    stack.append(iter([s for s in adj[x] if reach >> s[0] & 1]))
+        vec[e0] = 0
+        adj[t0].append((h0, e0, 1))
+        adj[h0].append((t0, e0, -1))
+        nbr[t0] |= 1 << h0
+        nbr[h0] |= 1 << t0
+    return out
+
+
+def graver_basis(a: IntMatrix, max_elements: int = 200_000) -> GraverBasis:
+    """Compute the Graver basis of a.
+
+    A node-arc incidence matrix (see _incidence_arcs) is totally unimodular,
+    and the Graver basis of a unimodular matrix is its set of circuits
+    (Sturmfels, Groebner Bases and Convex Polytopes, 1996, Prop. 8.11); the
+    circuits of an incidence matrix are the signed simple cycles of its
+    graph, which _signed_cycles lists.  Every other matrix goes through the
+    completion.  Exceeding ``max_elements`` raises BudgetError: for an
+    incidence matrix it bounds the basis, for the completion the set it
+    builds on the way.
     """
     if a.n == 0:
         return GraverBasis(a, frozenset())
+    arcs = _incidence_arcs(a)
+    if arcs is not None:
+        return GraverBasis(a, frozenset(_signed_cycles(arcs, a.m + 1, max_elements)))
     return GraverBasis(a, frozenset(_pottier_completion(a, max_elements)))
 
 

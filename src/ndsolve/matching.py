@@ -37,6 +37,9 @@ def max_bipartite_matching(left, adj, capacity):
                     return True
         return False
 
-    for l in sorted(left):
-        try_augment(l, set())
+    try:
+        for l in sorted(left):
+            try_augment(l, set())
+    finally:
+        del try_augment  # it holds itself through its cell
     return len(assigned), assigned

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import os
 import random
@@ -240,6 +241,24 @@ class TestRoutes:
         assert (code, out) == (3, _run(["nd", files[problem]])[1].split("class")[0])
         assert err == f"input error: route {spelled!r} does not fit problem {problem!r}\n"
 
+    def test_no_op_leaves_cyclic_garbage(self, files):
+        """Every route, every budget stop of a model route and the graver
+        command free all they built by reference counting: the recursive
+        closures drop their own cells when they return or raise."""
+        runs = [["solve", *_spelling(p, name), files[p]] for p, name in ROUTE_NAMES]
+        runs.append(["graver", "--stacking", files["sumcol"]])
+        stops = [["solve", *_spelling(p, name), "--budget", "1", files[p]] for p, name in ROUTE_NAMES
+                 if cli.ROUTES[p][1][name].kind == cli.MODEL and name != "graver/augment"]
+        stops.append(["graver", "--max-elements", "1", files["sumcol"]])
+        gc.collect()
+        gc.disable()
+        try:
+            left = [(argv, _run(argv)[0], gc.collect()) for argv in runs + stops]
+        finally:
+            gc.enable()
+        assert [code for _, code, _ in left] == [0] * len(runs) + [2] * len(stops)
+        assert [(argv, garbage) for argv, _, garbage in left if garbage] == []
+
     @pytest.mark.parametrize("flags, route", [
         (["--model", "nfold"], "nfold/boxed"),
         (["--model", "graver"], "graver/boxed"),
@@ -267,6 +286,19 @@ class TestGraver:
         assert main(["graver", "--stacking", p3_sumcol]) == 0
         out = capsys.readouterr().out
         assert "g1(L)" in out and "holds" in out
+
+    def test_max_elements_bounds_the_counter_basis(self, tmp_path):
+        """--max-elements bounds the basis of the counter block L, an
+        incidence matrix: |G(L)| finishes with the same lines, one less stops."""
+        graph = generate_blowup(random_template(random.Random(6), max_k=3, max_n=10), seed=6)
+        path = str(tmp_path / "blowup.txt")
+        write_instance(Instance(graph, "sumcol"), path)
+        code, out, err = _run(["graver", path])
+        assert (code, err) == (0, "")
+        assert "basis size 56" in out
+        assert _run(["graver", "--max-elements", "56", path]) == (0, out, "")
+        assert _run(["graver", "--max-elements", "55", path]) == (
+            2, "", "budget exhausted: Graver basis budget exceeded\n")
 
 
 class TestPairView:

@@ -303,16 +303,21 @@ class TestStacking:
         assert stacking_check(f, l).holds
 
 
-def acceptance_graver_matrices():
-    """The lower blocks and full matrices of the Graver sum-coloring models
-    of the acceptance gate's 200 sum-coloring instances (its criterion 2),
-    each distinct matrix once, in order of first appearance."""
-    out = {}
+def acceptance_graver_models():
+    """The Graver sum-coloring models of the acceptance gate's 200
+    sum-coloring instances (its criterion 2)."""
     for i in range(200):
         rng = random.Random(22_000 + i)
         template = random_template(rng, max_k=4, max_n=8, with_capacities=False, max_capacity=4)
         g = generate_blowup(template, seed=rng.randrange(2**30))
-        model = build_sumcol_graver(type_graph(g))
+        yield build_sumcol_graver(type_graph(g))
+
+
+def acceptance_graver_matrices():
+    """The lower blocks and full matrices of acceptance_graver_models, each
+    distinct matrix once, in order of first appearance."""
+    out = {}
+    for model in acceptance_graver_models():
         for matrix in (split_stacked_blocks(model)[1], model.matrix()):
             out.setdefault((matrix.m, matrix.n, matrix.entries), matrix)
     return list(out.values())
@@ -334,14 +339,16 @@ def test_acceptance_bases_are_pinned():
 
 
 # sha256 over the repr of the list of the smallest max_elements with which
-# graver_basis finishes on each matrix above (0 for a trivial kernel), as
+# the completion finishes on each matrix above (0 for a trivial kernel), as
 # computed when the completion queued and reduced both sums s and -s.
 PINNED_COMPLETION_BUDGETS_DIGEST = "2de6abc22804a033c95ce30bacf41abe126b7ab140de73bffeb46198563dc083"
 
 
 def test_acceptance_completion_budgets_are_pinned(monkeypatch):
     """The completion pushes the same elements in the same order, so it
-    stops at the same point: max_elements = size finishes, size - 1 raises."""
+    stops at the same point: max_elements = size finishes, size - 1 raises.
+    It is driven directly, incidence matrices included, which graver_basis
+    answers without it."""
     sizes = []
     minimal_filter = graver._minimal_filter
 
@@ -354,11 +361,103 @@ def test_acceptance_completion_budgets_are_pinned(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(graver, "_minimal_filter", recorded)
         for matrix in matrices:
-            graver_basis(matrix)
+            graver._pottier_completion(matrix, 200_000)
     assert len(sizes) == len(matrices)
     for matrix, size in zip(matrices, sizes):
-        graver_basis(matrix, max_elements=size)
+        graver._pottier_completion(matrix, size)
         if size:
             with pytest.raises(BudgetError):
-                graver_basis(matrix, max_elements=size - 1)
+                graver._pottier_completion(matrix, size - 1)
     assert hashlib.sha256(repr(sizes).encode()).hexdigest() == PINNED_COMPLETION_BUDGETS_DIGEST
+
+
+def test_acceptance_incidence_budgets_bound_the_basis():
+    """On an incidence matrix max_elements bounds the basis itself:
+    max_elements = |G| finishes, |G| - 1 raises."""
+    incidence = [m for m in acceptance_graver_matrices() if graver._incidence_arcs(m) is not None]
+    assert len(incidence) == 65
+    for matrix in incidence:
+        size = len(graver_basis(matrix))
+        assert graver_basis(matrix, max_elements=size).elements == graver_basis(matrix).elements
+        if size:
+            with pytest.raises(BudgetError, match="Graver basis budget exceeded"):
+                graver_basis(matrix, max_elements=size - 1)
+
+
+def test_every_counter_block_is_an_incidence_matrix():
+    for model in acceptance_graver_models():
+        assert graver._incidence_arcs(split_stacked_blocks(model)[1]) is not None
+
+
+def random_incidence_matrix(rng):
+    """1-4 rows, 1-8 columns: arcs between rows, arcs to the ground node (one
+    entry), zero columns (loops) and arcs parallel or antiparallel to an
+    earlier one."""
+    m, n = rng.randint(1, 4), rng.randint(1, 8)
+    cols = []
+    for j in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            cols.append({})
+        elif kind < 0.3 and cols:
+            sign = rng.choice((1, -1))
+            cols.append({r: sign * v for r, v in rng.choice(cols).items()})
+        else:
+            rows = rng.sample(range(m), min(m, rng.choice((1, 2, 2))))
+            cols.append(dict(zip(rows, rng.sample((1, -1), len(rows)))))
+    return IntMatrix.from_dict(m, n, {(r, j): v for j, col in enumerate(cols) for r, v in col.items()})
+
+
+class TestSignedCycles:
+    def test_random_incidence_matrices_agree_with_completion_and_enumeration(self, monkeypatch):
+        completion = graver._pottier_completion
+        calls = []
+        monkeypatch.setattr(graver, "_pottier_completion", lambda a, k: calls.append(a) or completion(a, k))
+        rng = random.Random(2021)
+        kinds = set()
+        for _ in range(300):
+            a = random_incidence_matrix(rng)
+            arcs = graver._incidence_arcs(a)
+            assert arcs is not None
+            kinds.update("loop" if t == h else "ground" if a.m in (t, h) else "inner" for t, h in arcs)
+            links = [frozenset(arc) for arc in arcs if arc[0] != arc[1]]
+            if len(set(links)) < len(links):
+                kinds.add("parallel")
+            b = graver_basis(a)
+            b.validate()
+            assert b.elements == frozenset(completion(a, 10**6))
+            # a totally unimodular matrix has a basis of infinity-norm 1
+            assert b.elements == graver_by_enumeration(a, 1)
+        assert calls == []
+        assert kinds == {"loop", "ground", "inner", "parallel"}
+
+    @pytest.mark.parametrize("rows", [
+        [[1, -1, 2], [0, 1, -1]],  # one 2 entry
+        [[1, 1, 0], [-1, 0, -2]],  # one -2 entry
+        [[1, -1, 0], [1, 0, 1]],  # two +1 in one column
+        [[-1, 1, 0], [-1, 0, 1]],  # two -1 in one column
+    ])
+    def test_near_misses_take_the_completion(self, rows, monkeypatch):
+        completion = graver._pottier_completion
+        calls = []
+        monkeypatch.setattr(graver, "_pottier_completion", lambda a, k: calls.append(a) or completion(a, k))
+        a = IntMatrix.from_rows(rows)
+        assert graver._incidence_arcs(a) is None
+        b = graver_basis(a)
+        assert calls == [a]
+        b.validate()
+        assert b.elements == graver_by_enumeration(a, g_inf_norm(b) + 1)
+
+    def test_parallel_arcs_and_loops(self):
+        # arcs 0 and 2 run ground -> row 0, arc 1 back; column 3 is a loop
+        b = graver_basis(IntMatrix.from_rows([[1, -1, 1, 0]]))
+        assert b.elements == {
+            (1, 1, 0, 0), (-1, -1, 0, 0), (0, 1, 1, 0), (0, -1, -1, 0),
+            (1, 0, -1, 0), (-1, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, -1),
+        }
+
+    def test_budget_counts_both_signs(self):
+        a = IntMatrix.from_rows([[1, -1, 1, 0]])
+        assert len(graver_basis(a, max_elements=8)) == 8
+        with pytest.raises(BudgetError):
+            graver_basis(a, max_elements=7)
