@@ -10,17 +10,18 @@ guard.
 On top of the LP relaxation of the linear domination model (relax_model:
 the model's own integer rows over its finite boxes, minimized, which
 lp.solve_lp answers as optimal or infeasible) sit the polynomial-time
-routines: a proximity search that enumerates the integer
-points around the fractional optimum (each coordinate within k^2, clamped
-to the class size) and keeps the best decodable one, and a rounding scheme
-that rounds the served-counts up, takes per class the cheapest prefix with
-enough capacity, pins a class to its full size whenever its capacity cannot
-keep up, and re-solves; after at most k pins the rounding succeeds.
+routines: a proximity search for the smallest decodable class sizes in the
+box around the fractional optimum (each coordinate within k^2, clamped to
+the class size), and a rounding scheme that rounds the served-counts up,
+takes per class the cheapest prefix with enough capacity, pins a class to
+its full size whenever its capacity cannot keep up, and re-solves; after
+at most k pins the rounding succeeds.
 
 These two are the CDS routes that run in f(k) poly(n).  Each LP has O(k^2)
-variables and k rows plus one per distinct capacity of a class; proximity
-tests its candidates on the type graph (models.cds_type_decodable, O(2^k)
-each) and decodes only the winner, and rounding decodes once, so each
+variables and k rows plus one per distinct capacity of a class.  Proximity
+searches its box with backends.solve_boxed on a k-variable model whose one
+convex row is the Hall conditions (models.cds_hall_row, O(2^k) per test),
+and decodes only the optimum it returns; rounding decodes once, so each
 makes one vertex-level matching.  The ilp and convex models under
 solve_boxed are exact cross-checks, not such routes: their
 branch-and-bound branches over the y variables, whose boxes grow with the
@@ -33,20 +34,19 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from operator import countOf
 
+from .backends import solve_boxed
 from .graphs import Graph, TypeGraph, twin_partition
-from .ipmodel import MIN, Linear
+from .ipmodel import MIN, IpModel, Linear
 from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
 from .models import (
     CdsSolution,
     _match_subset,
     build_cds_ilp,
-    cds_hall_sets,
+    cds_hall_row,
     cds_pairs,
-    cds_type_decodable,
     check_coloring,
     decode_cds,
 )
@@ -56,7 +56,6 @@ COLORING_SIZE_GUARD = 9
 CUT_SIZE_GUARD = 10
 
 __all__ = [
-    "ProximityBox",
     "capacity_reorder",
     "cds_brute",
     "cds_proximity_solve",
@@ -285,65 +284,39 @@ def relax_model(model, pins=None) -> LpProblem:
     return LpProblem.make(model.objective.coeffs, model.rows, lower, upper)
 
 
-@dataclass(frozen=True)
-class ProximityBox:
-    """Per-coordinate integer ranges around the fractional class sizes."""
-
-    lo: tuple
-    hi: tuple
-
-    def ranges(self):
-        return [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
-
-
-def proximity_box(t: TypeGraph, lp_point) -> ProximityBox:
+def proximity_box(t: TypeGraph, lp_point):
+    """Per-class integer bounds (lo, hi) around the fractional class sizes:
+    each within k^2 of the relaxation, clamped to [0, w_i]."""
     ksq = t.k * t.k
     lo = tuple(max(0, math.floor(lp_point[i]) - ksq) for i in range(t.k))
     hi = tuple(min(t.weights[i], math.ceil(lp_point[i]) + ksq) for i in range(t.k))
-    return ProximityBox(lo, hi)
+    return lo, hi
 
 
 def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
-    """Enumerate capacity-ordered candidates inside the proximity box around
-    the relaxation optimum; decode the smallest decodable one.
+    """The smallest class sizes inside the proximity box around the
+    relaxation optimum that pass the Hall conditions, decoded.
 
-    Candidates x are visited in lexicographic order, and one replaces the
-    incumbent only when it is strictly smaller, so the first smallest
-    decodable x wins.  Each is tested on the type graph by
-    cds_type_decodable (2^k - 1 Hall conditions, precomputed once per
-    solve), never by a vertex-level matching: only the winner goes through
-    decode_cds.  Its cost is one LP over O(k^2) variables and at most
-    (2k^2 + 2)^k tests of O(2^k) each, so f(k) poly(n).
+    solve_boxed searches the box on a k-variable model: minimize sum x with
+    no rows and one convex row, models.cds_hall_row.  It returns the
+    lexicographically smallest optimum, the first smallest decodable x, and
+    certifies it.  Candidates are tested on the type graph, O(2^k) each,
+    never by a vertex-level matching: only the optimum goes through
+    decode_cds.  Its cost is one LP over O(k^2) variables and a search of a
+    box of at most (2k^2 + 2)^k points, so f(k) poly(n).
     """
     res = solve_lp(relax_model(build_cds_ilp(t)))
     if not res.optimal:
         raise RuntimeError("domination relaxation must be feasible and bounded")
-    box = proximity_box(t, res.point)
-    hall_sets = cds_hall_sets(t)
-    best = [math.inf, None]  # size and class sizes of the incumbent
-
-    def rec(i, prefix, total):
-        if total >= best[0]:
-            return
-        if i == t.k:
-            if cds_type_decodable(t, hall_sets, prefix):
-                best[:] = total, tuple(prefix)
-            return
-        for v in range(box.lo[i], box.hi[i] + 1):
-            prefix.append(v)
-            rec(i + 1, prefix, total + v)
-            prefix.pop()
-
-    try:
-        rec(0, [], 0)
-    finally:
-        del rec  # it holds itself through its cell
-    x = best[1]
-    if x is None:
+    lo, hi = proximity_box(t, res.point)
+    box = IpModel(sense=MIN, objective=Linear((1,) * t.k), n_vars=t.k, lower=lo, upper=hi,
+                  rows=(), convex_rows=(cds_hall_row(t),))
+    found = solve_boxed(box)
+    if not found.optimal:
         raise RuntimeError("no valid point inside the proximity box")
-    sol = decode_cds(t, g, x)
+    sol = decode_cds(t, g, found.point)
     if sol is None:
-        raise RuntimeError(f"class sizes {list(x)} pass the type-level check but do not decode")
+        raise RuntimeError(f"class sizes {list(found.point)} pass the Hall conditions but do not decode")
     return sol
 
 

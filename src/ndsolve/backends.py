@@ -531,9 +531,10 @@ _BASIS_CACHE = {}
 
 
 def cached_graver_basis(matrix):
-    """Completion-computed basis, memoized on the exact matrix.  Every entry
-    is computed under graver_basis's default element budget, so a hit
-    answers the call it would have made."""
+    """graver_basis of the matrix (the signed simple cycles of a node-arc
+    incidence matrix, the completion for any other), memoized on the exact
+    matrix.  Every entry is computed under graver_basis's default element
+    budget, so a hit answers the call it would have made."""
     key = (matrix.m, matrix.n, matrix.entries)
     hit = _BASIS_CACHE.get(key)
     if hit is None:
@@ -550,8 +551,9 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
 
     Needs equality rows only and a linear objective, or a separable convex
     one under MIN.
-    The basis is computed by the completion procedure (and cached: models
-    built from the same type-graph shape share their matrix).
+    The basis comes from cached_graver_basis: the signed simple cycles when
+    the matrix is a node-arc incidence matrix, else the completion, cached
+    because models built from the same type-graph shape share their matrix.
     """
     model.validate()
     budget = budget or Budget()

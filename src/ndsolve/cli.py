@@ -120,7 +120,8 @@ class Route:
             labels = decode_coloring(t, g, x, model.tag) if sumcol else decode_partition(t, g, x)
             yield "witness: " + " ".join(f"{v + 1}:{labels[v]}" for v in range(g.n))
         elif (sol := decode_cds(t, g, x)) is None:
-            yield "witness: undecodable"
+            # a point of either cds model meets the Hall conditions, so it decodes
+            raise RuntimeError(f"{self.model}/{self.method} optimum {list(x[:t.k])} does not decode")
         else:
             pairs = " ".join(f"{a + 1}->{b + 1}" for a, b in sol.assignment)
             yield f"witness: {_dominators(sol)} {pairs}"
@@ -350,7 +351,8 @@ COMMANDS = {
     "verify": Command(cmd_verify, "cross-check models against the oracle", (FILE,)),
     "graver": Command(cmd_graver, "Graver diagnostics for the stacked matrix", (
         FILE,
-        Arg("--stacking", switch=True),
+        Arg("--stacking", switch=True, help="also check the stacked matrix; a general completion "
+            "on F.G(L), which may not finish from k = 3 on"),
         Arg("--max-elements", type=int, default=200_000),
     )),
     "bench": Command(cmd_bench, "bulk seeded run", (

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 from .graphs import CLIQUE, Graph, TypeGraph, domination_capacity
 from .ipmodel import (
@@ -59,7 +59,7 @@ __all__ = [
     "build_sumcol_graver",
     "build_sumcol_nfold",
     "cds_hall_sets",
-    "cds_type_decodable",
+    "cds_hall_row",
     "column_cost",
     "decode_cds",
     "decode_coloring",
@@ -215,7 +215,7 @@ def cds_hall_sets(t: TypeGraph):
     """The 2^k sets S of classes, as bitmasks s, each with its type
     neighbourhood N_t(S), loops included: entry s is (s without its lowest
     class j, j, the bitmask of N_t(S)), and entry 0 is the empty set.  The
-    conditions of cds_type_decodable, built once per type graph."""
+    conditions of cds_hall_row, built once per type graph."""
     table = [(0, -1, 0)]
     for s in range(1, 1 << t.k):
         low = s & -s
@@ -227,10 +227,13 @@ def cds_hall_sets(t: TypeGraph):
     return tuple(table)
 
 
-def cds_type_decodable(t: TypeGraph, hall_sets, point) -> bool:
-    """Whether decode_cds(t, g, point) finds an assignment, decided on the
-    type graph: for every set S of classes (hall_sets = cds_hall_sets(t)),
-    sum_{j in S} (w_j - x_j) <= sum_{i in N_t(S)} f_i(x_i).
+def cds_hall_row(t: TypeGraph) -> ConvexRow:
+    """The Hall conditions of CDS class sizes x as one convex row over the
+    k class variables: fn(x) is the largest violation, over every set S of
+    classes (cds_hall_sets(t)), of
+    sum_{j in S} (w_j - x_j) <= sum_{i in N_t(S)} f_i(x_i),
+    0 for the empty set, so fn(x) <= 0 iff decode_cds(t, g, x) finds an
+    assignment.
 
     Proof.  An outside vertex of class j and a dominator of class i are
     adjacent iff i is in N_t(j): across classes by the type edge, inside a
@@ -245,24 +248,34 @@ def cds_type_decodable(t: TypeGraph, hall_sets, point) -> bool:
     (max-flow min-cut, with integral flows) it exists iff the inequality
     holds for every S.
 
+    box_min(lo, hi) = fn(hi) is the least fn on the box.  Raising one x_i
+    lowers the demand w_i - x_i of every S holding i and, as capacities are
+    >= 0, does not lower the prefix sum f_i(x_i) of any N_t(S) holding i,
+    so every violation, and with it their maximum, is nonincreasing in
+    every coordinate.
+
     Both sides are summed over all 2^k bitmasks, each from the entry
-    without its lowest class: O(2^k) per point, independent of n.
+    without its lowest class: O(2^k) per point, independent of n.  A point
+    outside the class bounds raises DecodeError.
     """
-    prefix = t.capacity_prefix
-    need = []
-    supply = []
-    for i, (x_i, w_i) in enumerate(zip(point, t.weights)):
-        if not 0 <= x_i <= w_i:
-            raise DecodeError(f"x_{i}={x_i} outside class bounds")
-        need.append(w_i - x_i)
-        supply.append(prefix[i][x_i])
-    need_sum = [0] * len(hall_sets)
-    supply_sum = [0] * len(hall_sets)
-    for s in range(1, len(hall_sets)):
-        rest, j, _ = hall_sets[s]
-        need_sum[s] = need_sum[rest] + need[j]
-        supply_sum[s] = supply_sum[rest] + supply[j]
-    return all(d <= supply_sum[nbrs] for d, (_, _, nbrs) in zip(need_sum, hall_sets))
+    hall_sets = cds_hall_sets(t)
+    weights, prefix = t.weights, t.capacity_prefix
+    steps = tuple((rest, j, weights[j], prefix[j]) for rest, j, _ in hall_sets[1:])
+    nbrs = tuple(nb for _, _, nb in hall_sets)
+
+    def fn(point):
+        for j, (x_j, w_j) in enumerate(zip(point, weights)):
+            if not 0 <= x_j <= w_j:
+                raise DecodeError(f"x_{j}={x_j} outside class bounds")
+        need = [0]
+        supply = [0]
+        for rest, j, w_j, f_j in steps:
+            x_j = point[j]
+            need.append(need[rest] + w_j - x_j)
+            supply.append(supply[rest] + f_j[x_j])
+        return max(map(sub, need, map(supply.__getitem__, nbrs)))
+
+    return ConvexRow(fn, lambda lo, hi: fn(hi), name="hall")
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +301,16 @@ class ColorClassCatalog:
     """Independent sets of the type graph with their color-class sizes.
 
     sigma[i] is the number of vertices a color class of shape sets[i]
-    contains.  gamma lists the distinct sizes ("critical sizes"); succ/zeta
-    follow the successor convention succ(max) = max.  gap_below[i] is
-    gamma[i] - gamma[i-1] (gamma[0] for i = 0): the number of histogram
-    columns whose height equals the counter of critical size gamma[i], which
-    is the weight the separable objective puts on that counter.
+    contains.  gamma lists the distinct sizes ("critical sizes").
+    gap_below[i] is gamma[i] - gamma[i-1] (gamma[0] for i = 0): the number
+    of histogram columns whose height equals the counter of critical size
+    gamma[i], which is the weight the separable objective puts on that
+    counter.
     """
 
     sets: tuple
     sigma: tuple
     gamma: tuple
-    succ: tuple
-    zeta: tuple
     gap_below: tuple
 
     @property
@@ -319,15 +330,10 @@ def build_catalog(t: TypeGraph) -> ColorClassCatalog:
     sets.sort()
     sigma = tuple(sum(1 if t.kinds[i] == CLIQUE else t.weights[i] for i in s) for s in sets)
     gamma = tuple(sorted(set(sigma)))
-    succ = tuple(
-        gamma[idx + 1] if idx + 1 < len(gamma) else gamma[idx]
-        for idx in range(len(gamma))
-    )
-    zeta = tuple(s - g for s, g in zip(succ, gamma))
     gap_below = tuple(
         gamma[idx] - (gamma[idx - 1] if idx else 0) for idx in range(len(gamma))
     )
-    return ColorClassCatalog(tuple(sets), sigma, gamma, succ, zeta, gap_below)
+    return ColorClassCatalog(tuple(sets), sigma, gamma, gap_below)
 
 
 def _catalog_upper_bounds(t, cat):
@@ -373,10 +379,11 @@ def build_sumcol_graver(t: TypeGraph) -> IpModel:
     """The catalog model with chained size counters z_i, i in Gamma.
 
     Row block F holds the covering rows (zero columns for z); block L holds
-    the counter recurrence z_i = z_succ(i) + sum of x_I with sigma(I) = i,
-    one row per critical size in increasing order.  The z columns are laid
-    out in decreasing critical size, so each one is pinned as soon as it is
-    reached in the fixed branching order.
+    the counter recurrence z_i = z_i' + sum of x_I with sigma(I) = i, i' the
+    next larger critical size (no z_i' for the largest), one row per
+    critical size in increasing order.  The z columns are laid out in
+    decreasing critical size, so each one is pinned as soon as it is reached
+    in the fixed branching order.
     """
     cat = build_catalog(t)
     nx = cat.size

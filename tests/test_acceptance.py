@@ -175,9 +175,9 @@ def test_criterion_5_proximity_box_contains_ordered_optimum():
     for rec in cds_results():
         g, t = rec["g"], rec["t"]
         opt = rec["brute"].size
-        box = proximity_box(t, rec["lp"].point)
+        lo, hi = proximity_box(t, rec["lp"].point)
         found = False
-        for xhat in itertools.product(*box.ranges()):
+        for xhat in itertools.product(*map(range, lo, (h + 1 for h in hi))):
             if sum(xhat) == opt and decode_cds(t, g, xhat) is not None:
                 found = True
                 break

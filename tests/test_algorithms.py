@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,8 +29,8 @@ from ndsolve.instances import generate_blowup, random_template
 from ndsolve.models import (
     CdsSolution,
     build_cds_ilp,
+    cds_hall_row,
     cds_hall_sets,
-    cds_type_decodable,
     decode_cds,
 )
 
@@ -285,10 +286,10 @@ class TestProximity:
         g = random_cds_graph(seed)
         t = type_graph(g)
         res = solve_lp(relax_model(build_cds_ilp(t)))
-        box = proximity_box(t, res.point)
+        lo, hi = proximity_box(t, res.point)
         opt = cds_brute(g).size
         found = False
-        for xhat in itertools.product(*box.ranges()):
+        for xhat in itertools.product(*map(range, lo, (h + 1 for h in hi))):
             if sum(xhat) == opt and decode_cds(t, g, xhat) is not None:
                 found = True
                 break
@@ -319,9 +320,54 @@ class TestProximity:
         with pytest.raises(RuntimeError, match="do not decode"):
             cds_proximity_solve(t, g)
 
+    def test_empty_instance_takes_the_empty_point(self):
+        g = Graph.from_edges(0, [], [])
+        t = type_graph(g)
+        assert t.k == 0 and proximity_box(t, ()) == ((), ())
+        sol = cds_proximity_solve(t, g)
+        assert sol.dominators == frozenset() and sol.assignment == ()
+
+    def test_box_search_is_the_first_smallest_decodable_point(self):
+        # the plain enumeration the branch-and-bound replaces: the
+        # lexicographically first x of least sum x that decodes
+        sizes = Counter()
+        for seed in range(240):
+            rng = random.Random(31_000 + seed)
+            template = random_template(rng, max_k=5, max_n=12, with_capacities=True, max_capacity=4)
+            g = generate_blowup(template, seed=rng.randrange(2**30))
+            t = type_graph(g)
+            sizes[t.k] += 1
+            lo, hi = proximity_box(t, solve_lp(relax_model(build_cds_ilp(t))).point)
+            want = min(
+                (x for x in itertools.product(*map(range, lo, (h + 1 for h in hi)))
+                 if decode_cds(t, g, x) is not None),
+                key=sum,
+            )
+            assert cds_proximity_solve(t, g) == decode_cds(t, g, want), (g, want)
+        assert sum(sizes.values()) == 240 and sizes[5] >= 20
+
+    def test_hall_row_box_min_is_admissible(self):
+        # box_min(lo, hi) <= fn(x) for every x of random sub-boxes
+        checked = 0
+        for seed in range(200):
+            rng = random.Random(32_000 + seed)
+            template = random_template(rng, max_k=5, max_n=12, with_capacities=True, max_capacity=4)
+            g = generate_blowup(template, seed=rng.randrange(2**30))
+            t = type_graph(g)
+            row = cds_hall_row(t)
+            for _ in range(3):
+                ends = [sorted((rng.randint(0, w), rng.randint(0, w))) for w in t.weights]
+                lo, hi = [a for a, _ in ends], [b for _, b in ends]
+                least = row.box_min(lo, hi)
+                for x in itertools.product(*map(range, lo, (h + 1 for h in hi))):
+                    assert least <= row.fn(x), (g, lo, hi, x)
+                    checked += 1
+        assert checked >= 2_000
+
 
 class TestTypeLevelCheck:
-    """cds_type_decodable against the vertex-level matching of decode_cds."""
+    """The Hall row of cds_hall_row against the vertex-level matching of
+    decode_cds."""
 
     def test_agrees_with_decode_on_every_point(self):
         vectors = outcomes = 0
@@ -333,9 +379,9 @@ class TestTypeLevelCheck:
             t = type_graph(g)
             zero_capacity += 0 in g.capacity
             self_serving += any(t.loop_at(i) for i in range(t.k))
-            hall_sets = cds_hall_sets(t)
+            fn = cds_hall_row(t).fn
             for x in itertools.product(*(range(w + 1) for w in t.weights)):
-                ok = cds_type_decodable(t, hall_sets, x)
+                ok = fn(x) <= 0
                 assert ok == (decode_cds(t, g, x) is not None), (g, x)
                 vectors += 1
                 outcomes += ok
@@ -349,12 +395,18 @@ class TestTypeLevelCheck:
         assert t.k == 2 and t.loop_at(0) and not t.loop_at(1)
         # bitmask 1 = {0} -> N = {0, 1}; 2 = {1} -> {0}; 3 = {0, 1} -> {0, 1}
         assert cds_hall_sets(t) == ((0, -1, 0), (0, 0, 0b11), (0, 1, 0b01), (2, 0, 0b11))
+        # f_0 = (0, 1, 2), f_1 = (0, 5, 5): at x = (0, 0) all four vertices
+        # are outside with no dominator; class 1 is served by class 0 only,
+        # so at (0, 1) its outside vertex has none, and at (1, 1) one
+        row = cds_hall_row(t)
+        assert row.fn((0, 0)) == 4 and row.fn((0, 1)) == 1 and row.fn((1, 1)) == 0
+        assert row.box_min((0, 0), (2, 1)) == row.fn((2, 1)) == 0
 
     def test_out_of_bounds_point_is_rejected(self):
         g = star_graph(2, capacity=[2, 0, 0])
         t = type_graph(g)
         with pytest.raises(ValueError, match="outside class bounds"):
-            cds_type_decodable(t, cds_hall_sets(t), (2, 0))
+            cds_hall_row(t).fn((2, 0))
 
 
 class TestRounding:

@@ -90,6 +90,14 @@ class TestSolve:
         second = capsys.readouterr().out
         assert "value: 1" in first and "value: 1" in second
 
+    @pytest.mark.parametrize("model", ["convex", "ilp"])
+    def test_undecodable_model_optimum_raises(self, star_cds, model, monkeypatch, capsys):
+        # a cds model optimum always decodes, so a failure is an internal fault
+        monkeypatch.setattr(cli, "decode_cds", lambda t, g, x: None)
+        with pytest.raises(RuntimeError, match=f"{model}/boxed optimum .* does not decode"):
+            main(["solve", "--model", model, star_cds])
+        assert "witness" not in capsys.readouterr().out
+
     def test_invalid_witness_raises(self, star_cds, monkeypatch):
         monkeypatch.setattr(cli, "check_cds", lambda g, sol: False)
         with pytest.raises(RuntimeError, match="proximity returned an invalid dominating set"):
@@ -430,7 +438,8 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --stacking
+  --stacking            also check the stacked matrix; a general completion on
+                        F.G(L), which may not finish from k = 3 on
   --max-elements MAX_ELEMENTS
 """,
     "bench": """\

@@ -110,10 +110,12 @@ def test_sumcol_nfold_bricks_are_class_slots(n):
     assert bricks == sum(class_slots(t, i) for i in range(t.k)) == 2 * (n // 3) + 1
 
 
-# (type-level candidate tests, value) of cds_proximity_solve.  Before the
-# type-level check, each candidate went through a vertex-level matching:
-# 181, 1,309 and 1,324 of them at n = 30, 75 and 150 (8.3 s at n = 150).
-PROXIMITY = {30: (180, 9), 75: (1308, 21), 150: (1323, 42)}
+# (solve_boxed nodes, value) of cds_proximity_solve's one box search, each
+# node a candidate box tested on the type graph.  Its own enumeration
+# before tested 180, 1,308 and 1,323 candidates at n = 30, 75 and 150, and
+# before the type-level check each went through a vertex-level matching
+# (8.3 s at n = 150).
+PROXIMITY = {30: (35, 9), 75: (80, 21), 150: (164, 42)}
 
 
 def record_calls(monkeypatch, owner, *names):
@@ -130,13 +132,14 @@ def record_calls(monkeypatch, owner, *names):
 
 @pytest.mark.parametrize("n", sorted(PROXIMITY))
 def test_cds_proximity_tests_candidates_on_the_type_graph(n, monkeypatch):
-    calls = record_calls(monkeypatch, algorithms, "cds_type_decodable", "decode_cds")
+    calls = record_calls(monkeypatch, algorithms, "solve_boxed", "decode_cds")
     g = ladder_graph(n, capacities=(2, 1, 3))
     t = type_graph(g)
     sol = cds_proximity_solve(t, g)
     ceiling, value = PROXIMITY[n]
     assert len(calls["decode_cds"]) == 1
-    assert len(calls["cds_type_decodable"]) <= ceiling
+    [search] = calls["solve_boxed"]
+    assert search.nodes <= ceiling and search.value == value
     assert sol.size == value and check_cds(g, sol)
     if n <= 30:
         assert solve_boxed(build_cds_ilp(t), LADDER_BUDGET).value == value
@@ -154,12 +157,12 @@ def solve_default(tmp_path, problem, capacities=None, n=150):
 
 def test_cds_default_route_is_proximity(tmp_path, monkeypatch):
     # the default's rung: ilp/boxed stops at a 2M-node budget on this file
-    calls = record_calls(monkeypatch, algorithms, "cds_type_decodable", "decode_cds")
+    calls = record_calls(monkeypatch, algorithms, "solve_boxed", "decode_cds")
     lines = solve_default(tmp_path, "cds", capacities=(2, 1, 3))
     assert lines[2].startswith("algo: proximity value: 42 witness: D={")
     assert lines[3] == "nodes: 0 millis: 0"
     assert len(calls["decode_cds"]) == 1
-    assert len(calls["cds_type_decodable"]) <= PROXIMITY[150][0]
+    assert [res.nodes <= PROXIMITY[150][0] for res in calls["solve_boxed"]] == [True]
 
 
 def test_sumcol_default_route_is_graver_augment(tmp_path, monkeypatch):

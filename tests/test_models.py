@@ -162,8 +162,6 @@ class TestCatalog:
         assert cat.sets == ((0,), (1,))  # the cross edge kills {0,1}
         assert sorted(cat.sigma) == [1, 3]
         assert cat.gamma == (1, 3)
-        assert cat.succ == (3, 3)
-        assert cat.zeta == (2, 0)
         assert cat.gap_below == (1, 2)
 
     def test_loops_do_not_block_membership(self):
