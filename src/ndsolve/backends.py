@@ -16,10 +16,13 @@ finds those of convex terms, and the box ends those of the negated, so
 concave, terms of a MAX objective.  Quadratic and general convex
 objectives do not separate, so their partial sum is 0 and the hook alone
 bounds the whole objective, at every variable but the last, whose leaves
-evaluate the objective itself; without a hook they are enumerated.  A value
-is dropped when its bound is >= the incumbent, the same strict rule that
-keeps the first optimum found, so the lexicographically smallest optimum is
-returned with or without the hook.  solve_boxed takes every model.
+evaluate the objective itself; without a hook they are enumerated.  The
+hooks are the models' own: max-q-cut's, the n-fold colouring model's, and
+models.catalog_remainder_bound, which the general convex catalog model and
+the stacked one, whose catalog terms are 0, share.  A value is dropped when
+its bound is >= the incumbent, the same strict rule that keeps the first
+optimum found, so the lexicographically smallest optimum is returned with
+or without the hook.  solve_boxed takes every model.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
 annotation.  Each step is a brick DP over the moves within the box, keeping

@@ -348,9 +348,93 @@ def _catalog_rows(t, cat):
     return rows
 
 
+def catalog_remainder_bound(t: TypeGraph, cat: ColorClassCatalog):
+    """The remainder hook of both catalog models: a lower bound on the
+    column cost sum_g gap_g * cc(z_g) of every completion of point[:depth],
+    z_g = sum of x_j over the entries j with sigma_j >= g, the catalog
+    entries being the first cat.size variables.  Past them it returns 0.
+
+    At depth d <= cat.size the entries j < d are fixed.  Let
+    - A_g = sum of x_j over j < d with sigma_j >= g, the height fixed so far;
+    - r_i = class_slots(t, i) - sum of x_j over j < d with i in I_j, the
+      slots of class i still uncovered;
+    - F_g = the classes that lie in some entry j >= d and whose entries
+      j >= d all have sigma_j >= g.
+    The bound is sum_g gap_g * cc(A_g + max(0, max of r_i over F_g)).
+
+    Proof.  Take a completion that satisfies the covering rows.  Row i says
+    sum of x_j over j >= d with i in I_j equals r_i.  For i in F_g each such
+    entry counts toward z_g, and every x_j >= 0, so z_g >= A_g + r_i; and
+    z_g >= A_g >= 0 always.  cc increases on y >= 0 and every gap_g is > 0,
+    so each term, and with it the sum, is at most the completion's cost.
+    So the bound is admissible for the general convex model, whose hook
+    bounds the whole objective.  In the stacked model the catalog entries'
+    terms are 0, so while depth <= cat.size the fixed prefix costs 0 and the
+    same value bounds the remainder; past the entries only counter terms
+    cc(z) * gap >= 0 remain, so 0 is admissible there.  At depth cat.size
+    every F_g is empty and every A_g is z_g: the bound is the exact cost.
+
+    The tables, the class slots, per entry its members and critical-size
+    index, and per depth the classes with a later entry and the index of
+    their least later size, are built on the first call in O(|catalog| * k), so a model that is
+    never searched does not pay for them.  A call is O(depth * k + |Gamma|).
+    """
+    nx = cat.size
+    kgam = len(cat.gamma)
+    tables = None
+
+    def build_tables():
+        # critical sizes are indexed in decreasing order, so the heights
+        # and the forced slots accumulate in one forward pass
+        rank = {g: kgam - 1 - gi for gi, g in enumerate(cat.gamma)}
+        entries = tuple(zip(cat.sets, (rank[s] for s in cat.sigma)))
+        least = [None] * t.k  # the largest rank (least size) of a later entry
+        forced = [()] * (nx + 1)
+        for d in range(nx - 1, -1, -1):
+            members, gd = entries[d]
+            for i in members:
+                if least[i] is None or gd > least[i]:
+                    least[i] = gd
+            forced[d] = tuple((gd, i) for i, gd in enumerate(least) if gd is not None)
+        slots = [class_slots(t, i) for i in range(t.k)]
+        return slots, entries, forced, cat.gap_below[::-1]
+
+    def bound(point, depth):
+        nonlocal tables
+        if depth > nx:
+            return 0
+        if tables is None:
+            tables = build_tables()
+        slots, entries, forced, gaps = tables
+        r = slots[:]
+        heights = [0] * kgam
+        for x, (members, gd) in zip(point[:depth], entries):
+            if x:
+                heights[gd] += x
+                for i in members:
+                    r[i] -= x
+        tops = [0] * kgam
+        for gd, i in forced[depth]:
+            if r[i] > tops[gd]:
+                tops[gd] = r[i]
+        total = height = top = 0
+        for h, tp, gap in zip(heights, tops, gaps):
+            height += h
+            if tp > top:
+                top = tp
+            y = height + top
+            total += gap * (y * (y + 1) // 2)  # gap * column_cost(y)
+        return total
+
+    return bound
+
+
 def build_sumcol_convex(t: TypeGraph) -> IpModel:
     """One variable per catalog entry; the cost is evaluated through the at
-    most 2^k distinct column heights."""
+    most 2^k distinct column heights.  The objective does not separate, so
+    the search is bounded by catalog_remainder_bound alone: the column
+    heights fixed so far, each raised by the most slots still uncovered in a
+    class whose later entries all reach that height."""
     cat = build_catalog(t)
     n = cat.size
     rows = _catalog_rows(t, cat)
@@ -372,6 +456,7 @@ def build_sumcol_convex(t: TypeGraph) -> IpModel:
         upper=tuple(_catalog_upper_bounds(t, cat)),
         rows=tuple(rows),
         tag="sumcol_convex",
+        remainder_bound=catalog_remainder_bound(t, cat),
     ).validate()
 
 
@@ -383,7 +468,9 @@ def build_sumcol_graver(t: TypeGraph) -> IpModel:
     next larger critical size (no z_i' for the largest), one row per
     critical size in increasing order.  The z columns are laid out in
     decreasing critical size, so each one is pinned as soon as it is reached
-    in the fixed branching order.
+    in the fixed branching order.  The x terms are 0 and the z columns come
+    last, so over the x columns only catalog_remainder_bound bounds a
+    search.
     """
     cat = build_catalog(t)
     nx = cat.size
@@ -438,6 +525,7 @@ def build_sumcol_graver(t: TypeGraph) -> IpModel:
         stacked=StackedBlocks(f_rows=t.k, l_rows=kgam),
         tag="sumcol_graver",
         initial_point=tuple(x0),
+        remainder_bound=catalog_remainder_bound(t, cat),
     ).validate()
 
 

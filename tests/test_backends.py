@@ -265,11 +265,11 @@ class TestSolveBoxed:
         assert solve_boxed(m).nodes == 1 + 5 + 25
 
     def test_convex_catalog_searches_keep_their_node_count(self):
-        # the sum-coloring catalog model with a general convex objective
-        # carries no hook; 2,049 nodes before quadratic objectives got one
+        # the sum-coloring catalog model with a general convex objective is
+        # bounded by catalog_remainder_bound alone; 2,049 nodes without it
         nodes = sum(solve_boxed(build_sumcol_convex(t)).nodes
                     for t, _ in pinned_sumcol_instances())
-        assert nodes == 2049
+        assert nodes == 1197
 
     def test_maximizes_a_separable_convex_objective(self):
         # the negated terms (2, 4, 4, 1) and (-5, -1, -1, -7) are concave:
@@ -665,16 +665,27 @@ def boxed_digest(models):
     return h.hexdigest()
 
 
+def boxed_outcome_digest(models):
+    """boxed_digest without the nodes: what a sharper bound may not move."""
+    h = hashlib.sha256()
+    for m in models:
+        res = solve_boxed(m)
+        h.update(repr((res.status, res.point, res.value)).encode())
+    return h.hexdigest()
+
+
 # Computed with the search that filled per-row tables of rows x (vars + 1)
 # suffix ranges and made one call per leaf: the per-depth row checks, with
 # leaves evaluated in their parent's loop, must walk the same tree.  The
 # cds convex digest equals PINNED_CDS_BOXED_DIGEST of the ilp model: on
 # these instances each capacity rule's box_min prunes exactly where its
-# tangent rows do.
+# tangent rows do.  The two catalog digests were re-pinned when both
+# catalog models got catalog_remainder_bound (2,049 -> 1,197 and
+# 3,063 -> 1,715 nodes); their outcomes are pinned apart, below.
 PINNED_BOXED_SEARCH_DIGESTS = {
     "sumcol/nfold": "9485f106d70f7e919c953254085f4ffc912a96a4772a967ed906c123dba48a99",
-    "sumcol/convexfd": "d6f57802814bf77b67aad8d51f247c965fad2e2eb85d8a6df563f01b47a6933f",
-    "sumcol/graver": "2a80668260f5da1687b26e8759a3b52ff187dd346b1930d94122cc29e85bf0e1",
+    "sumcol/convexfd": "afbaa8f1ef09770ec2333af3bc1e43b6daca260cc4427c0f4807719d7a4c0b08",
+    "sumcol/graver": "3fb4e81e22c8aed5ca87e9b37fcdb9e73393a112b4363a428c39b15799124ca3",
     "maxqcut/quadratic": "b0895a85ac877cd4a4c8de69025899b1cd39f73715a8d5f5e11bb5ee54dea4c2",
     "cds/convex": "aecb0bd47adc9749575163462fe1ca91171fd973af738409e357ad49fe62e56f",
 }
@@ -693,9 +704,26 @@ def pinned_boxed_models(route):
     return (build_cds_convex(t) for t, _ in pinned_cds_instances())
 
 
+# (status, point, value) of the same searches, computed before the catalog
+# models got a remainder bound: a bound moves nodes only.
+PINNED_BOXED_OUTCOME_DIGESTS = {
+    "sumcol/nfold": "4d2d10b9295ee4bc94a299be6a6a9d2319bef400fb04f4d6dd0c7340f1c56e14",
+    "sumcol/convexfd": "026b1c1b560efe2f00d72c22554406dc932c800d90aef43959a698cfee198615",
+    "sumcol/graver": "e9585ad436a29545ba36b05eecf7ed0ec04b2734854b94fa66d83b49354cc446",
+    "maxqcut/quadratic": "ea4f06d881604984cb0b4cb9c52a32381c5b31382cffc87f254d91bea6fa239c",
+    "cds/convex": "455602246da432436dd84e87f7f40157ee7f06259b9bc43db0034fb183b0f23c",
+}
+
+
 @pytest.mark.parametrize("route", sorted(PINNED_BOXED_SEARCH_DIGESTS))
 def test_boxed_searches_are_pinned(route):
     assert boxed_digest(pinned_boxed_models(route)) == PINNED_BOXED_SEARCH_DIGESTS[route]
+
+
+@pytest.mark.parametrize("route", sorted(PINNED_BOXED_OUTCOME_DIGESTS))
+def test_boxed_outcomes_are_pinned(route):
+    assert (boxed_outcome_digest(pinned_boxed_models(route))
+            == PINNED_BOXED_OUTCOME_DIGESTS[route])
 
 
 def widened_nfold_model(seed, bricks=(2, 3), rows=(1, 2), entries=2, guarded=False):

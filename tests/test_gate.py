@@ -1,22 +1,35 @@
-"""A medium-n cross-route gate for capacitated domination.
+"""A medium-n cross-route gate for capacitated domination and sum colouring.
 
-The acceptance gate stops at n <= 8, where the brute-force oracle runs.
-Here the classes are larger (k <= 4, n <= 24, capacities <= 6) and the
-routes are checked against each other: `proximity` must equal the optimum
-of `ilp/boxed`, `rounding` must lie within k^2 above it, and every witness
-must pass check_cds.  The exact cross-check runs under a node budget, never
-a clock; an instance it cannot finish is counted, and a floor on the
-instances answered keeps the budget from quietly emptying the gate.
+The acceptance gate stops at n <= 8, where the brute-force oracles run.
+Here the classes are larger and the routes are checked against each other.
+- Domination (k <= 4, n <= 24, capacities <= 6): `proximity` must equal the
+  optimum of `ilp/boxed`, `rounding` must lie within k^2 above it, and
+  every witness must pass check_cds.
+- Sum colouring (k <= 4, 9 <= n <= 40): `convexfd/boxed`, `graver/boxed`,
+  `graver/augment` and `nfold/nfold` must agree, and every decoded
+  colouring must pass check_coloring and cost the value.
+The exact routes run under counter budgets, never a clock; an instance a
+route cannot finish is counted, and a floor on the instances answered keeps
+the budget from quietly emptying the gate.
 """
 
 import random
 
-from ndsolve.algorithms import cds_proximity_solve, cds_rounding_approx, check_cds
-from ndsolve.backends import Budget, solve_boxed
+from ndsolve.algorithms import cds_proximity_solve, cds_rounding_approx, check_cds, coloring_cost
+from ndsolve.backends import Budget, solve_augment, solve_boxed, solve_nfold
 from ndsolve.errors import BudgetError
 from ndsolve.graphs import type_graph
 from ndsolve.instances import generate_blowup, random_template
-from ndsolve.models import build_cds_ilp, decode_cds
+from ndsolve.models import (
+    build_catalog,
+    build_cds_ilp,
+    build_sumcol_convex,
+    build_sumcol_graver,
+    build_sumcol_nfold,
+    check_coloring,
+    decode_cds,
+    decode_coloring,
+)
 
 GATE_INSTANCES = 400
 GATE_BUDGET = Budget(max_nodes=5_000)
@@ -51,3 +64,51 @@ def test_cds_routes_agree_at_medium_n():
     assert answered >= GATE_FLOOR
     assert large == GATE_INSTANCES  # all above the acceptance gate's n <= 8
 
+
+SUMCOL_INSTANCES = 150
+SUMCOL_BUDGET = Budget(max_nodes=5_000, max_dp_states=5_000)
+SUMCOL_ROUTES = {
+    "convexfd/boxed": (build_sumcol_convex, solve_boxed),
+    "graver/boxed": (build_sumcol_graver, solve_boxed),
+    "graver/augment": (build_sumcol_graver, solve_augment),
+    "nfold/nfold": (build_sumcol_nfold, solve_nfold),
+}
+# graver/augment computes a Graver basis per type-graph shape, the f(k) of
+# ROADMAP item F: 0.1-0.4 s for each k = 4 shape of 11 catalog entries, which
+# no counter budget bounds.  It runs on catalogs of at most 10 entries, 144
+# of the 150 instances.
+AUGMENT_MAX_CATALOG = 10
+# at this budget every route answers every instance it runs on
+SUMCOL_FLOORS = {"convexfd/boxed": 145, "graver/boxed": 145, "graver/augment": 139,
+                 "nfold/nfold": 145}
+
+
+def sumcol_instances():
+    for seed in range(SUMCOL_INSTANCES):
+        rng = random.Random(60_000 + seed)
+        while True:  # redraw until 9 <= n <= 40
+            template = random_template(rng, max_k=4, max_n=rng.randint(12, 60))
+            if 9 <= sum(template.weights) <= 40:
+                break
+        g = generate_blowup(template, seed=rng.randrange(2**30))
+        yield type_graph(g), g
+
+
+def test_sumcol_routes_agree_at_medium_n():
+    answered = dict.fromkeys(SUMCOL_ROUTES, 0)
+    for t, g in sumcol_instances():
+        values = set()
+        for name, (build, solve) in SUMCOL_ROUTES.items():
+            if name == "graver/augment" and build_catalog(t).size > AUGMENT_MAX_CATALOG:
+                continue
+            model = build(t)
+            try:
+                res = solve(model, SUMCOL_BUDGET)
+            except BudgetError:
+                continue
+            answered[name] += 1
+            coloring = decode_coloring(t, g, res.point, model.tag)
+            assert check_coloring(g, coloring) and coloring_cost(coloring) == res.value, g
+            values.add(res.value)
+        assert len(values) <= 1, (g, values)
+    assert all(answered[name] >= floor for name, floor in SUMCOL_FLOORS.items()), answered

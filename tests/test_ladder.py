@@ -2,10 +2,12 @@
 
 One template, k = 3: (clique, independent, clique) with n/3 vertices each,
 cross edges {0,1} and {1,2}, vertex labels shuffled with seed 1; the
-domination rungs give the three classes capacities 2, 1 and 3.  Counters
-are deterministic, so each ceiling below is today's count: a change that
-makes a route do more work on a rung fails here, and one that makes it do
-less lowers the ceiling on purpose.
+domination rungs give the three classes capacities 2, 1 and 3.  The
+type-level rungs build the template's type graph directly, with no graph,
+so they reach n = 3*10^4 in milliseconds.  Counters are deterministic, so
+each ceiling below is today's count: a change that makes a route do more
+work on a rung fails here, and one that makes it do less lowers the
+ceiling on purpose.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from ndsolve.algorithms import cds_proximity_solve, check_cds, cut_value, maxqcu
 from ndsolve.backends import Budget, solve_boxed, solve_nfold
 from ndsolve.cli import main
 from ndsolve.errors import BudgetError
-from ndsolve.graphs import CLIQUE, type_graph
+from ndsolve.graphs import CLIQUE, TypeGraph, type_graph
 from ndsolve.instances import INDEPENDENT, BlowupTemplate, Instance, generate_blowup, write_instance
 from ndsolve.models import (
     build_cds_ilp,
@@ -38,6 +40,22 @@ def ladder_graph(n, capacities=None):
     template = BlowupTemplate((w, w, w), (CLIQUE, INDEPENDENT, CLIQUE),
                               frozenset({(0, 1), (1, 2)}), caps)
     return generate_blowup(template, seed=1)
+
+
+def ladder_type_graph(n):
+    """The ladder template's type graph built directly, classes as ranges,
+    with no Graph: the front end, O(n + m), does not run."""
+    w = n // 3
+    return TypeGraph(k=3, classes=tuple(range(i * w, (i + 1) * w) for i in range(3)),
+                     weights=(w, w, w), kinds=(CLIQUE, INDEPENDENT, CLIQUE),
+                     edges=frozenset({(0, 0), (2, 2), (0, 1), (1, 2)}))
+
+
+def ladder_sumcol_value(n):
+    # the independent class takes colour 1, then w colours of one vertex
+    # from each clique: w + 2 * (2 + ... + (w + 1))
+    w = n // 3
+    return w + (w + 1) * (w + 2) - 2
 
 
 # (B&B nodes, value) of max-q-cut at q = 3.  Before quadratic objectives
@@ -65,9 +83,11 @@ def test_sumcol_nfold_boxed_nodes():
 
 
 # (B&B nodes, value) of the sum-coloring catalog models on solve_boxed.
+# Without catalog_remainder_bound the searches took 35, 105 and 205 nodes
+# (convexfd) and 58, 158 and 308 (graver), growing with n.
 CATALOG_BOXED = {
-    "convexfd": (build_sumcol_convex, {30: (35, 140), 75: (105, 725), 150: (205, 2700)}),
-    "graver": (build_sumcol_graver, {30: (58, 140), 75: (158, 725), 150: (308, 2700)}),
+    "convexfd": (build_sumcol_convex, {30: (5, 140), 75: (17, 725), 150: (22, 2700)}),
+    "graver": (build_sumcol_graver, {30: (8, 140), 75: (20, 725), 150: (25, 2700)}),
 }
 
 
@@ -77,7 +97,25 @@ def test_sumcol_catalog_boxed_nodes(model, n):
     res = solve_boxed(build(type_graph(ladder_graph(n))), LADDER_BUDGET)
     ceiling, value = rungs[n]
     assert res.nodes <= ceiling
-    assert res.value == value
+    assert res.value == value == ladder_sumcol_value(n)
+
+
+# B&B nodes of the catalog models on type-level rungs; at n = 150 they are
+# the vertex-level rung's.  Without catalog_remainder_bound they
+# took 4n/3 + 5 (convexfd) and 2n + 8 (graver) nodes.
+CATALOG_TYPE_LEVEL = {
+    "convexfd": (build_sumcol_convex, {150: 22, 3_000: 81, 30_000: 246}),
+    "graver": (build_sumcol_graver, {150: 25, 3_000: 84, 30_000: 249}),
+}
+
+
+@pytest.mark.parametrize("model,n", [(m, n) for m in CATALOG_TYPE_LEVEL
+                                     for n in (150, 3_000, 30_000)])
+def test_sumcol_catalog_boxed_nodes_at_type_level(model, n):
+    build, ceilings = CATALOG_TYPE_LEVEL[model]
+    res = solve_boxed(build(ladder_type_graph(n)), LADDER_BUDGET)
+    assert res.nodes <= ceilings[n]
+    assert res.value == ladder_sumcol_value(n)
 
 
 def test_cds_ilp_boxed_nodes():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ndsolve.backends import solve_boxed, solve_nfold
-from ndsolve.graphs import CLIQUE, INDEPENDENT, type_graph
+from ndsolve.graphs import CLIQUE, INDEPENDENT, TypeGraph, type_graph
 from ndsolve.instances import BlowupTemplate, generate_blowup
 from ndsolve.ipmodel import LE, IpModel
 from ndsolve.models import (
@@ -17,6 +17,7 @@ from ndsolve.models import (
     build_sumcol_convex,
     build_sumcol_graver,
     build_sumcol_nfold,
+    class_slots,
     column_cost,
     decode_cds,
     decode_coloring,
@@ -267,6 +268,84 @@ class TestSumColoringModels:
         m = build_sumcol_nfold(t)
         for row in m.rows:
             assert sum(c * m.initial_point[i] for i, c in row.coeffs) == row.rhs
+
+
+def random_type_graph(rng, k, max_weight):
+    """A type graph built directly: random kinds, weights in [1, max_weight],
+    cross edges with probability 0.3, and the loop of every clique class of
+    two or more vertices."""
+    kinds = tuple(rng.choice((CLIQUE, INDEPENDENT)) for _ in range(k))
+    weights = tuple(rng.randint(1, max_weight) for _ in range(k))
+    starts = list(itertools.accumulate(weights, initial=0))
+    edges = {(i, i) for i in range(k) if kinds[i] == CLIQUE and weights[i] > 1}
+    edges |= {e for e in itertools.combinations(range(k), 2) if rng.random() < 0.3}
+    return TypeGraph(k=k, classes=tuple(range(a, b) for a, b in zip(starts, starts[1:])),
+                     weights=weights, kinds=kinds, edges=frozenset(edges))
+
+
+def catalog_type_graph(seed):
+    """Seeds 0-39 draw k in 2..4 with weights <= 4; seeds 40-45 draw k = 5
+    with weights <= 2."""
+    rng = random.Random(3300 + seed)
+    if seed < 40:
+        return random_type_graph(rng, rng.randint(2, 4), 4)
+    return random_type_graph(rng, 5, 2)
+
+
+def catalog_points(t, cat):
+    """Every catalog vector that covers each class's slots exactly, by
+    exhaustive enumeration entry by entry."""
+    left = [class_slots(t, i) for i in range(t.k)]
+    x = []
+
+    def rec(j):
+        if j == cat.size:
+            if not any(left):
+                yield tuple(x)
+            return
+        members = cat.sets[j]
+        for v in range(min(left[i] for i in members) + 1):
+            for i in members:
+                left[i] -= v
+            x.append(v)
+            yield from rec(j + 1)
+            x.pop()
+            for i in members:
+                left[i] += v
+
+    return list(rec(0))
+
+
+class TestCatalogRemainderBound:
+    @pytest.mark.parametrize("seed", range(46))
+    def test_is_admissible_and_exact_at_the_last_entry(self, seed):
+        # every feasible point completes each of its prefixes, so the hook on
+        # a prefix is at most the remainder of every completion
+        t = catalog_type_graph(seed)
+        cat = build_catalog(t)
+        convex, stacked = build_sumcol_convex(t), build_sumcol_graver(t)
+        terms = stacked.objective.terms
+        for x in catalog_points(t, cat):
+            cost = convex.objective_value(x)
+            assert all(convex.remainder_bound(x, d) <= cost for d in range(cat.size))
+            assert convex.remainder_bound(x, cat.size) == cost
+            z = [sum(v for v, s in zip(x, cat.sigma) if s >= g) for g in reversed(cat.gamma)]
+            point = x + tuple(z)
+            assert stacked.objective_value(point) == cost
+            fixed = 0
+            for d in range(stacked.n_vars + 1):
+                assert stacked.remainder_bound(point, d) <= cost - fixed
+                if d < stacked.n_vars:
+                    fixed += terms[d](point[d])
+
+    @pytest.mark.parametrize("seed", range(46))
+    def test_prunes_and_keeps_the_optimum(self, seed):
+        t = catalog_type_graph(seed)
+        for m in (build_sumcol_convex(t), build_sumcol_graver(t)):
+            res = solve_boxed(m)
+            plain = solve_boxed(IpModel(**{**m.__dict__, "remainder_bound": None}))
+            assert (res.status, res.point, res.value) == (plain.status, plain.point, plain.value)
+            assert res.nodes <= plain.nodes
 
 
 class TestSplitStackedBlocks:
