@@ -20,9 +20,14 @@ evaluate the objective itself; without a hook they are enumerated.  The
 hooks are the models' own: max-q-cut's, the n-fold colouring model's, and
 models.catalog_remainder_bound, which the general convex catalog model and
 the stacked one, whose catalog terms are 0, share.  A value is dropped when
-its bound is >= the incumbent, the same strict rule that keeps the first
-optimum found, so the lexicographically smallest optimum is returned with
-or without the hook.  solve_boxed takes every model.
+its bound is >= the incumbent, the rule that keeps the first optimum found,
+so the lexicographically smallest optimum is returned with or without the
+hook.  Before the first leaf, the model's start point (initial_point), if
+it has one, prunes in the incumbent's place: a value is dropped when its
+bound is strictly above the start's value, and the first leaf at or below
+that value becomes the incumbent.  The result is the same as without the
+start and no node is added (see solve_boxed).  solve_boxed takes every
+model.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
 annotation.  Each step is a brick DP over the moves within the box, keeping
@@ -180,20 +185,67 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     convex rows.  Returns the lexicographically smallest optimal point;
     raises BudgetError when the node budget runs out, and ValueError when
     the search goes deeper than the interpreter's recursion limit (one level
-    per variable, so from about 1,000 variables on).  Every node counts
-    against budget.max_nodes, the root and the leaves included.
+    per variable, so from about 1,000 variables on), or when it finds no
+    leaf at or below the value of a start point that breaks a box, a row or
+    a convex row.  Every node counts against budget.max_nodes, the root and
+    the leaves included.
 
     The set-up is O(nnz + n): one backward pass over each row's nonzeros
     gives, per depth, the checks (row, coef, rhs, upper side?, lower side?,
     rest_lo, rest_hi) of the rows that hold that variable, rest_lo and
     rest_hi being the least and the greatest the row's later variables can
     add.  A node at depth d narrows variable d's box by those checks, then
-    walks its values in ascending order; a value whose objective bound is
-    >= the incumbent, or whose box breaks a convex row's box_min, is
-    dropped.  The children at the last variable are leaves, evaluated in
-    their parent's value loop.  The per-variable least values behind the
-    suffix minima come from slope bisection for convex terms and from the
-    box ends for the negated, concave, terms of a MAX objective.
+    walks its values in ascending order; a value whose box breaks a convex
+    row's box_min is dropped, and so is one whose objective bound is >= the
+    incumbent.  Before the first leaf the model's start point, if it has
+    one, stands in for the incumbent: with V0 its value in minimize
+    orientation, a value is dropped when its bound is > V0, and the first
+    leaf at or below V0 becomes the incumbent.  The start itself is checked
+    only when the search ends with no leaf.  The children at the last
+    variable are leaves, evaluated in their parent's value loop.  The
+    per-variable least values behind the suffix minima come from slope
+    bisection for convex terms and from the box ends for the negated,
+    concave, terms of a MAX objective.  At a level whose term is linear
+    with a coefficient >= 0 in minimize orientation, partial + term(v) +
+    rest_min does not fall as v rises, and the limit does not change while
+    no child is searched, so once that sum alone drops a value it drops
+    every later one: the loop ends there, and the tree is the same.
+
+    Call a leaf good when it satisfies the boxes, the rows and the convex
+    rows.  Every bound is admissible, so a dropped value's subtree holds
+    only good leaves valued at least its bound.  Neither argument below
+    assumes that objective values are integers.
+
+    Why the start does not change the result.  Say some good leaf is valued
+    <= V0, so the optimum V* is <= V0.  Until a leaf is accepted, a subtree
+    is dropped only when its bound is > V0, so it holds no good leaf valued
+    <= V0, and the leaves are walked in lexicographic order: the first leaf
+    accepted, L, is the lexicographically first good leaf valued <= V0.
+    The lexicographically smallest optimum x* is such a leaf, so x* is L or
+    comes after it.  Every incumbent before x* is valued > V*, since a good
+    leaf valued V* before x* would be a smaller optimum; the bounds on the
+    path to x* are <= V*, so none of its values is dropped, x* is accepted,
+    and no later leaf is valued < V*.  The result is x*, as without the
+    start.  If no good leaf is valued <= V0, no leaf is accepted, and the
+    start is no good leaf, as it would be one valued V0: it breaks a box, a
+    row or a convex row, and ValueError says so.  (A good start that the
+    search still misses means a bound was not admissible: RuntimeError.)
+
+    Why the start adds no node.  Walk both searches in the same order and
+    say the unseeded one has visited every node before p that the seeded
+    one has.  The unseeded incumbent at p is the least value U of the good
+    leaves it has visited, each of them visited by the seeded search or in
+    a subtree it dropped.  Before the seeded search accepts a leaf, every
+    good leaf it visited is valued > V0, or it would have been accepted,
+    and so is every leaf of a subtree it dropped: U > V0, and a value it
+    keeps, its bound <= V0 < U, the unseeded search keeps as well.  Once it
+    holds an incumbent S <= V0, the least value of the good leaves it
+    visited that are <= V0, the other leaves before p are valued > V0 or at
+    least the incumbent at the time their subtree was dropped, which is
+    >= S; so U >= S, and U <= S as the unseeded search visited those
+    leaves too.  With U = S both searches apply the same >= rule at p.  The
+    row checks and box_min tests read no incumbent.  So every node the
+    seeded search visits, the unseeded one visits.
     """
     model.validate()
     budget = budget or Budget()
@@ -205,7 +257,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     rows = model.rows
     # constant rows are never reached by the row checks
     if not all(_holds(row, 0) for row in rows if not row.coeffs):
-        return SolveResult("infeasible", None, None, 0)
+        return _no_leaf(model, 0)
 
     checks = [[] for _ in range(n)]
     for r, row in enumerate(rows):
@@ -218,16 +270,21 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
             rest_hi += max(a, b)
     # per depth: box, term, least objective of the later variables, hook
     # (the last variable's leaf evaluates a non-separable objective itself),
-    # row checks and activity updates (none at the last: no check reads them)
+    # row checks, activity updates (none at the last: no check reads them)
+    # and whether the term is linear and does not fall as the value rises
     last = n - 1
     least = _unary_min if model.sense == MIN else _end_min
+    sign = 1 if model.sense == MIN else -1
+    rising = ([sign * c >= 0 for c in model.objective.coeffs]
+              if isinstance(model.objective, Linear) else [False] * n)
     rest_min = 0
     levels = [None] * n
     for d in range(last, -1, -1):
         term = None if terms is None else terms[d]
         level_hook = hook if term is not None or d < last else None
         updates = () if d == last else tuple((r, c) for r, c, *_ in checks[d])
-        levels[d] = (lower[d], upper[d], term, rest_min, level_hook, tuple(checks[d]), updates)
+        levels[d] = (lower[d], upper[d], term, rest_min, level_hook, tuple(checks[d]), updates,
+                     rising[d])
         if term is not None:
             rest_min += least(term, lower[d], upper[d])
 
@@ -240,12 +297,14 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     nodes = 1  # the root
     if nodes > max_nodes:
         raise BudgetError("branch-and-bound node budget exceeded")
-    best_val = None
+    # until the first leaf, best_val is the start's value and best_pt None
+    start = model.initial_point
+    best_val = None if start is None else min_value(start)
     best_pt = None
 
     def rec(d, partial):
         nonlocal nodes, best_val, best_pt
-        vlo, vhi, term, rest_min, level_hook, row_checks, updates = levels[d]
+        vlo, vhi, term, rest_min, level_hook, row_checks, updates, rising = levels[d]
         for r, c, rhs, up, low, rest_lo, rest_hi in row_checks:
             base = rhs - acts[r]
             if up:  # c*v <= base - rest_lo
@@ -269,16 +328,22 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
         new = partial  # 0 when the objective does not separate
         for v in range(vlo, vhi + 1):
             point[d] = v
+            # a bound drops v when it is > best_val, or == once a leaf is found
             if term is not None:
                 new = partial + term(v)
                 if best_val is not None:
                     bound = new + rest_min
-                    if level_hook is not None:
-                        bound = max(bound, new + level_hook(point, d + 1))
-                    if bound >= best_val:
+                    if bound >= best_val and (bound > best_val or best_pt is not None):
+                        if rising:
+                            break  # so do the later values, whose new is no less
                         continue
+                    if level_hook is not None:
+                        bound = new + level_hook(point, d + 1)
+                        if bound >= best_val and (bound > best_val or best_pt is not None):
+                            continue
             elif level_hook is not None and best_val is not None:
-                if level_hook(point, d + 1) >= best_val:
+                bound = level_hook(point, d + 1)
+                if bound >= best_val and (bound > best_val or best_pt is not None):
                     continue
             if convex_rows:
                 lo_box[d] = hi_box[d] = v
@@ -291,9 +356,13 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
                 if convex_rows and any(cr.fn(point) > 0 for cr in convex_rows):
                     continue
                 val = new if term is not None else min_value(point)
-                if best_val is None or val < best_val:
-                    best_val = val
-                    best_pt = tuple(point)
+                if best_pt is None:
+                    if best_val is not None and val > best_val:
+                        continue  # above the start's value
+                elif val >= best_val:
+                    continue
+                best_val = val
+                best_pt = tuple(point)
             else:
                 for r, c in updates:
                     acts[r] += c * v
@@ -314,9 +383,21 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
                          "branch-and-bound") from None
     finally:
         del rec  # rec holds itself through its cell, and with it the levels and terms
-    if best_val is None:
-        return SolveResult("infeasible", None, None, nodes)
+    if best_pt is None:
+        return _no_leaf(model, nodes)
     return SolveResult("optimal", best_pt, _certify(model, best_pt, best_val), nodes)
+
+
+def _no_leaf(model: IpModel, nodes):
+    """The result of a solve_boxed search that reached no leaf: infeasible
+    when the model has no start point.  A start that breaks a box, a row or
+    a convex row raises ValueError; a start that satisfies them all would
+    have been a leaf, so RuntimeError says that a bound was not admissible."""
+    if model.initial_point is None:
+        return SolveResult("infeasible", None, None, nodes)
+    if not _is_feasible(model, model.initial_point):
+        raise ValueError("initial point breaks a box, a row or a convex row")
+    raise RuntimeError("the search pruned the feasible start point: a bound is not admissible")
 
 
 # ---------------------------------------------------------------------------

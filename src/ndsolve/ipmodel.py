@@ -110,6 +110,10 @@ class IpModel:
     nfold: NFoldBlocks | None = None
     stacked: StackedBlocks | None = None
     tag: str | None = None
+    # optional start point: solve_nfold and solve_augment augment from it
+    # and reject it unless it satisfies the boxes and rows; solve_boxed
+    # prunes by its value until its first leaf and checks it only when it
+    # finds no leaf at or below that value
     initial_point: tuple | None = None
     # optional remainder_bound(point, depth): a lower bound on the
     # minimize-oriented objective of every completion of point[:depth] that

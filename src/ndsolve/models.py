@@ -568,6 +568,17 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
       every optimum has the same empty tail there (classes 0, slacks 1).
       Lexicographic order among the optima is therefore decided on the first
       S bricks, where it is the order of the model with S bricks.
+
+    The start point is a greedy coloring of the type graph: the classes go
+    in decreasing per-color cost, ties by index, and each takes its
+    class_slots lowest colors that no adjacent class holds.  Adjacent
+    classes share no color, so every edge slack is 0 or 1, and each class
+    takes distinct colors, so every box holds.  It never needs more than S
+    bricks: when class i is placed, the other classes hold at most
+    S - slots_i colors between them, so at least slots_i of the colors
+    0..S-1 are free for it, and its slots_i lowest free colors all lie
+    below S.  The start is None when color_count is below the colors it
+    needs.
     """
     k = t.k
     slots = [class_slots(t, i) for i in range(k)]
@@ -604,14 +615,17 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
         for i in range(k):
             cost[b * tt + i] = (b + 1) * per_class[i]
 
+    colors = [()] * k  # class i's own colors are () until it is placed
+    for i in sorted(range(k), key=lambda i: (-per_class[i], i)):
+        held = set().union(*(colors[j] for j in t.neighbors(i)))
+        free = (c for c in itertools.count() if c not in held)
+        colors[i] = tuple(itertools.islice(free, slots[i]))
     initial = None
-    if sum(slots) <= n_colors:
+    if max((c for cs in colors for c in cs), default=-1) < n_colors:
         point = [0] * n
-        cursor = 0
-        for i in range(k):
-            for _ in range(slots[i]):
-                point[cursor * tt + i] = 1
-                cursor += 1
+        for i, cs in enumerate(colors):
+            for c in cs:
+                point[c * tt + i] = 1
         for b in range(n_colors):
             for e_idx, (i, j) in enumerate(edges_nl):
                 point[b * tt + k + e_idx] = 1 - point[b * tt + i] - point[b * tt + j]

@@ -75,11 +75,19 @@ def test_maxqcut_q3_nodes(n):
         assert res.value == cut_value(g, maxqcut_brute(g, 3))
 
 
+# (B&B nodes, value) of the n-fold sum-coloring model on solve_boxed, which
+# prunes from the model's greedy start.  At n = 30 the search took 46,199
+# nodes with one brick per vertex (30 bricks) and 19,091 with 21; without
+# the start it took 1,911,139 nodes at n = 150.  From n = 300 (1,005
+# variables) it is too deep for the recursive search.
+NFOLD_BOXED = {30: (128, 140), 75: (268, 725), 150: (519, 2700)}
+
+
 def test_sumcol_nfold_boxed_nodes():
-    # 46,199 nodes with one brick per vertex (30 bricks), 19,091 with 21
-    res = solve_boxed(build_sumcol_nfold(type_graph(ladder_graph(30))), LADDER_BUDGET)
-    assert res.value == 140
-    assert res.nodes <= 19_091
+    for n, (ceiling, value) in NFOLD_BOXED.items():
+        res = solve_boxed(build_sumcol_nfold(type_graph(ladder_graph(n))), LADDER_BUDGET)
+        assert res.nodes <= ceiling, n
+        assert res.value == value == ladder_sumcol_value(n)
 
 
 # (B&B nodes, value) of the sum-coloring catalog models on solve_boxed.
@@ -127,8 +135,10 @@ def test_cds_ilp_boxed_nodes():
 
 
 # (value, augmentation steps, largest surviving layer of the brick DP) of
-# nfold/nfold: Budget(max_dp_states=L) solves and L - 1 raises.
-NFOLD = {30: (140, 1, 242), 75: (725, 1, 1352)}
+# nfold/nfold: Budget(max_dp_states=L) solves and L - 1 raises.  The greedy
+# start is optimal here, so the one DP finds no step; from the start that
+# gave each class its own colors it took one step.
+NFOLD = {30: (140, 0, 242), 75: (725, 0, 1352)}
 
 
 @pytest.mark.parametrize("n", sorted(NFOLD))
@@ -204,7 +214,8 @@ def test_cds_default_route_is_proximity(tmp_path, monkeypatch):
 
 
 def test_sumcol_default_route_is_graver_augment(tmp_path, monkeypatch):
-    # the default's rung: nfold/boxed takes 1,911,139 nodes on this file
+    # the default's rung: nfold/boxed takes 519 nodes on this file, but is
+    # too deep for the recursive search from n = 300
     calls = record_calls(monkeypatch, backends, "cached_graver_basis")
     lines = solve_default(tmp_path, "sumcol")
     assert lines[2:4] == ["model: sumcol/graver backend: augment", "value: 2700"]
