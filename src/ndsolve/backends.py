@@ -2,7 +2,9 @@
 
 solve_boxed is a depth-first branch-and-bound over the variable boxes in
 index order with ascending values, so the first point attaining the optimal
-value is the lexicographically smallest optimum.  Its set-up is O(nnz + n):
+value is the lexicographically smallest optimum.  It keeps its own stack,
+one entry per variable, so no interpreter recursion limit bounds the number
+of variables.  Its set-up is O(nnz + n):
 one backward pass over each row's nonzeros builds a per-depth table whose
 entry for variable d holds the checks of the rows with a nonzero at d,
 each with the interval the row's later variables can add, so a node
@@ -60,7 +62,7 @@ from itertools import compress
 from operator import lshift, mul, sub
 
 from .errors import BudgetError
-from .graver import augment_to_optimum, graver_basis, _kernel_vectors_within
+from .graver import augment_to_optimum, graver_basis, _convex_argmin, _kernel_vectors_within
 from .ipmodel import EQ, GE, LE, MIN, IpModel, Linear, SeparableConvex
 from .lp import solve_lp  # noqa: F401  (bench/run.py and bench/spans.py hook this name)
 
@@ -126,14 +128,7 @@ def _ceil_div(a, b):
 
 def _unary_min(f, lo, hi):
     """Minimum of a convex integer function on [lo, hi] by slope bisection."""
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b) // 2
-        if f(mid + 1) >= f(mid):
-            b = mid
-        else:
-            a = mid + 1
-    return f(a)
+    return f(_convex_argmin(f, lo, hi))
 
 
 def _end_min(f, lo, hi):
@@ -184,19 +179,21 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     Takes every model that validates, whatever its objective, rows and
     convex rows.  Returns the lexicographically smallest optimal point;
     raises BudgetError when the node budget runs out, and ValueError when
-    the search goes deeper than the interpreter's recursion limit (one level
-    per variable, so from about 1,000 variables on), or when it finds no
-    leaf at or below the value of a start point that breaks a box, a row or
-    a convex row.  Every node counts against budget.max_nodes, the root and
-    the leaves included.
+    it finds no leaf at or below the value of a start point that breaks a
+    box, a row or a convex row.  Every node counts against
+    budget.max_nodes, the root and the leaves included.
 
     The set-up is O(nnz + n): one backward pass over each row's nonzeros
     gives, per depth, the checks (row, coef, rhs, upper side?, lower side?,
     rest_lo, rest_hi) of the rows that hold that variable, rest_lo and
     rest_hi being the least and the greatest the row's later variables can
-    add.  A node at depth d narrows variable d's box by those checks, then
-    walks its values in ascending order; a value whose box breaks a convex
-    row's box_min is dropped, and so is one whose objective bound is >= the
+    add.  The search keeps its own stack, not the interpreter's: one loop
+    over the depths, with per depth the iterator of the values still to walk
+    and the objective of point[:d].  A node at depth d narrows variable d's
+    box by those checks, then walks its values in ascending order, going
+    down a level at each value it keeps and undoing that value's activity
+    updates when it comes back; a value whose box breaks a convex row's
+    box_min is dropped, and so is one whose objective bound is >= the
     incumbent.  Before the first leaf the model's start point, if it has
     one, stands in for the incumbent: with V0 its value in minimize
     orientation, a value is dropped when its bound is > V0, and the first
@@ -302,87 +299,97 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     best_val = None if start is None else min_value(start)
     best_pt = None
 
-    def rec(d, partial):
-        nonlocal nodes, best_val, best_pt
-        vlo, vhi, term, rest_min, level_hook, row_checks, updates, rising = levels[d]
-        for r, c, rhs, up, low, rest_lo, rest_hi in row_checks:
-            base = rhs - acts[r]
-            if up:  # c*v <= base - rest_lo
-                if c > 0:
-                    t = (base - rest_lo) // c
-                    if t < vhi:
-                        vhi = t
-                else:
-                    t = ceil_div(base - rest_lo, c)
-                    if t > vlo:
-                        vlo = t
-            if low:  # c*v >= base - rest_hi
-                if c > 0:
-                    t = ceil_div(base - rest_hi, c)
-                    if t > vlo:
-                        vlo = t
-                else:
-                    t = (base - rest_hi) // c
-                    if t < vhi:
-                        vhi = t
-        new = partial  # 0 when the objective does not separate
-        for v in range(vlo, vhi + 1):
-            point[d] = v
-            # a bound drops v when it is > best_val, or == once a leaf is found
-            if term is not None:
-                new = partial + term(v)
-                if best_val is not None:
-                    bound = new + rest_min
-                    if bound >= best_val and (bound > best_val or best_pt is not None):
-                        if rising:
-                            break  # so do the later values, whose new is no less
-                        continue
-                    if level_hook is not None:
-                        bound = new + level_hook(point, d + 1)
-                        if bound >= best_val and (bound > best_val or best_pt is not None):
-                            continue
-            elif level_hook is not None and best_val is not None:
-                bound = level_hook(point, d + 1)
-                if bound >= best_val and (bound > best_val or best_pt is not None):
-                    continue
-            if convex_rows:
-                lo_box[d] = hi_box[d] = v
-                if any(cr.box_min(lo_box, hi_box) > 0 for cr in convex_rows):
-                    continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetError("branch-and-bound node budget exceeded")
-            if d == last:
-                if convex_rows and any(cr.fn(point) > 0 for cr in convex_rows):
-                    continue
-                val = new if term is not None else min_value(point)
-                if best_pt is None:
-                    if best_val is not None and val > best_val:
-                        continue  # above the start's value
-                elif val >= best_val:
-                    continue
-                best_val = val
-                best_pt = tuple(point)
-            else:
-                for r, c in updates:
-                    acts[r] += c * v
-                rec(d + 1, new)
+    if n:
+        its = [None] * n  # per depth, the values still to walk
+        partials = [0] * n  # per depth, the objective of point[:d], 0 when it does not separate
+        d = partial = new = 0  # new stays 0 when the objective does not separate
+        down = True  # whether the loop reaches d from its parent (else from its child)
+        while True:
+            vlo, vhi, term, rest_min, level_hook, row_checks, updates, rising = levels[d]
+            if down:
+                for r, c, rhs, up, low, rest_lo, rest_hi in row_checks:
+                    base = rhs - acts[r]
+                    if up:  # c*v <= base - rest_lo
+                        if c > 0:
+                            t = (base - rest_lo) // c
+                            if t < vhi:
+                                vhi = t
+                        else:
+                            t = ceil_div(base - rest_lo, c)
+                            if t > vlo:
+                                vlo = t
+                    if low:  # c*v >= base - rest_hi
+                        if c > 0:
+                            t = ceil_div(base - rest_hi, c)
+                            if t > vlo:
+                                vlo = t
+                        else:
+                            t = (base - rest_hi) // c
+                            if t < vhi:
+                                vhi = t
+                its[d] = iter(range(vlo, vhi + 1))
+                partials[d] = partial
+                down = False
+            else:  # back from a child: undo its value's activity updates
+                partial = partials[d]
+                v = point[d]
                 for r, c in updates:
                     acts[r] -= c * v
-        if convex_rows:
-            lo_box[d] = lower[d]
-            hi_box[d] = upper[d]
-
-    try:
-        if n:
-            rec(0, 0)
-        elif all(cr.fn(point) <= 0 for cr in convex_rows):
-            best_val, best_pt = (0 if terms is not None else min_value(point)), ()
-    except RecursionError:
-        raise ValueError(f"a model of {n} variables is too deep for the recursive "
-                         "branch-and-bound") from None
-    finally:
-        del rec  # rec holds itself through its cell, and with it the levels and terms
+            for v in its[d]:
+                point[d] = v
+                # a bound drops v when it is > best_val, or == once a leaf is found
+                if term is not None:
+                    new = partial + term(v)
+                    if best_val is not None:
+                        bound = new + rest_min
+                        if bound >= best_val and (bound > best_val or best_pt is not None):
+                            if rising:
+                                break  # so do the later values, whose new is no less
+                            continue
+                        if level_hook is not None:
+                            bound = new + level_hook(point, d + 1)
+                            if bound >= best_val and (bound > best_val or best_pt is not None):
+                                continue
+                elif level_hook is not None and best_val is not None:
+                    bound = level_hook(point, d + 1)
+                    if bound >= best_val and (bound > best_val or best_pt is not None):
+                        continue
+                if convex_rows:
+                    lo_box[d] = hi_box[d] = v
+                    if any(cr.box_min(lo_box, hi_box) > 0 for cr in convex_rows):
+                        continue
+                nodes += 1
+                if nodes > max_nodes:
+                    raise BudgetError("branch-and-bound node budget exceeded")
+                if d == last:
+                    if convex_rows and any(cr.fn(point) > 0 for cr in convex_rows):
+                        continue
+                    val = new if term is not None else min_value(point)
+                    if best_pt is None:
+                        if best_val is not None and val > best_val:
+                            continue  # above the start's value
+                    elif val >= best_val:
+                        continue
+                    best_val = val
+                    best_pt = tuple(point)
+                else:
+                    for r, c in updates:
+                        acts[r] += c * v
+                    down = True
+                    break
+            if down:
+                d += 1
+                partial = new
+                continue
+            # d has no value left: back to its parent
+            if convex_rows:
+                lo_box[d] = lower[d]
+                hi_box[d] = upper[d]
+            if not d:
+                break
+            d -= 1
+    elif all(cr.fn(point) <= 0 for cr in convex_rows):
+        best_val, best_pt = (0 if terms is not None else min_value(point)), ()
     if best_pt is None:
         return _no_leaf(model, nodes)
     return SolveResult("optimal", best_pt, _certify(model, best_pt, best_val), nodes)

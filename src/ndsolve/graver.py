@@ -433,6 +433,18 @@ def g_inf_norm(b: GraverBasis) -> int:
 # augmentation
 # ---------------------------------------------------------------------------
 
+def _convex_argmin(f, lo: int, hi: int) -> int:
+    """Smallest integer minimizer of a convex f on [lo, hi], by bisection
+    on the discrete slope f(mid + 1) - f(mid)."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) >= f(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _smallest_minimizer(phi, lam_max: int) -> int:
     """Smallest integer minimizer of a convex phi on [1, lam_max].
 
@@ -444,14 +456,7 @@ def _smallest_minimizer(phi, lam_max: int) -> int:
     hi = 1
     while hi < lam_max and phi(min(2 * hi, lam_max)) < phi(hi):
         hi = min(2 * hi, lam_max)
-    lo, hi = max(1, hi // 2), min(2 * hi, lam_max)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if phi(mid + 1) >= phi(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _convex_argmin(phi, max(1, hi // 2), min(2 * hi, lam_max))
 
 
 def graver_best_step(basis: GraverBasis, x, f, bounds):

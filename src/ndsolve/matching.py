@@ -3,7 +3,7 @@
 Kuhn's augmenting-path scheme; a right vertex r may absorb up to
 capacity[r] left vertices, which is equivalent to matching against
 capacity[r] copies of r.  Deterministic: left vertices and neighbor lists
-are processed in sorted order.
+are processed in sorted order, each list sorted once per call.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ def max_bipartite_matching(left, adj, capacity):
     """
     assigned = {}
     load = {}
+    order = sorted(left)
+    neighbors = {l: sorted(adj.get(l, ())) for l in order}
 
     def place(l, r):
         assigned[l] = r
         load.setdefault(r, []).append(l)
 
     def try_augment(l, visited):
-        for r in sorted(adj.get(l, ())):
+        for r in neighbors[l]:
             if r in visited or capacity.get(r, 0) == 0:
                 continue
             visited.add(r)
@@ -38,7 +40,7 @@ def max_bipartite_matching(left, adj, capacity):
         return False
 
     try:
-        for l in sorted(left):
+        for l in order:
             try_augment(l, set())
     finally:
         del try_augment  # it holds itself through its cell

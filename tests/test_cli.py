@@ -123,19 +123,23 @@ class TestSolve:
     def test_wrong_model_for_problem(self, star_cds):
         assert main(["solve", "--model", "nfold", star_cds]) == 3
 
-    def test_search_deeper_than_the_recursion_limit_is_an_input_error(self, tmp_path, capsys):
+    def test_search_deeper_than_the_recursion_limit_solves(self, tmp_path, capsys):
         """The n-fold model of a 1,100-vertex clique has a variable per
-        brick, 1,100 of them, and boxed recurses once per variable: past the
-        interpreter's recursion limit that is exit 3 and one named line."""
+        brick, 1,100 of them, more than the interpreter's recursion limit:
+        boxed keeps its own stack, so the search goes one level per variable
+        and ends at the optimum 1 + 2 + ... + 1100."""
         n = 1100
         path = tmp_path / "clique.txt"
         edges = "".join(f"e {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1))
         path.write_text(f"p sumcol {n} {n * (n - 1) // 2}\n{edges}")
-        argv = ["solve", "--model", "nfold", "--backend", "boxed", "--budget", "200000", str(path)]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err == ("input error: a model of 1100 variables is too deep for the recursive "
-                       "branch-and-bound\n")
+        argv = ["solve", "--model", "nfold", "--backend", "boxed", "--budget", "200000",
+                "--no-timing", str(path)]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert err == ""
+        assert lines[3] == f"value: {n * (n + 1) // 2}" == "value: 605550"
+        assert lines[5] == "nodes: 1101 millis: 0"
 
     def test_budget_exit_code(self, p3_sumcol):
         assert main(["solve", "--model", "nfold", "--budget", "3", p3_sumcol]) == 2

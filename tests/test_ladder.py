@@ -78,9 +78,12 @@ def test_maxqcut_q3_nodes(n):
 # (B&B nodes, value) of the n-fold sum-coloring model on solve_boxed, which
 # prunes from the model's greedy start.  At n = 30 the search took 46,199
 # nodes with one brick per vertex (30 bricks) and 19,091 with 21; without
-# the start it took 1,911,139 nodes at n = 150.  From n = 300 (1,005
-# variables) it is too deep for the recursive search.
-NFOLD_BOXED = {30: (128, 140), 75: (268, 725), 150: (519, 2700)}
+# the start it took 1,911,139 nodes at n = 150.  The model has five
+# variables per brick, 5(2n/3 + 1) in all, one search level each: while the
+# search recursed once per level, n = 300 (1,005 variables) passed the
+# interpreter's recursion limit; it keeps its own stack now.
+NFOLD_BOXED = {30: (128, 140), 75: (268, 725), 150: (519, 2700), 300: (1028, 10_400),
+               600: (2018, 40_800)}
 
 
 def test_sumcol_nfold_boxed_nodes():
@@ -88,6 +91,18 @@ def test_sumcol_nfold_boxed_nodes():
         res = solve_boxed(build_sumcol_nfold(type_graph(ladder_graph(n))), LADDER_BUDGET)
         assert res.nodes <= ceiling, n
         assert res.value == value == ladder_sumcol_value(n)
+
+
+def test_sumcol_nfold_boxed_budget_stop_leaves_nothing_behind():
+    # a budget stop deep in the n = 600 search, then the same model solved
+    # in full: the second search starts from its own empty stack
+    model = build_sumcol_nfold(type_graph(ladder_graph(600)))
+    with pytest.raises(BudgetError, match="branch-and-bound node budget exceeded"):
+        solve_boxed(model, Budget(max_nodes=1000))
+    res = solve_boxed(model, LADDER_BUDGET)
+    ceiling, value = NFOLD_BOXED[600]
+    assert res.nodes <= ceiling
+    assert res.value == value
 
 
 # (B&B nodes, value) of the sum-coloring catalog models on solve_boxed.
@@ -214,8 +229,8 @@ def test_cds_default_route_is_proximity(tmp_path, monkeypatch):
 
 
 def test_sumcol_default_route_is_graver_augment(tmp_path, monkeypatch):
-    # the default's rung: nfold/boxed takes 519 nodes on this file, but is
-    # too deep for the recursive search from n = 300
+    # the default's rung: nfold/boxed takes 519 nodes on this file, and
+    # 1,028 and 2,018 on the n = 300 and 600 rungs (NFOLD_BOXED)
     calls = record_calls(monkeypatch, backends, "cached_graver_basis")
     lines = solve_default(tmp_path, "sumcol")
     assert lines[2:4] == ["model: sumcol/graver backend: augment", "value: 2700"]
