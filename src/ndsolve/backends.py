@@ -14,8 +14,9 @@ model's optional remainder hook, an admissible lower bound on the
 minimize-oriented objective still to come given point[:depth].  Linear and
 separable objectives add it to their partial sum and take the larger of
 that and the sum of the later variables' least values: slope bisection
-finds those of convex terms, and the box ends those of the negated, so
-concave, terms of a MAX objective.  Quadratic and general convex
+finds those of separable convex terms under MIN, and the box ends those
+of linear terms and of the negated, so concave, terms of a MAX
+objective.  Quadratic and general convex
 objectives do not separate, so their partial sum is 0 and the hook alone
 bounds the whole objective, at every variable but the last, whose leaves
 evaluate the objective itself; without a hook they are enumerated.  The
@@ -201,8 +202,9 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     only when the search ends with no leaf.  The children at the last
     variable are leaves, evaluated in their parent's value loop.  The
     per-variable least values behind the suffix minima come from slope
-    bisection for convex terms and from the box ends for the negated,
-    concave, terms of a MAX objective.  At a level whose term is linear
+    bisection for separable convex terms under MIN and from the box ends
+    for linear terms and the negated, concave, terms of a MAX objective.
+    At a level whose term is linear
     with a coefficient >= 0 in minimize orientation, partial + term(v) +
     rest_min does not fall as v rises, and the limit does not change while
     no child is searched, so once that sum alone drops a value it drops
@@ -270,7 +272,8 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     # row checks, activity updates (none at the last: no check reads them)
     # and whether the term is linear and does not fall as the value rises
     last = n - 1
-    least = _unary_min if model.sense == MIN else _end_min
+    convex = model.sense == MIN and isinstance(model.objective, SeparableConvex)
+    least = _unary_min if convex else _end_min
     sign = 1 if model.sense == MIN else -1
     rising = ([sign * c >= 0 for c in model.objective.coeffs]
               if isinstance(model.objective, Linear) else [False] * n)

@@ -162,44 +162,49 @@ def _minimal_filter(vectors):
 
 
 def _kernel_vectors_within(a: IntMatrix, cap: int, max_nodes: int):
-    """All non-zero kernel vectors with infinity-norm <= cap (DFS per column)."""
+    """All non-zero kernel vectors with infinity-norm <= cap, in
+    lexicographic order.
+
+    A depth-first search over the columns that keeps its own stack: with d
+    the deepest column set, vec[c] for c <= d holds column c's current
+    value, walked from -cap to cap, and partial the rows' sums over
+    vec[:d + 1].  A node is cut when some row's partial sum exceeds what the
+    later columns can still add.  Every node counts against max_nodes, the
+    root and the leaves included.
+    """
     m, n = a.m, a.n
     rows = a.to_rows()
-    # slack[r][d]: largest |contribution| columns d.. can still make to row r
-    slack = [[0] * (n + 1) for _ in range(m)]
-    for r in range(m):
-        for d in range(n - 1, -1, -1):
-            slack[r][d] = slack[r][d + 1] + abs(rows[r][d]) * cap
-    partial = [0] * m
+    cols = [[row[d] for row in rows] for d in range(n)]
+    # slack[d][r]: largest |contribution| columns d.. can still make to row r
+    slack = [[0] * m for _ in range(n + 1)]
+    for d in range(n - 1, -1, -1):
+        slack[d] = [s + abs(c) * cap for s, c in zip(slack[d + 1], cols[d])]
     vec = [0] * n
+    partial = [0] * m
     out = []
     nodes = 0
-
-    def dfs(d):
-        nonlocal nodes
+    d = -1  # the deepest column set: none at the root
+    while True:
         nodes += 1
         if nodes > max_nodes:
             raise BudgetError("kernel enumeration budget exceeded")
-        if any(abs(partial[r]) > slack[r][d] for r in range(m)):
-            return
-        if d == n:
-            if any(vec):
-                out.append(tuple(vec))
-            return
-        for val in range(-cap, cap + 1):
-            vec[d] = val
-            for r in range(m):
-                partial[r] += rows[r][d] * val
-            dfs(d + 1)
-            for r in range(m):
-                partial[r] -= rows[r][d] * val
-        vec[d] = 0
-
-    try:
-        dfs(0)
-    finally:
-        del dfs  # it holds itself through its cell
-    return out
+        if all(map(le, map(abs, partial), slack[d + 1])):
+            if d + 1 == n:
+                if any(vec):
+                    out.append(tuple(vec))
+            else:
+                d += 1
+                vec[d] = -cap
+                partial = [p - c * cap for p, c in zip(partial, cols[d])]
+                continue
+        # next value of the deepest column that has one left
+        while d >= 0 and vec[d] == cap:
+            partial = [p - c * cap for p, c in zip(partial, cols[d])]
+            d -= 1
+        if d < 0:
+            return out
+        vec[d] += 1
+        partial = list(map(add, partial, cols[d]))
 
 
 def _normal_form(s, basis):

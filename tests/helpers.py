@@ -1,12 +1,13 @@
 """Small graph constructors and brute-force helpers shared by the tests."""
 
 import itertools
+import operator
 import random
 import re
 
 from ndsolve.backends import _min_objective
 from ndsolve.graphs import Graph, type_graph
-from ndsolve.graver import _kernel_vectors_within, conformal
+from ndsolve.graver import conformal
 from ndsolve.instances import PROBLEMS, Instance, ParseError, generate_blowup, random_template
 
 
@@ -94,11 +95,20 @@ def conformally_minimal(vectors):
     return set(kept)
 
 
+def kernel_vectors_by_product(a, cap):
+    """Independent oracle: the non-zero kernel vectors of a with
+    infinity-norm <= cap, in lexicographic order, by testing every point of
+    the box."""
+    rows = a.to_rows()
+    return [h for h in itertools.product(range(-cap, cap + 1), repeat=a.n)
+            if any(h) and all(sum(map(operator.mul, row, h)) == 0 for row in rows)]
+
+
 def graver_by_enumeration(a, cap):
     """Independent oracle: the conformally minimal non-zero kernel vectors of
     a with infinity-norm <= cap.  It equals the Graver basis once cap
     reaches the basis' largest infinity-norm."""
-    return conformally_minimal(_kernel_vectors_within(a, cap, 10**7))
+    return conformally_minimal(kernel_vectors_by_product(a, cap))
 
 
 def nfold_reference_step(model, x):
@@ -113,7 +123,7 @@ def nfold_reference_step(model, x):
     fns, _ = _min_objective(model)
     lower, upper = model.lower, model.upper
     width = max((u - l for l, u in zip(lower, upper)), default=0)
-    moves = sorted([(0,) * nf.t] + _kernel_vectors_within(nf.a2, width, 10**7))
+    moves = sorted([(0,) * nf.t] + kernel_vectors_by_product(nf.a2, width))
     a1_rows = nf.a1.to_rows()
     a1h = {h: tuple(sum(r[j] * h[j] for j in range(nf.t)) for r in a1_rows) for h in moves}
     zero = (0,) * nf.r

@@ -50,6 +50,27 @@ from helpers import (
 PINNED_PROXIMITY_WITNESSES = "dfab6d0c55dbb2b441d53af12c38e992bc1b70ee84f3968bfb20c0cb79dd12fd"
 
 
+# sha256 over repr((size, sorted(assignment.items()))) of max_bipartite_matching
+# on random_matching_input(seed) for seed in range(2000), as computed when
+# the matching recursed once per vertex of an augmenting path.
+PINNED_MATCHING_DIGEST = "587e1b7656e7f7002a59db39d5651f671f524caa1a3badd52ef709def4fa4f38"
+
+
+def random_matching_input(seed):
+    """(left, adj, capacity) of a capacitated bipartite input: the left
+    vertices unsorted, some with no adjacency entry and some right vertices
+    with no capacity entry, capacities 0 to 3, and mostly small degrees so
+    that augmenting paths run long."""
+    rng = random.Random(seed)
+    right = list(range(100, 100 + rng.randint(0, 12)))
+    left = rng.sample(range(100), rng.randint(0, 20))
+    top = rng.choice([2, 3, len(right)])
+    adj = {l: rng.sample(right, rng.randint(0, min(top, len(right))))
+           for l in left if rng.random() < 0.9}
+    capacity = {r: rng.randint(0, 3) for r in right if rng.random() < 0.9}
+    return left, adj, capacity
+
+
 def random_cds_graph(seed, n_max=7, cap_max=3):
     rng = random.Random(seed)
     return random_graph(rng, n=rng.randint(1, n_max), p=0.5, max_capacity=cap_max)
@@ -144,6 +165,26 @@ class TestMatching:
             [0, 1], {0: [10, 11], 1: [10]}, {10: 1, 11: 1}
         )
         assert size == 2 and assignment[1] == 10 and assignment[0] == 11
+
+    def test_pinned_assignments(self):
+        h = hashlib.sha256()
+        for seed in range(2000):
+            size, assignment = max_bipartite_matching(*random_matching_input(seed))
+            assert size == len(assignment)
+            h.update(repr((size, sorted(assignment.items()))).encode())
+        assert h.hexdigest() == PINNED_MATCHING_DIGEST
+
+    def test_augmenting_path_of_5000_vertices(self):
+        # left j < 5000 is adjacent to r + j and r + j + 1 and takes r + j;
+        # the last left vertex reaches only r, so its augmenting path moves
+        # every earlier one up by one
+        r, n = 10_000, 5000
+        adj = {j: [r + j, r + j + 1] for j in range(n)}
+        adj[n] = [r]
+        capacity = {r + j: 1 for j in range(n + 1)}
+        size, assignment = max_bipartite_matching(range(n + 1), adj, capacity)
+        assert size == n + 1
+        assert list(assignment.items()) == [(j, r + j + 1) for j in range(n)] + [(n, r)]
 
 
 class TestBrutes:

@@ -11,9 +11,11 @@ import pytest
 
 import ndsolve
 from ndsolve import cli, graphs
+from ndsolve.algorithms import check_cds
 from ndsolve.cli import COMMANDS, build_parser, main, parse_plain
 from ndsolve.graphs import type_graph
 from ndsolve.instances import Instance, generate_blowup, random_template, read_instance, write_instance
+from ndsolve.models import decode_cds
 
 from helpers import complete_graph, path_graph, star_graph
 
@@ -30,6 +32,12 @@ def p3_sumcol(tmp_path):
     path = tmp_path / "p3.txt"
     write_instance(Instance(path_graph(3), "sumcol"), path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def clique_400():
+    g = complete_graph(400, capacity=[1] * 400)
+    return Instance(g, "cds"), type_graph(g)
 
 
 @pytest.fixture
@@ -282,6 +290,34 @@ class TestRoutes:
     def test_partial_spellings_name_the_first_matching_route(self, p3_sumcol, flags, route):
         expected = _run(["solve", "--no-timing", *_spelling("sumcol", route), p3_sumcol])
         assert _run(["solve", "--no-timing", *flags, p3_sumcol]) == expected
+
+    @pytest.mark.parametrize("name", [n for n, r in cli.ROUTES["cds"][1].items() if r.kind != cli.ORACLE])
+    def test_cds_routes_need_no_recursion_on_a_clique(self, clique_400, name):
+        # k = 1, 400 vertices of capacity 1: 200 dominate, and the matching
+        # of the i-th outside vertex walks an augmenting path through i
+        # dominators, past the lowered limit
+        inst, t = clique_400
+        g = inst.graph
+        route = cli.ROUTES["cds"][1][name]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            if route.kind == cli.MODEL:
+                res = cli.SOLVERS[route.method](route.build(inst, t))
+                value, sol = res.value, decode_cds(t, g, res.point)
+            else:
+                sol = route.build(inst, t)
+                value = sol.size
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == sol.size == 200 and check_cds(g, sol)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 class TestVerify:

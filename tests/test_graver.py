@@ -24,7 +24,7 @@ from ndsolve.instances import generate_blowup, random_template
 from ndsolve.matrices import IntMatrix
 from ndsolve.models import build_sumcol_graver, split_stacked_blocks
 
-from helpers import graver_by_enumeration
+from helpers import graver_by_enumeration, kernel_vectors_by_product
 
 
 vectors = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
@@ -140,6 +140,27 @@ class TestKernelLattice:
         a = IntMatrix.from_dict(1, 3, {})
         basis = kernel_lattice_basis(a)
         assert len(basis) == 3
+
+
+class TestKernelEnumeration:
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_matches_the_whole_box(self, chunk):
+        # the same vectors in the same (lexicographic) order as a test of
+        # every point of the box; zero columns, zero rows and cap 0 included
+        for seed in range(50 * chunk, 50 * chunk + 50):
+            rng = random.Random(7_000 + seed)
+            m, n, cap = rng.randint(1, 3), rng.randint(1, 5), rng.randint(0, 2)
+            a = IntMatrix.from_dict(
+                m, n, {(i, j): rng.randint(-2, 2) for i in range(m) for j in range(n)
+                       if rng.random() < 0.7})
+            assert graver._kernel_vectors_within(a, cap, 10**7) == kernel_vectors_by_product(a, cap), seed
+
+    def test_budget_counts_every_node(self):
+        # 2,246 nodes, leaves included, as when the search recursed
+        a = IntMatrix.from_rows([[1, -2, 1, 0, 2], [0, 1, 1, -1, -1]])
+        assert len(graver._kernel_vectors_within(a, 2, 2246)) == 40
+        with pytest.raises(BudgetError, match="kernel enumeration budget exceeded"):
+            graver._kernel_vectors_within(a, 2, 2245)
 
 
 class TestGraverBasis:
