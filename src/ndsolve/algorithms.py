@@ -38,7 +38,7 @@ from operator import countOf
 
 from .backends import solve_boxed
 from .graphs import Graph, TypeGraph, twin_partition
-from .ipmodel import MIN, IpModel, Linear
+from .ipmodel import IpModel, Linear
 from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
 from .models import (
@@ -269,14 +269,12 @@ def is_capacity_ordered(g: Graph, dominators) -> bool:
 # ---------------------------------------------------------------------------
 
 def relax_model(model, pins=None) -> LpProblem:
-    """The continuous relaxation of a linear MIN model: its own integer rows
+    """The continuous relaxation of a linear model: its own integer rows
     over its finite boxes, minimized; pins fix chosen variables."""
     if model.convex_rows:
         raise ValueError("relaxation needs a fully linear model")
     if not isinstance(model.objective, Linear):
         raise ValueError("relaxation needs a linear objective")
-    if model.sense != MIN:
-        raise ValueError("relaxation needs a MIN model")
     lower = list(model.lower)
     upper = list(model.upper)
     for i, v in (pins or {}).items():
@@ -309,8 +307,8 @@ def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
     if not res.optimal:
         raise RuntimeError("domination relaxation must be feasible and bounded")
     lo, hi = proximity_box(t, res.point)
-    box = IpModel(sense=MIN, objective=Linear((1,) * t.k), n_vars=t.k, lower=lo, upper=hi,
-                  rows=(), convex_rows=(cds_hall_row(t),))
+    box = IpModel(objective=Linear((1,) * t.k), n_vars=t.k, lower=lo, upper=hi, rows=(),
+                  convex_rows=(cds_hall_row(t),))
     found = solve_boxed(box)
     if not found.optimal:
         raise RuntimeError("no valid point inside the proximity box")

@@ -11,15 +11,15 @@ each with the interval the row's later variables can add, so a node
 narrows its variable's box by interval arithmetic over the unassigned
 suffix with no table of rows x variables.  Objective pruning reads the
 model's optional remainder hook, an admissible lower bound on the
-minimize-oriented objective still to come given point[:depth].  Linear and
-separable objectives add it to their partial sum and take the larger of
-that and the sum of the later variables' least values: slope bisection
-finds those of separable convex terms under MIN, and the box ends those
-of linear terms and of the negated, so concave, terms of a MAX
-objective.  Quadratic and general convex
-objectives do not separate, so their partial sum is 0 and the hook alone
-bounds the whole objective, at every variable but the last, whose leaves
-evaluate the objective itself; without a hook they are enumerated.  The
+objective still to come given point[:depth].  Every model minimizes (see
+ipmodel), so no backend handles an orientation.  Linear and separable
+objectives add the hook to their partial sum and take the larger of that
+and the sum of the later variables' least values: slope bisection finds
+those of separable convex terms, and the box ends those of linear terms.
+Quadratic and general convex objectives do not separate, so their partial
+sum is 0 and the hook alone bounds the whole objective, at every variable
+but the last, whose leaves evaluate the objective itself; without a hook
+they are enumerated.  The
 hooks are the models' own: max-q-cut's, the n-fold colouring model's, and
 models.catalog_remainder_bound, which the general convex catalog model and
 the stacked one, whose catalog terms are 0, share.  A value is dropped when
@@ -43,12 +43,11 @@ holds, and the objective strictly decreases.  This is exact, since every
 Graver element of the full n-fold matrix that moves a point within the box
 is such a step (see solve_nfold).
 
-solve_nfold and solve_augment need a linear objective, or a separable
-convex one under MIN, and linear rows only: they reject quadratic and
-general convex objectives, a maximized separable convex one (its negation
-is concave, and augmentation is exact only for convex objectives) and
-convex rows with ValueError.  solve_nfold also needs the n-fold annotation,
-and solve_augment equality rows only.
+solve_nfold and solve_augment need a linear or separable convex objective,
+as augmentation is exact only for those, and linear rows only: they reject
+quadratic and general convex objectives and convex rows with ValueError.
+solve_nfold also needs the n-fold annotation, and solve_augment equality
+rows only.
 
 Every optimal result of the three backends is certified before it is
 returned: its point is checked against the boxes, the rows and the convex
@@ -64,7 +63,7 @@ from operator import lshift, mul, sub
 
 from .errors import BudgetError
 from .graver import augment_to_optimum, graver_basis, _convex_argmin, _kernel_vectors_within
-from .ipmodel import EQ, GE, LE, MIN, IpModel, Linear, SeparableConvex
+from .ipmodel import EQ, GE, LE, IpModel, Linear, SeparableConvex
 from .lp import solve_lp  # noqa: F401  (bench/run.py and bench/spans.py hook this name)
 
 
@@ -112,13 +111,13 @@ def _is_feasible(model: IpModel, point) -> bool:
 
 def _certify(model: IpModel, point, claimed):
     """The model's objective value at point, once point is seen to satisfy
-    the boxes, the rows and the convex rows and that value, in minimize
-    orientation, equals claimed, the value the backend reached; raises
-    RuntimeError otherwise.  Every optimal result passes through here."""
+    the boxes, the rows and the convex rows and that value equals claimed,
+    the value the backend reached; raises RuntimeError otherwise.  Every
+    optimal result passes through here."""
     if not _is_feasible(model, point):
         raise RuntimeError("solver ended at a point that breaks a box or a row of the model")
     value = model.objective_value(point)
-    if (value if model.sense == MIN else -value) != claimed:
+    if value != claimed:
         raise RuntimeError(f"solver reached objective {claimed}, but the point's is {value}")
     return value
 
@@ -137,52 +136,30 @@ def _end_min(f, lo, hi):
     return min(f(lo), f(hi))
 
 
-def _min_objective(model: IpModel):
-    """The objective in minimize orientation, as (terms, value).
-
-    ``terms`` are the per-variable evaluation rules, or None when the
-    objective does not separate; ``value`` evaluates a whole point.  This is
-    the only place a MAX objective is negated: MIN models get the model's
-    own rules, with no wrapper call per evaluation.  A negated separable
-    convex term is concave; a linear term is both convex and concave.
-    """
+def _objective_terms(model: IpModel, backend: str | None = None):
+    """The per-variable evaluation rules of a linear or separable convex
+    objective, or None when the objective does not separate; with a backend
+    named, ValueError names it instead of None, as augmentation is exact
+    only for those objectives."""
     obj = model.objective
     if isinstance(obj, Linear):
-        terms = [(lambda v, c=c: c * v) for c in obj.coeffs]
-    elif isinstance(obj, SeparableConvex):
-        terms = list(obj.terms)
-    else:
-        terms = None
-    if model.sense == MIN:
-        return terms, obj.value
-
-    def negated(f):
-        return lambda x: -f(x)
-
-    return (None if terms is None else [negated(f) for f in terms]), negated(obj.value)
-
-
-def _convex_min_objective(model: IpModel, backend: str):
-    """_min_objective of a model whose minimize-oriented objective is
-    separable convex: linear, or separable convex under MIN.  Augmentation
-    is exact only for those; ValueError names the backend otherwise."""
-    terms, value = _min_objective(model)
-    if terms is None:
+        return [(lambda v, c=c: c * v) for c in obj.coeffs]
+    if isinstance(obj, SeparableConvex):
+        return list(obj.terms)
+    if backend is not None:
         raise ValueError(f"{backend} needs a linear or separable convex objective")
-    if model.sense != MIN and isinstance(model.objective, SeparableConvex):
-        raise ValueError(f"{backend} cannot maximize a separable convex objective")
-    return terms, value
+    return None
 
 
 def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Exact optimum over the box by depth-first branch-and-bound.
 
-    Takes every model that validates, whatever its objective, rows and
-    convex rows.  Returns the lexicographically smallest optimal point;
-    raises BudgetError when the node budget runs out, and ValueError when
-    it finds no leaf at or below the value of a start point that breaks a
-    box, a row or a convex row.  Every node counts against
-    budget.max_nodes, the root and the leaves included.
+    Takes every model, whatever its objective, rows and convex rows.
+    Returns the lexicographically smallest optimal point; raises BudgetError
+    when the node budget runs out, and ValueError when it finds no leaf at
+    or below the value of a start point that breaks a box, a row or a
+    convex row.  Every node counts against budget.max_nodes, the root and
+    the leaves included.
 
     The set-up is O(nnz + n): one backward pass over each row's nonzeros
     gives, per depth, the checks (row, coef, rhs, upper side?, lower side?,
@@ -196,19 +173,17 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     updates when it comes back; a value whose box breaks a convex row's
     box_min is dropped, and so is one whose objective bound is >= the
     incumbent.  Before the first leaf the model's start point, if it has
-    one, stands in for the incumbent: with V0 its value in minimize
-    orientation, a value is dropped when its bound is > V0, and the first
-    leaf at or below V0 becomes the incumbent.  The start itself is checked
-    only when the search ends with no leaf.  The children at the last
-    variable are leaves, evaluated in their parent's value loop.  The
-    per-variable least values behind the suffix minima come from slope
-    bisection for separable convex terms under MIN and from the box ends
-    for linear terms and the negated, concave, terms of a MAX objective.
-    At a level whose term is linear
-    with a coefficient >= 0 in minimize orientation, partial + term(v) +
-    rest_min does not fall as v rises, and the limit does not change while
-    no child is searched, so once that sum alone drops a value it drops
-    every later one: the loop ends there, and the tree is the same.
+    one, stands in for the incumbent: with V0 its value, a value is dropped
+    when its bound is > V0, and the first leaf at or below V0 becomes the
+    incumbent.  The start itself is checked only when the search ends with
+    no leaf.  The children at the last variable are leaves, evaluated in
+    their parent's value loop.  The per-variable least values behind the
+    suffix minima come from slope bisection for separable convex terms and
+    from the box ends for linear terms.  At a level whose term is linear
+    with a coefficient >= 0, partial + term(v) + rest_min does not fall as
+    v rises, and the limit does not change while no child is searched, so
+    once that sum alone drops a value it drops every later one: the loop
+    ends there, and the tree is the same.
 
     Call a leaf good when it satisfies the boxes, the rows and the convex
     rows.  Every bound is admissible, so a dropped value's subtree holds
@@ -246,11 +221,11 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     row checks and box_min tests read no incumbent.  So every node the
     seeded search visits, the unseeded one visits.
     """
-    model.validate()
     budget = budget or Budget()
     n = model.n_vars
     lower, upper = model.lower, model.upper
-    terms, min_value = _min_objective(model)
+    terms = _objective_terms(model)
+    value_of = model.objective.value
     hook = model.remainder_bound
     convex_rows = model.convex_rows
     rows = model.rows
@@ -272,10 +247,8 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     # row checks, activity updates (none at the last: no check reads them)
     # and whether the term is linear and does not fall as the value rises
     last = n - 1
-    convex = model.sense == MIN and isinstance(model.objective, SeparableConvex)
-    least = _unary_min if convex else _end_min
-    sign = 1 if model.sense == MIN else -1
-    rising = ([sign * c >= 0 for c in model.objective.coeffs]
+    least = _unary_min if isinstance(model.objective, SeparableConvex) else _end_min
+    rising = ([c >= 0 for c in model.objective.coeffs]
               if isinstance(model.objective, Linear) else [False] * n)
     rest_min = 0
     levels = [None] * n
@@ -299,7 +272,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
         raise BudgetError("branch-and-bound node budget exceeded")
     # until the first leaf, best_val is the start's value and best_pt None
     start = model.initial_point
-    best_val = None if start is None else min_value(start)
+    best_val = None if start is None else value_of(start)
     best_pt = None
 
     if n:
@@ -367,7 +340,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
                 if d == last:
                     if convex_rows and any(cr.fn(point) > 0 for cr in convex_rows):
                         continue
-                    val = new if term is not None else min_value(point)
+                    val = new if term is not None else value_of(point)
                     if best_pt is None:
                         if best_val is not None and val > best_val:
                             continue  # above the start's value
@@ -392,7 +365,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
                 break
             d -= 1
     elif all(cr.fn(point) <= 0 for cr in convex_rows):
-        best_val, best_pt = (0 if terms is not None else min_value(point)), ()
+        best_val, best_pt = (0 if terms is not None else value_of(point)), ()
     if best_pt is None:
         return _no_leaf(model, nodes)
     return SolveResult("optimal", best_pt, _certify(model, best_pt, best_val), nodes)
@@ -421,7 +394,6 @@ def _initial_point(model: IpModel, budget: Budget):
         return model.initial_point
     # fall back to a feasibility search; desk-scale but explicit
     feas = IpModel(
-        sense=MIN,
         objective=Linear(tuple([0] * model.n_vars)),
         n_vars=model.n_vars,
         lower=model.lower,
@@ -436,18 +408,17 @@ def _initial_point(model: IpModel, budget: Budget):
 def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Exact augmentation over the n-fold block structure.
 
-    Needs the n-fold annotation, linear rows only and a linear objective,
-    or a separable convex one under MIN.  Let W be the largest box width
-    max(u - l).  The moves per brick are the
-    zero vector and every h with A2 h = 0 and ||h||_inf <= W; each step is
-    the best choice of one move per brick that stays in the box and whose
-    A1-parts cancel, found by a DP over bricks, at step length 1.
+    Needs the n-fold annotation, linear rows only and a linear or separable
+    convex objective.  Let W be the largest box width max(u - l).  The
+    moves per brick are the zero vector and every h with A2 h = 0 and
+    ||h||_inf <= W; each step is the best choice of one move per brick that
+    stays in the box and whose A1-parts cancel, found by a DP over bricks,
+    at step length 1.
 
     Why the fixpoint is optimal: if x is feasible and x* is a better point,
     x* - x is a conformal sum of Graver elements g_i of the full n-fold
     matrix, each x + g_i is feasible, and for a separable convex objective
-    (in minimize orientation, hence the rejection of a maximized one) some
-    g_i improves on x.  Each brick of g_i is an A2-kernel vector with
+    some g_i improves on x.  Each brick of g_i is an A2-kernel vector with
     ||.||_inf <= W, as |g_i| <= |x* - x| <= u - l, and the A1-parts of its
     bricks sum to zero, so the DP sees g_i.  A longer feasible step
     lambda*h is itself such a move, so no step length needs a search.  Each
@@ -493,7 +464,6 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     and step, the change of each value within the coordinate's box, so no
     term is evaluated outside its box.
     """
-    model.validate()
     if model.nfold is None:
         raise ValueError("model carries no n-fold annotation")
     if model.convex_rows:
@@ -501,7 +471,7 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     budget = budget or Budget()
     nf = model.nfold
     n, t = nf.n, nf.t
-    fns, min_value = _convex_min_objective(model, "n-fold backend")
+    fns = _objective_terms(model, "n-fold backend")
     lower, upper = model.lower, model.upper
 
     x = _initial_point(model, budget)
@@ -542,8 +512,8 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
             f0 = f(v)
             tables.append({d: f(v + d) - f0 for d in range(l - v, u - v + 1) if d})
         per_brick = []  # per brick: packed A1-part -> (objective change, move), best change kept
-        for base in range(0, n * t, t):
-            change = tables[base:base + t]
+        for b in range(n):
+            change = tables[b * t:(b + 1) * t]
             cands = {}
             for h, key, support in move_list:
                 delta = 0
@@ -605,7 +575,7 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
                 x[b * t + j] += d
         return states[origin]
 
-    value = min_value(x)
+    value = model.objective_value(x)
     steps = 0
     while delta := improve():
         value += delta
@@ -643,21 +613,20 @@ def clear_graver_cache():
 def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Graver-best augmentation over the model's full constraint matrix.
 
-    Needs equality rows only and a linear objective, or a separable convex
-    one under MIN.
+    Needs equality rows only and a linear or separable convex objective.
     The basis comes from cached_graver_basis: the signed simple cycles when
     the matrix is a node-arc incidence matrix, else the completion, cached
     because models built from the same type-graph shape share their matrix.
     """
-    model.validate()
     budget = budget or Budget()
     if any(row.rel != EQ for row in model.rows) or model.convex_rows:
         raise ValueError("augmentation needs a pure equality standard form")
-    _, f = _convex_min_objective(model, "augmentation")
+    _objective_terms(model, "augmentation")
 
     x0 = _initial_point(model, budget)
     if x0 is None:
         return SolveResult("infeasible", None, None, 0)
     basis = cached_graver_basis(model.matrix())
-    res = augment_to_optimum(x0, f, (model.lower, model.upper), basis, max_steps=budget.max_steps)
+    res = augment_to_optimum(x0, model.objective.value, (model.lower, model.upper), basis,
+                             max_steps=budget.max_steps)
     return SolveResult("optimal", res.point, _certify(model, res.point, res.value), res.steps)

@@ -86,13 +86,17 @@ class Route:
     MODEL route, which the backend ``SOLVERS[method]`` solves, or runs an
     ALGORITHM (a dominating set from the type graph) or the ORACLE (brute
     force).  ``model`` and ``method`` fill a CSV row's model and backend
-    columns.  An answer is at most ``gap(t)`` above the optimum."""
+    columns.  Every model minimizes, so a problem that maximizes is modelled
+    by its negation and its route's ``sign`` of -1 turns the model's value
+    back into the answer.  An answer is at most ``gap(t)`` above the
+    optimum."""
 
     kind: str
     model: str
     method: str
     build: Callable
     gap: Callable = lambda t: 0
+    sign: int = 1
 
     def solve(self, inst, t, budget=None):
         """(value, nodes, the report lines of `ndsolve solve`); the value is
@@ -103,7 +107,8 @@ class Route:
             res = SOLVERS[self.method](model, budget=budget)
             if not res.optimal:
                 return None, res.nodes, ["infeasible"]
-            return res.value, res.nodes, self._report(inst, t, model, res)
+            value = self.sign * res.value
+            return value, res.nodes, self._report(inst, t, model, res.point, value)
         found = self.build(inst, t)
         if self.kind == ORACLE:
             return found, 0, [f"algo: {self.method} value: {found}"]
@@ -111,10 +116,10 @@ class Route:
             raise RuntimeError(f"{self.method} returned an invalid dominating set")
         return found.size, 0, [f"algo: {self.method} value: {found.size} witness: {_dominators(found)}"]
 
-    def _report(self, inst, t, model, res):
+    def _report(self, inst, t, model, x, value):
         yield f"model: {inst.problem}/{self.model} backend: {self.method}"
-        yield f"value: {res.value}"
-        g, x = inst.graph, res.point
+        yield f"value: {value}"
+        g = inst.graph
         if inst.problem != "cds":
             sumcol = inst.problem == "sumcol"
             labels = decode_coloring(t, g, x, model.tag) if sumcol else decode_partition(t, g, x)
@@ -156,7 +161,7 @@ ROUTES = {
     ),
     "maxqcut": _table(
         "quadratic/boxed",
-        Route(MODEL, "quadratic", "boxed", lambda inst, t: build_maxqcut(t, inst.q)),
+        Route(MODEL, "quadratic", "boxed", lambda inst, t: build_maxqcut(t, inst.q), sign=-1),
         Route(ORACLE, "-", "brute",
               lambda inst, t: cut_value(inst.graph, maxqcut_brute(inst.graph, inst.q))),
     ),
@@ -267,6 +272,8 @@ def cmd_bench(args) -> int:
     RuntimeError or BudgetError gets the value "error" and its message on
     stderr, the run goes on, and the exit code is INPUT_ERROR.
     """
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     rng_master = random.Random(args.seed)
     rows = []
     failed = False

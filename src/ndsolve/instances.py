@@ -405,8 +405,11 @@ def random_template(
     with_capacities: bool = False,
     max_capacity: int = 4,
 ) -> BlowupTemplate:
-    """Draw a template with k <= max_k classes and at most max_n vertices."""
-    k = rng.randint(1, max_k)
+    """Draw a template with k <= min(max_k, max_n) classes and at most max_n
+    vertices; both limits must be at least 1."""
+    if max_k < 1 or max_n < 1:
+        raise ValueError(f"max_k and max_n must be at least 1, got {max_k} and {max_n}")
+    k = rng.randint(1, min(max_k, max_n))
     weights = [1] * k
     for _ in range(max_n - k):
         if rng.random() < 0.6:

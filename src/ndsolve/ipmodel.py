@@ -1,7 +1,9 @@
 """Bounded-box integer programs with linear rows and pluggable objectives.
 
-Every variable carries finite integer bounds.  Constraints are linear
-equalities/inequalities; on top of those a model may carry convex
+Every model minimizes its objective: a problem that maximizes, max-q-cut,
+is modelled by its negation, and its route in cli.ROUTES flips the sign
+back.  Every variable carries finite integer bounds.  Constraints are
+linear equalities/inequalities; on top of those a model may carry convex
 feasibility rows (an evaluation rule that must be <= 0, with a convexity
 promise and a box lower bound for pruning).  Objectives come in four forms:
 linear, separable convex (per-variable evaluation rules), quadratic, and
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 from .matrices import IntMatrix
 
-MIN, MAX = "min", "max"
 LE, EQ, GE = "<=", "=", ">="
 
 
@@ -100,7 +101,9 @@ class StackedBlocks:
 
 @dataclass(frozen=True)
 class IpModel:
-    sense: str
+    """A model to minimize, checked by validate() when it is constructed, so
+    a model that exists is a valid one."""
+
     objective: object
     n_vars: int
     lower: tuple
@@ -115,20 +118,21 @@ class IpModel:
     # prunes by its value until its first leaf and checks it only when it
     # finds no leaf at or below that value
     initial_point: tuple | None = None
-    # optional remainder_bound(point, depth): a lower bound on the
-    # minimize-oriented objective of every completion of point[:depth] that
-    # satisfies the boxes and rows, less the objective of point[:depth] when
-    # the objective separates (for a quadratic or general convex objective,
-    # the whole objective); it reads only point[:depth]
+    # optional remainder_bound(point, depth): a lower bound on the objective
+    # of every completion of point[:depth] that satisfies the boxes and rows,
+    # less the objective of point[:depth] when the objective separates (for
+    # a quadratic or general convex objective, the whole objective); it
+    # reads only point[:depth]
     remainder_bound: object = None
+
+    def __post_init__(self):
+        self.validate()
 
     def objective_value(self, point):
         return self.objective.value(point)
 
     def validate(self):
         n = self.n_vars
-        if self.sense not in (MIN, MAX):
-            raise ValueError("sense must be min or max")
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound dimension mismatch")
         for l, u in zip(self.lower, self.upper):
@@ -153,7 +157,6 @@ class IpModel:
                 raise ValueError("stacked annotation does not match row count")
         if self.initial_point is not None and len(self.initial_point) != n:
             raise ValueError("initial point dimension mismatch")
-        return self
 
     def _validate_nfold(self):
         nf = self.nfold
@@ -192,7 +195,7 @@ class IpModel:
 
 def dump_model(m: IpModel) -> str:
     """Canonical line-oriented serialization for golden-file comparisons."""
-    out = [f"sense {m.sense}", f"vars {m.n_vars}"]
+    out = [f"vars {m.n_vars}"]
     for i in range(m.n_vars):
         out.append(f"bound {i} {m.lower[i]} {m.upper[i]}")
     obj = m.objective

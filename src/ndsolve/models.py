@@ -17,8 +17,10 @@ sizes i keeps every row short, which is what the stacked (F over L) variant
 exploits.
 
 Max-q-cut counts, per class pair and part pair, the product of how many
-vertices land in each side; the objective is an indefinite quadratic and the
-sense is MAXIMIZE (cross edges are being counted, not avoided).
+vertices land in each side; the cut is an indefinite quadratic to maximize
+(cross edges are being counted, not avoided).  Like every model, this one
+minimizes: its objective is -cut, and the max-q-cut route in cli.ROUTES
+flips the sign back.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .graphs import CLIQUE, Graph, TypeGraph, domination_capacity
 from .ipmodel import (
     EQ,
     GE,
-    MAX,
-    MIN,
     ConvexRow,
     GeneralConvex,
     IpModel,
@@ -108,16 +108,16 @@ def build_cds_convex(t: TypeGraph) -> IpModel:
     convex_rows = []
     for i in range(k):
         served = tuple(pos[(i, j)] for j in sorted(t.neighbors(i)))
+        f_i = t.capacity_prefix[i]  # f_i(x_i) = f_i[x_i], as 0 <= x_i <= w_i in the box
 
-        def fn(point, i=i, served=served):
-            return sum(point[p] for p in served) - domination_capacity(t, i, point[i])
+        def fn(point, i=i, served=served, f_i=f_i):
+            return sum(point[p] for p in served) - f_i[point[i]]
 
-        def box_min(lo, hi, i=i, served=served):
-            return sum(lo[p] for p in served) - domination_capacity(t, i, hi[i])
+        def box_min(lo, hi, i=i, served=served, f_i=f_i):
+            return sum(lo[p] for p in served) - f_i[hi[i]]
 
         convex_rows.append(ConvexRow(fn, box_min, name=f"cap_{i}"))
     return IpModel(
-        sense=MIN,
         objective=Linear(tuple([1] * k + [0] * len(pairs))),
         n_vars=k + len(pairs),
         lower=tuple(lower),
@@ -125,7 +125,7 @@ def build_cds_convex(t: TypeGraph) -> IpModel:
         rows=tuple(rows),
         convex_rows=tuple(convex_rows),
         tag="cds",
-    ).validate()
+    )
 
 
 def build_cds_ilp(t: TypeGraph) -> IpModel:
@@ -151,14 +151,13 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
             rhs = domination_capacity(t, i, ell - 1) - c_l * (ell - 1)
             rows.append(LinearRow.make(coeffs, "<=", rhs))
     return IpModel(
-        sense=MIN,
         objective=Linear(tuple([1] * k + [0] * len(pairs))),
         n_vars=k + len(pairs),
         lower=tuple(lower),
         upper=tuple(upper),
         rows=tuple(rows),
         tag="cds",
-    ).validate()
+    )
 
 
 @dataclass(frozen=True)
@@ -449,7 +448,6 @@ def build_sumcol_convex(t: TypeGraph) -> IpModel:
         return total
 
     return IpModel(
-        sense=MIN,
         objective=GeneralConvex(s_convex, name="sumcol-column-cost"),
         n_vars=n,
         lower=tuple([0] * n),
@@ -457,7 +455,7 @@ def build_sumcol_convex(t: TypeGraph) -> IpModel:
         rows=tuple(rows),
         tag="sumcol_convex",
         remainder_bound=catalog_remainder_bound(t, cat),
-    ).validate()
+    )
 
 
 def build_sumcol_graver(t: TypeGraph) -> IpModel:
@@ -516,7 +514,6 @@ def build_sumcol_graver(t: TypeGraph) -> IpModel:
         )
 
     return IpModel(
-        sense=MIN,
         objective=SeparableConvex(tuple(terms)),
         n_vars=n,
         lower=tuple([0] * n),
@@ -526,7 +523,7 @@ def build_sumcol_graver(t: TypeGraph) -> IpModel:
         tag="sumcol_graver",
         initial_point=tuple(x0),
         remainder_bound=catalog_remainder_bound(t, cat),
-    ).validate()
+    )
 
 
 def split_stacked_blocks(model: IpModel):
@@ -583,8 +580,8 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
     k = t.k
     slots = [class_slots(t, i) for i in range(k)]
     n_colors = color_count if color_count is not None else sum(slots)
-    if n_colors < 1:
-        raise ValueError("need at least one color")
+    if n_colors < 0:
+        raise ValueError("the color count must be non-negative")
     edges_nl = sorted(e for e in t.edges if e[0] != e[1])
     s = len(edges_nl)
     tt = k + s
@@ -644,7 +641,6 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
         return total
 
     return IpModel(
-        sense=MIN,
         objective=Linear(tuple(cost)),
         n_vars=n,
         lower=tuple([0] * n),
@@ -654,7 +650,7 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
         tag="sumcol_nfold",
         initial_point=initial,
         remainder_bound=remainder_bound,
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +658,10 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
 # ---------------------------------------------------------------------------
 
 def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
-    """x_{i,a} = how many vertices of class i land in part a; maximize the
-    cross products over type edges.
+    """x_{i,a} = how many vertices of class i land in part a; the cut is the
+    sum of the cross products over type edges, and the model minimizes -cut,
+    each product carrying coefficient -1 (the max-q-cut route flips the sign
+    back).
 
     A loop edge contributes x_{i,a} * x_{i,b} once per unordered part pair;
     a proper edge {i, j} contributes both orientations.  As sum_a x_{i,a} =
@@ -674,9 +672,10 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
 
     so an upper bound U on the cut of every completion of point[:depth]
     follows from lower bounds on the overlaps sum_a x_{i,a} x_{j,a}, and the
-    remainder hook returns -U (the objective is maximized).  The variables
-    are laid out class-major, x_{i,a} at i*q + a, so at depth = c*q + f the
-    classes before c are complete and class c has its first f parts fixed.
+    remainder hook returns -U, a lower bound on the objective -cut.  The
+    variables are laid out class-major, x_{i,a} at i*q + a, so at depth =
+    c*q + f the classes before c are complete and class c has its first f
+    parts fixed.
 
     Why -U is admissible.  Take any completion x with x >= 0 and every class
     sum w_i.
@@ -709,10 +708,10 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
     for a, b in itertools.combinations(range(q), 2):
         for i, j in sorted(t.edges):
             if i == j:
-                terms.append((i * q + a, i * q + b, 1))
+                terms.append((i * q + a, i * q + b, -1))
             else:
-                terms.append((i * q + a, j * q + b, 1))
-                terms.append((i * q + b, j * q + a, 1))
+                terms.append((i * q + a, j * q + b, -1))
+                terms.append((i * q + b, j * q + a, -1))
     loops = [i for i, j in sorted(t.edges) if i == j]
     cross = [(i, j) for i, j in sorted(t.edges) if i != j]
 
@@ -767,7 +766,6 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
         return -(top2 // 2)
 
     return IpModel(
-        sense=MAX,
         objective=Quadratic(tuple(sorted(terms))),
         n_vars=n,
         lower=tuple([0] * n),
@@ -775,7 +773,7 @@ def build_maxqcut(t: TypeGraph, q: int) -> IpModel:
         rows=tuple(rows),
         tag="maxqcut",
         remainder_bound=remainder_bound,
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +830,7 @@ def decode_coloring(t: TypeGraph, g: Graph, point, model_tag: str) -> dict:
     if model_tag == "sumcol_nfold":
         edges_nl = sorted(e for e in t.edges if e[0] != e[1])
         tt = t.k + len(edges_nl)
-        n_colors = len(point) // tt
-        for b in range(n_colors):
+        for b in range(len(point) // tt if tt else 0):  # tt = 0: no class, no brick
             for i in range(t.k):
                 if point[b * tt + i]:
                     give(i, b + 1)

@@ -5,9 +5,9 @@ import operator
 import random
 import re
 
-from ndsolve.backends import _min_objective
 from ndsolve.graphs import Graph, type_graph
 from ndsolve.graver import conformal
+from ndsolve.ipmodel import SeparableConvex
 from ndsolve.instances import PROBLEMS, Instance, ParseError, generate_blowup, random_template
 
 
@@ -120,7 +120,11 @@ def nfold_reference_step(model, x):
     there is none) and the number of DP states in each layer.
     """
     nf = model.nfold
-    fns, _ = _min_objective(model)
+    obj = model.objective
+    if isinstance(obj, SeparableConvex):
+        fns = obj.terms
+    else:
+        fns = [(lambda v, c=c: c * v) for c in obj.coeffs]
     lower, upper = model.lower, model.upper
     width = max((u - l for l, u in zip(lower, upper)), default=0)
     moves = sorted([(0,) * nf.t] + kernel_vectors_by_product(nf.a2, width))

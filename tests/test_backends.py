@@ -16,8 +16,6 @@ from ndsolve.ipmodel import (
     EQ,
     GE,
     LE,
-    MAX,
-    MIN,
     ConvexRow,
     GeneralConvex,
     IpModel,
@@ -40,9 +38,8 @@ from ndsolve.models import (
 from helpers import nfold_reference_step, pinned_cds_instances
 
 
-def simple_model(sense, objective, n, lower, upper, rows=(), **kw):
+def simple_model(objective, n, lower, upper, rows=(), **kw):
     return IpModel(
-        sense=sense,
         objective=objective,
         n_vars=n,
         lower=tuple(lower),
@@ -79,9 +76,7 @@ def brute_optimum(model):
                     break
         if ok:
             val = model.objective_value(pt)
-            if best is None or (model.sense == MIN and val < best) or (
-                model.sense == MAX and val > best
-            ):
+            if best is None or val < best:
                 best, best_pt = val, pt
     return best, best_pt
 
@@ -91,7 +86,7 @@ def table_term(values, lo):
     return lambda v: values[v - lo]
 
 
-def random_separable_convex_model(rng, sense, n_rows, rel=None):
+def random_separable_convex_model(rng, n_rows, rel=None):
     """1-3 variables, boxes of width <= 4, convex terms given by their
     tables (sorted increments), and n_rows random rows."""
     n = rng.randint(1, 3)
@@ -105,13 +100,13 @@ def random_separable_convex_model(rng, sense, n_rows, rel=None):
         terms.append(table_term(tuple(values), lo))
     rows = [({j: rng.randint(-2, 2) for j in range(n)}, rel or rng.choice([LE, EQ, GE]),
              rng.randint(-3, 5)) for _ in range(n_rows)]
-    return simple_model(sense, SeparableConvex(tuple(terms)), n, lower, upper, rows=rows)
+    return simple_model(SeparableConvex(tuple(terms)), n, lower, upper, rows=rows)
 
 
 def budget_boundary_model(name):
     if name == "several-last-values":
         # min x0 - x1 + 2 x2, x0 + x1 + x2 >= 4: the last variable ranges
-        return simple_model(MIN, Linear((1, -1, 2)), 3, [0] * 3, [3] * 3,
+        return simple_model(Linear((1, -1, 2)), 3, [0] * 3, [3] * 3,
                             rows=[({0: 1, 1: 1, 2: 1}, GE, 4)])
     if name == "hook-only-quadratic":
         t, _ = pinned_sumcol_instances()[3]
@@ -119,39 +114,40 @@ def budget_boundary_model(name):
     if name == "convex-rows":
         t, _ = pinned_cds_instances()[0]
         return build_cds_convex(t)
-    return simple_model(MIN, Linear(()), 0, [], [])
+    return simple_model(Linear(()), 0, [], [])
 
 
 class TestSolveBoxed:
     def test_trivial_min(self):
-        m = simple_model(MIN, Linear((1,)), 1, [0], [9])
+        m = simple_model(Linear((1,)), 1, [0], [9])
         res = solve_boxed(m)
         assert res.optimal and res.point == (0,) and res.value == 0
 
     def test_infeasible(self):
-        m = simple_model(MIN, Linear((1,)), 1, [0], [9], rows=[({0: 1}, GE, 4), ({0: 1}, LE, 2)])
+        m = simple_model(Linear((1,)), 1, [0], [9], rows=[({0: 1}, GE, 4), ({0: 1}, LE, 2)])
         assert solve_boxed(m).status == "infeasible"
 
     def test_lexicographically_smallest_optimum(self):
         # x + y = 3 with flat objective: (0, 3) is the lex-min optimum
-        m = simple_model(MIN, Linear((0, 0)), 2, [0, 0], [3, 3], rows=[({0: 1, 1: 1}, EQ, 3)])
+        m = simple_model(Linear((0, 0)), 2, [0, 0], [3, 3], rows=[({0: 1, 1: 1}, EQ, 3)])
         assert solve_boxed(m).point == (0, 3)
 
     def test_maximize_quadratic(self):
-        m = simple_model(MAX, Quadratic(((0, 1, 1),)), 2, [0, 0], [4, 4],
+        # max xy as min -xy
+        m = simple_model(Quadratic(((0, 1, -1),)), 2, [0, 0], [4, 4],
                          rows=[({0: 1, 1: 1}, EQ, 4)])
         res = solve_boxed(m)
-        assert res.value == 4 and res.point == (2, 2)
+        assert res.value == -4 and res.point == (2, 2)
 
     def test_separable_convex(self):
         terms = (lambda v: (v - 3) ** 2, lambda v: 2 * abs(v - 1))
-        m = simple_model(MIN, SeparableConvex(terms), 2, [0, 0], [5, 5])
+        m = simple_model(SeparableConvex(terms), 2, [0, 0], [5, 5])
         res = solve_boxed(m)
         assert res.value == 0 and res.point == (3, 1)
 
     def test_general_convex_enumeration(self):
         fn = lambda p: (p[0] - 2) ** 2 + (p[1] + p[0] - 3) ** 2
-        m = simple_model(MIN, GeneralConvex(fn, "test"), 2, [0, 0], [4, 4])
+        m = simple_model(GeneralConvex(fn, "test"), 2, [0, 0], [4, 4])
         res = solve_boxed(m)
         assert res.value == 0 and res.point == (2, 1)
 
@@ -164,7 +160,7 @@ class TestSolveBoxed:
             name="cap",
         )
         m = simple_model(
-            MIN, Linear((1, 0)), 2, [0, 0], [2, 4],
+            Linear((1, 0)), 2, [0, 0], [2, 4],
             rows=[({1: 1}, GE, 4)], convex_rows=(cr,),
         )
         res = solve_boxed(m)
@@ -173,25 +169,25 @@ class TestSolveBoxed:
     def test_incumbent_is_certified(self, monkeypatch):
         # min x, x >= 2: a row pruning that never raises a lower bound
         # admits the leaf x = 0, and the certificate stops it
-        m = simple_model(MIN, Linear((1,)), 1, [0], [5], rows=[({0: 1}, GE, 2)])
+        m = simple_model(Linear((1,)), 1, [0], [5], rows=[({0: 1}, GE, 2)])
         assert solve_boxed(m).point == (2,)
         monkeypatch.setattr(backends, "_ceil_div", lambda a, b: -10**9)
         with pytest.raises(RuntimeError, match="breaks a box or a row"):
             solve_boxed(m)
 
     def test_certify_recomputes_the_objective(self):
-        m = simple_model(MAX, Linear((1, 2)), 2, [0, 0], [3, 3])
-        assert backends._certify(m, (1, 3), -7) == 7
+        m = simple_model(Linear((-1, -2)), 2, [0, 0], [3, 3])
+        assert backends._certify(m, (1, 3), -7) == -7
         with pytest.raises(RuntimeError, match="reached objective"):
             backends._certify(m, (1, 3), 7)
 
     def test_budget_error(self):
-        m = simple_model(MAX, Linear((1, 1, 1)), 3, [0] * 3, [9] * 3)
+        m = simple_model(Linear((-1, -1, -1)), 3, [0] * 3, [9] * 3)
         with pytest.raises(BudgetError):
             solve_boxed(m, budget=Budget(max_nodes=5))
 
     def test_constant_infeasible_row(self):
-        m = simple_model(MIN, Linear((1,)), 1, [0], [9], rows=[({}, EQ, 5)])
+        m = simple_model(Linear((1,)), 1, [0], [9], rows=[({}, EQ, 5)])
         assert solve_boxed(m).status == "infeasible"
 
     @pytest.mark.parametrize("seed", range(20))
@@ -202,9 +198,9 @@ class TestSolveBoxed:
         for _ in range(rng.randint(0, 3)):
             coeffs = {j: rng.randint(-2, 2) for j in range(n) if rng.random() < 0.8}
             rows.append((coeffs, rng.choice([LE, EQ, GE]), rng.randint(-3, 6)))
-        sense = rng.choice([MIN, MAX])
-        obj = Linear(tuple(rng.randint(-3, 3) for _ in range(n)))
-        m = simple_model(sense, obj, n, [0] * n, [4] * n, rows=rows)
+        sign = rng.choice([1, -1])  # -1: a maximization, as the minimization of its negation
+        obj = Linear(tuple(sign * rng.randint(-3, 3) for _ in range(n)))
+        m = simple_model(obj, n, [0] * n, [4] * n, rows=rows)
         expected, expected_pt = brute_optimum(m)
         res = solve_boxed(m)
         if expected is None:
@@ -219,7 +215,7 @@ class TestSolveBoxed:
         rows = [({j: rng.randint(-2, 2) for j in range(n)}, rng.choice([LE, GE]), rng.randint(0, 6))
                 for _ in range(2)]
         obj = tuple(rng.randint(-2, 3) for _ in range(n))
-        m = simple_model(MIN, Linear(obj), n, [0] * n, [3] * n, rows=rows)
+        m = simple_model(Linear(obj), n, [0] * n, [3] * n, rows=rows)
         base = solve_boxed(m)
 
         perm = list(range(n))
@@ -228,7 +224,7 @@ class TestSolveBoxed:
         pobj = [0] * n
         for j in range(n):
             pobj[perm[j]] = obj[j]
-        pm = simple_model(MIN, Linear(tuple(pobj)), n, [0] * n, [3] * n, rows=prows)
+        pm = simple_model(Linear(tuple(pobj)), n, [0] * n, [3] * n, rows=prows)
         permuted = solve_boxed(pm)
         assert (base.status, base.value) == (permuted.status, permuted.value)
 
@@ -242,13 +238,14 @@ class TestSolveBoxed:
                       for p, q in itertools.combinations_with_replacement(range(n), 2))
         rows = [({j: rng.randint(-1, 2) for j in range(n)}, rng.choice([LE, EQ, GE]),
                  rng.randint(0, 5))]
-        m = simple_model(rng.choice([MIN, MAX]), Quadratic(terms), n, [0] * n, [3] * n, rows=rows)
-        sign = 1 if m.sense == MIN else -1
+        sign = rng.choice([1, -1])  # -1: a maximization, as the minimization of its negation
+        terms = tuple((p, q, sign * c) for p, q, c in terms)
+        m = simple_model(Quadratic(terms), n, [0] * n, [3] * n, rows=rows)
         feasible = [pt for pt in itertools.product(range(4), repeat=n)
                     if _holds_all(m, pt)]
 
         def hook(point, depth):
-            values = [sign * m.objective_value(pt) for pt in feasible
+            values = [m.objective_value(pt) for pt in feasible
                       if list(pt[:depth]) == list(point[:depth])]
             return min(values, default=10**9)
 
@@ -262,7 +259,7 @@ class TestSolveBoxed:
 
     def test_general_convex_without_a_hook_is_enumerated(self):
         fn = lambda p: (p[0] - 2) ** 2 + (p[1] + p[0] - 3) ** 2
-        m = simple_model(MIN, GeneralConvex(fn, "test"), 2, [0, 0], [4, 4])
+        m = simple_model(GeneralConvex(fn, "test"), 2, [0, 0], [4, 4])
         assert solve_boxed(m).nodes == 1 + 5 + 25
 
     def test_convex_catalog_searches_keep_their_node_count(self):
@@ -272,21 +269,11 @@ class TestSolveBoxed:
                     for t, _ in pinned_sumcol_instances())
         assert nodes == 1197
 
-    def test_maximizes_a_separable_convex_objective(self):
-        # the negated terms (2, 4, 4, 1) and (-5, -1, -1, -7) are concave:
-        # their least values, 1 and -7, lie at the box end 3, while slope
-        # bisection stops at 0 with 2 and -5, a bound that prunes (3, 3)
-        m = simple_model(MAX, SeparableConvex((table_term((-2, -4, -4, -1), 0),
-                                               table_term((5, 1, 1, 7), 0))),
-                         2, [0, 0], [3, 3])
-        res = solve_boxed(m)
-        assert (res.value, res.point) == (6, (3, 3)) == brute_optimum(m)
-
     @pytest.mark.parametrize("seed", range(6))
-    def test_maximized_separable_convex_agrees_with_exhaustive_oracle(self, seed):
+    def test_separable_convex_agrees_with_exhaustive_oracle(self, seed):
         rng = random.Random(1700 + seed)
         for _ in range(500):
-            m = random_separable_convex_model(rng, MAX, rng.randint(0, 2))
+            m = random_separable_convex_model(rng, rng.randint(0, 2))
             res = solve_boxed(m)
             assert (res.value, res.point) == brute_optimum(m)
 
@@ -305,7 +292,7 @@ class TestSolveBoxed:
     def test_remainder_bound_hook_preserves_optimum(self):
         # admissible hook (true remaining minimum is >= 0 here)
         m = simple_model(
-            MIN, Linear((1, 1)), 2, [0, 0], [5, 5],
+            Linear((1, 1)), 2, [0, 0], [5, 5],
             rows=[({0: 1, 1: 1}, GE, 4)],
         )
         hooked = IpModel(**{**m.__dict__, "remainder_bound": lambda pt, d: 0})
@@ -333,12 +320,12 @@ class TestSolveBoxed:
         rng = random.Random(2400 + seed)
         rejected = 0
         for _ in range(100):
-            m = random_separable_convex_model(rng, rng.choice([MIN, MAX]), rng.randint(0, 2))
+            m = random_separable_convex_model(rng, rng.randint(0, 2))
             start = tuple(rng.randint(lo, hi) for lo, hi in zip(m.lower, m.upper))
             seeded = dataclasses.replace(m, initial_point=start)
             value, _ = brute_optimum(m)
             v0 = m.objective_value(start)
-            if value is None or (v0 < value if m.sense == MIN else v0 > value):
+            if value is None or v0 < value:
                 with pytest.raises(ValueError, match="initial point"):
                     solve_boxed(seeded)
                 rejected += 1
@@ -349,21 +336,21 @@ class TestSolveBoxed:
     def test_start_off_the_rows(self):
         # min x + 2y, x + y = 2, optimum 2 at (2, 0): (0, 0) breaks the row
         # and is valued below it, (3, 3) breaks it and is valued above
-        m = simple_model(MIN, Linear((1, 2)), 2, [0, 0], [3, 3], rows=[({0: 1, 1: 1}, EQ, 2)])
+        m = simple_model(Linear((1, 2)), 2, [0, 0], [3, 3], rows=[({0: 1, 1: 1}, EQ, 2)])
         with pytest.raises(ValueError, match="initial point"):
             solve_boxed(dataclasses.replace(m, initial_point=(0, 0)))
         res = solve_boxed(dataclasses.replace(m, initial_point=(3, 3)))
         assert (res.point, res.value) == ((2, 0), 2) == brute_optimum(m)[::-1]
 
     def test_start_off_the_box(self):
-        m = simple_model(MAX, Linear((1, 1)), 2, [0, 0], [3, 3], rows=[({0: 1, 1: -1}, LE, 0)])
+        m = simple_model(Linear((-1, -1)), 2, [0, 0], [3, 3], rows=[({0: 1, 1: -1}, LE, 0)])
         with pytest.raises(ValueError, match="initial point"):
             solve_boxed(dataclasses.replace(m, initial_point=(4, 4)))
         assert solve_boxed(dataclasses.replace(m, initial_point=(-1, -1))).point == (3, 3)
 
     def test_a_pruned_feasible_start_is_reported(self):
         # a hook that overstates every remainder prunes the start itself
-        m = simple_model(MIN, Linear((1, 1)), 2, [0, 0], [3, 3], initial_point=(1, 1),
+        m = simple_model(Linear((1, 1)), 2, [0, 0], [3, 3], initial_point=(1, 1),
                          remainder_bound=lambda pt, d: 10)
         with pytest.raises(RuntimeError, match="pruned the feasible start point"):
             solve_boxed(m)
@@ -382,32 +369,34 @@ def start_only_prunes(model):
 class TestSolveAugment:
     def test_rejects_initial_point_off_the_rows(self):
         # min x + 2y, x + y = 2: (0, 0) breaks the row, so it is no start
-        m = simple_model(MIN, Linear((1, 2)), 2, [0, 0], [3, 3],
+        m = simple_model(Linear((1, 2)), 2, [0, 0], [3, 3],
                          rows=[({0: 1, 1: 1}, EQ, 2)], initial_point=(0, 0))
         with pytest.raises(ValueError, match="initial point"):
             solve_augment(m)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_exhaustive_oracle_or_rejects(self, seed):
-        # separable convex under MIN and linear under MAX are exact; a
-        # maximized separable convex objective is rejected
+        # separable convex and linear objectives are exact; a quadratic one
+        # is rejected
         rng = random.Random(1800 + seed)
         for _ in range(100):
-            m = random_separable_convex_model(rng, rng.choice([MIN, MAX]), 1, rel=EQ)
-            if m.sense == MAX and rng.random() < 0.5:
-                m = IpModel(**{**m.__dict__, "objective": Linear(
-                    tuple(rng.randint(-3, 3) for _ in range(m.n_vars)))})
-            if m.sense == MAX and isinstance(m.objective, SeparableConvex):
-                with pytest.raises(ValueError, match="cannot maximize"):
+            m = random_separable_convex_model(rng, 1, rel=EQ)
+            draw = rng.random()
+            if draw < 0.25:
+                m = dataclasses.replace(m, objective=Linear(
+                    tuple(rng.randint(-3, 3) for _ in range(m.n_vars))))
+            elif draw < 0.5:
+                m = dataclasses.replace(m, objective=Quadratic(((0, 0, -1),)))
+                with pytest.raises(ValueError, match="linear or separable convex"):
                     solve_augment(m)
                 continue
             res = solve_augment(m)
             assert res.value == brute_optimum(m)[0]
 
     def test_final_point_is_rechecked(self, monkeypatch):
-        # max x + y, x - y = 0; a "basis" holding (1, 0), which is no kernel
+        # min -x - y, x - y = 0; a "basis" holding (1, 0), which is no kernel
         # vector, walks off the row to (3, 0), and the last check stops it
-        m = simple_model(MAX, Linear((1, 1)), 2, [0, 0], [3, 3],
+        m = simple_model(Linear((-1, -1)), 2, [0, 0], [3, 3],
                          rows=[({0: 1, 1: -1}, EQ, 0)], initial_point=(0, 0))
         assert solve_augment(m).point == (3, 3)
         monkeypatch.setattr(backends, "cached_graver_basis",
@@ -416,7 +405,7 @@ class TestSolveAugment:
             solve_augment(m)
 
 
-def nfold_model(sense, obj, a1, a2, n_bricks, rhs_top, rhs_brick, lower, upper, initial=None):
+def nfold_model(obj, a1, a2, n_bricks, rhs_top, rhs_brick, lower, upper, initial=None):
     r, s, t = a1.m, a2.m, a1.n
     rows = []
     a1_rows = a1.to_rows()
@@ -429,7 +418,6 @@ def nfold_model(sense, obj, a1, a2, n_bricks, rhs_top, rhs_brick, lower, upper, 
             coeffs = {b * t + j: a2_rows[i][j] for j in range(t)}
             rows.append(LinearRow.make(coeffs, EQ, rhs_brick[b][i]))
     return IpModel(
-        sense=sense,
         objective=obj,
         n_vars=n_bricks * t,
         lower=tuple(lower),
@@ -442,24 +430,16 @@ def nfold_model(sense, obj, a1, a2, n_bricks, rhs_top, rhs_brick, lower, upper, 
 
 class TestSolveNFold:
     def test_requires_annotation(self):
-        m = simple_model(MIN, Linear((1,)), 1, [0], [1])
+        m = simple_model(Linear((1,)), 1, [0], [1])
         with pytest.raises(ValueError):
             solve_nfold(m)
 
     def test_rejects_quadratic(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(MIN, Quadratic(()), a1, a2, 2, [3], [[] for _ in range(2)],
+        m = nfold_model(Quadratic(()), a1, a2, 2, [3], [[] for _ in range(2)],
                         [0, 0], [3, 3])
         with pytest.raises(ValueError):
-            solve_nfold(m)
-
-    def test_rejects_a_maximized_separable_convex_objective(self):
-        a1 = IntMatrix.from_rows([[1]])
-        a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(MAX, SeparableConvex((lambda v: v * v,) * 2), a1, a2, 2, [3],
-                        [[] for _ in range(2)], [0, 0], [3, 3])
-        with pytest.raises(ValueError, match="cannot maximize"):
             solve_nfold(m)
 
     def test_separable_convex_bricks(self):
@@ -468,7 +448,7 @@ class TestSolveNFold:
         a2 = IntMatrix.from_dict(0, 1, {})
         targets = [0, 2, 5]
         terms = tuple((lambda v, c=c: (v - c) ** 2) for c in targets)
-        m = nfold_model(MIN, SeparableConvex(terms), a1, a2, 3, [5], [[], [], []],
+        m = nfold_model(SeparableConvex(terms), a1, a2, 3, [5], [[], [], []],
                         [0] * 3, [5] * 3)
         res = solve_nfold(m)
         assert res.optimal
@@ -482,7 +462,7 @@ class TestSolveNFold:
             lambda v: v * v, lambda v: 3 * v,
             lambda v: (v - 3) ** 2, lambda v: 0,
         )
-        m = nfold_model(MIN, SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
+        m = nfold_model(SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
                         [0] * 4, [3] * 4)
         res = solve_nfold(m)
         assert res.optimal and res.value == solve_boxed(m).value
@@ -491,16 +471,16 @@ class TestSolveNFold:
         # independent bricks want to travel 8; A1 is a single zero row
         a1 = IntMatrix.from_dict(1, 1, {})
         a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(MAX, Linear((1, 1)), a1, a2, 2, [0], [[], []],
+        m = nfold_model(Linear((-1, -1)), a1, a2, 2, [0], [[], []],
                         [0, 0], [8, 8], initial=(0, 0))
         res = solve_nfold(m)
-        assert res.value == 16
+        assert res.value == -16
         assert res.nodes <= 2  # one long step per direction at most
 
     def test_infeasible(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(MIN, Linear((1, 1)), a1, a2, 2, [9], [[], []], [0, 0], [3, 3])
+        m = nfold_model(Linear((1, 1)), a1, a2, 2, [9], [[], []], [0, 0], [3, 3])
         assert solve_nfold(m).status == "infeasible"
 
     def test_brick_move_longer_than_a2_graver_norm(self):
@@ -509,7 +489,7 @@ class TestSolveNFold:
         a1 = IntMatrix.from_rows([[1, 2]])
         a2 = IntMatrix.from_dict(0, 2, {})
         terms = (lambda v: (v - 2) ** 2, lambda v: v * v, lambda v: 0, lambda v: 0)
-        m = nfold_model(MIN, SeparableConvex(terms), a1, a2, 2, [2], [[], []],
+        m = nfold_model(SeparableConvex(terms), a1, a2, 2, [2], [[], []],
                         [0] * 4, [3, 3, 0, 0], initial=(0, 1, 0, 0))
         res = solve_nfold(m)
         assert res.optimal and res.value == 0 and res.point == (2, 0, 0, 0)
@@ -517,7 +497,7 @@ class TestSolveNFold:
     def test_rejects_convex_rows(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(MIN, Linear((1, 2)), a1, a2, 2, [2], [[], []], [0, 0], [3, 3])
+        m = nfold_model(Linear((1, 2)), a1, a2, 2, [2], [[], []], [0, 0], [3, 3])
         m = IpModel(**{**m.__dict__, "convex_rows": (ConvexRow(sum, lambda lo, hi: sum(lo)),)})
         with pytest.raises(ValueError, match="linear rows only"):
             solve_nfold(m)
@@ -525,7 +505,7 @@ class TestSolveNFold:
     def test_rejects_initial_point_off_the_rows(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(MIN, Linear((1, 2)), a1, a2, 2, [2], [[], []],
+        m = nfold_model(Linear((1, 2)), a1, a2, 2, [2], [[], []],
                         [0, 0], [3, 3], initial=(0, 0))
         with pytest.raises(ValueError, match="initial point"):
             solve_nfold(m)
@@ -536,7 +516,7 @@ class TestSolveNFold:
         a1 = IntMatrix.from_rows([[1, 0]])
         a2 = IntMatrix.from_rows([[1, 1]])
         terms = (lambda v: v * v, lambda v: 3 * v, lambda v: (v - 3) ** 2, lambda v: 0)
-        m = nfold_model(MIN, SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
+        m = nfold_model(SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
                         [0] * 4, [3] * 4)
         assert solve_nfold(m).optimal
         units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -549,7 +529,7 @@ class TestSolveNFold:
         # enumeration alone takes more than ten nodes
         a1 = IntMatrix.from_rows([[1, 0]])
         a2 = IntMatrix.from_rows([[1, -1]])
-        m = nfold_model(MIN, Linear((1, 1, 1, 1)), a1, a2, 2, [3], [[0], [0]],
+        m = nfold_model(Linear((1, 1, 1, 1)), a1, a2, 2, [3], [[0], [0]],
                         [0] * 4, [6] * 4, initial=(3, 3, 0, 0))
         assert solve_nfold(m).value == 6
         with pytest.raises(BudgetError, match="kernel enumeration budget exceeded"):
@@ -573,13 +553,13 @@ class TestSolveNFold:
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
         terms = tuple((lambda v, c=c: (v - c) ** 2) for c in (5, 5, 5, 0))
-        return nfold_model(MIN, SeparableConvex(terms), a1, a2, 4, [5], [[]] * 4,
+        return nfold_model(SeparableConvex(terms), a1, a2, 4, [5], [[]] * 4,
                            [0] * 4, [5] * 4, initial=(0, 0, 0, 5))
 
     def test_rejects_initial_point_off_the_box(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(MIN, Linear((1, 2)), a1, a2, 2, [2], [[], []],
+        m = nfold_model(Linear((1, 2)), a1, a2, 2, [2], [[], []],
                         [0, 0], [3, 3], initial=(4, -2))
         with pytest.raises(ValueError, match="initial point"):
             solve_nfold(m)
@@ -600,7 +580,7 @@ class TestSolveNFold:
         rhs_top = [sum(a1r[j] * x0[b * t + j] for b in range(n_bricks) for j in range(t))]
         targets = [rng.randint(0, 3) for _ in range(n_bricks * t)]
         terms = tuple((lambda v, c=c: (v - c) ** 2) for c in targets)
-        m = nfold_model(MIN, SeparableConvex(terms), a1, a2, n_bricks, rhs_top,
+        m = nfold_model(SeparableConvex(terms), a1, a2, n_bricks, rhs_top,
                         [[] for _ in range(n_bricks)], lower, upper, initial=x0)
         assert solve_nfold(m).value == solve_boxed(m).value
 
@@ -697,13 +677,14 @@ def coloring_digest(solve):
 
 
 def maxqcut_digest():
-    """sha256 over the repr of (status, point, value) of solve_boxed on the
-    max-q-cut model of the first 100 pinned instances, for q = 2 and 3."""
+    """sha256 over the repr of (status, point, cut) of solve_boxed on the
+    max-q-cut model of the first 100 pinned instances, for q = 2 and 3; the
+    model minimizes -cut."""
     h = hashlib.sha256()
     for t, _ in pinned_sumcol_instances()[:100]:
         for q in (2, 3):
             res = solve_boxed(build_maxqcut(t, q))
-            h.update(repr((res.status, res.point, res.value)).encode())
+            h.update(repr((res.status, res.point, -res.value)).encode())
     return h.hexdigest()
 
 
@@ -727,22 +708,28 @@ def test_maxqcut_results_are_pinned():
     assert maxqcut_digest() == PINNED_MAXQCUT_DIGEST
 
 
-def boxed_digest(models):
-    """sha256 over the repr of (status, point, value, nodes) of solve_boxed
-    on each model."""
+def reported(res, sign):
+    """The value of a solve as its route reports it: sign times the model's
+    value, which max-q-cut's route negates back into the cut."""
+    return res.value if res.value is None else sign * res.value
+
+
+def boxed_digest(models, sign=1):
+    """sha256 over the repr of (status, point, reported value, nodes) of
+    solve_boxed on each model."""
     h = hashlib.sha256()
     for m in models:
         res = solve_boxed(m)
-        h.update(repr((res.status, res.point, res.value, res.nodes)).encode())
+        h.update(repr((res.status, res.point, reported(res, sign), res.nodes)).encode())
     return h.hexdigest()
 
 
-def boxed_outcome_digest(models):
+def boxed_outcome_digest(models, sign=1):
     """boxed_digest without the nodes: what a sharper bound may not move."""
     h = hashlib.sha256()
     for m in models:
         res = solve_boxed(m)
-        h.update(repr((res.status, res.point, res.value)).encode())
+        h.update(repr((res.status, res.point, reported(res, sign))).encode())
     return h.hexdigest()
 
 
@@ -764,6 +751,10 @@ PINNED_BOXED_SEARCH_DIGESTS = {
     "maxqcut/quadratic": "b0895a85ac877cd4a4c8de69025899b1cd39f73715a8d5f5e11bb5ee54dea4c2",
     "cds/convex": "aecb0bd47adc9749575163462fe1ca91171fd973af738409e357ad49fe62e56f",
 }
+
+
+def route_sign(route):
+    return -1 if route == "maxqcut/quadratic" else 1
 
 
 def pinned_boxed_models(route):
@@ -792,12 +783,13 @@ PINNED_BOXED_OUTCOME_DIGESTS = {
 
 @pytest.mark.parametrize("route", sorted(PINNED_BOXED_SEARCH_DIGESTS))
 def test_boxed_searches_are_pinned(route):
-    assert boxed_digest(pinned_boxed_models(route)) == PINNED_BOXED_SEARCH_DIGESTS[route]
+    assert (boxed_digest(pinned_boxed_models(route), route_sign(route))
+            == PINNED_BOXED_SEARCH_DIGESTS[route])
 
 
 @pytest.mark.parametrize("route", sorted(PINNED_BOXED_OUTCOME_DIGESTS))
 def test_boxed_outcomes_are_pinned(route):
-    assert (boxed_outcome_digest(pinned_boxed_models(route))
+    assert (boxed_outcome_digest(pinned_boxed_models(route), route_sign(route))
             == PINNED_BOXED_OUTCOME_DIGESTS[route])
 
 
@@ -827,7 +819,7 @@ def widened_nfold_model(seed, bricks=(2, 3), rows=(1, 2), entries=2, guarded=Fal
     terms = [(lambda v, c=c: (v - c) ** 2) for c in targets]
     if guarded:
         terms[0] = boxed_term(terms[0], lower[0], upper[0])
-    return nfold_model(MIN, SeparableConvex(tuple(terms)), a1, a2, n_bricks, rhs_top,
+    return nfold_model(SeparableConvex(tuple(terms)), a1, a2, n_bricks, rhs_top,
                        rhs_brick, lower, upper, initial=tuple(x0))
 
 

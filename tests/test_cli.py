@@ -329,6 +329,33 @@ class TestVerify:
         assert main(["verify", star_cds]) == 0
 
 
+class TestEmptyInstance:
+    """The instance with no vertex: every route answers 0."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        paths = {}
+        for problem in cli.ROUTES:
+            paths[problem] = str(tmp_path / f"{problem}.txt")
+            q = 2 if problem == "maxqcut" else None
+            graph = complete_graph(0, capacity=[] if problem == "cds" else None)
+            write_instance(Instance(graph, problem, q), paths[problem])
+        return paths
+
+    @pytest.mark.parametrize("name", [name for name, r in cli.ROUTES["sumcol"][1].items()
+                                      if r.kind == cli.MODEL])
+    def test_every_sumcol_route_answers_zero(self, empty, name):
+        code, out, err = _run(["solve", "--no-timing", *_spelling("sumcol", name), empty["sumcol"]])
+        assert (code, err) == (0, "")
+        assert "value: 0\nwitness: \n" in out
+
+    @pytest.mark.parametrize("problem", list(cli.ROUTES))
+    def test_verify_agrees_with_the_oracle(self, empty, problem):
+        code, out, err = _run(["verify", empty[problem]])
+        assert (code, err) == (0, "")
+        assert "oracle: 0\n" in out and out.endswith("verdict: ok\n")
+
+
 class TestGraver:
     def test_norms_reported(self, p3_sumcol, capsys):
         assert main(["graver", "--stacking", p3_sumcol]) == 0
@@ -392,6 +419,22 @@ class TestBench:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "instance"
         assert len(rows) == 1 + 2 * 2  # two instances x two cds models
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--count", "-1"], "--count must be non-negative, got -1"),
+        (["--max-k", "0"], "max_k and max_n must be at least 1, got 0 and 8"),
+        (["--max-n", "0"], "max_k and max_n must be at least 1, got 4 and 0"),
+    ])
+    def test_bench_rejects_bad_sizes(self, flags, message):
+        code, out, err = _run(["bench", "--problem", "sumcol", *flags])
+        assert (code, out, err) == (3, "", f"input error: {message}\n")
+
+    def test_bench_keeps_to_max_n(self, tmp_path):
+        args = ["bench", "--problem", "sumcol", "--count", "20", "--max-k", "4", "--max-n", "2",
+                "--no-timing", "--out-dir", str(tmp_path)]
+        assert _run(args)[0] == 0
+        sizes = [read_instance(tmp_path / f"blowup-0-{i}.txt").graph.n for i in range(20)]
+        assert 1 <= min(sizes) and max(sizes) <= 2
 
     def test_bench_survives_a_failing_route(self, monkeypatch, capsys):
         def broken(model, budget=None):

@@ -402,6 +402,17 @@ class TestBlowup:
         with pytest.raises(ValueError):
             BlowupTemplate((2,), (CLIQUE,), frozenset(), capacities=((1,),)).validate()
 
+    def test_random_template_keeps_to_max_n_when_max_k_is_larger(self):
+        rng = random.Random(0)
+        for _ in range(50):
+            template = random_template(rng, max_k=4, max_n=2)
+            assert 1 <= template.k <= sum(template.weights) <= 2
+
+    @pytest.mark.parametrize("max_k, max_n", [(0, 8), (4, 0), (-1, -1)])
+    def test_random_template_needs_positive_limits(self, max_k, max_n):
+        with pytest.raises(ValueError, match="at least 1"):
+            random_template(random.Random(0), max_k=max_k, max_n=max_n)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_twin_partition_never_exceeds_template_classes(self, seed):
         rng = random.Random(seed)

@@ -16,7 +16,6 @@ from ndsolve.models import build_cds_ilp
 
 def tiny_model(rows, nfold=None, n=2):
     return IpModel(
-        sense="min",
         objective=Linear(tuple([1] * n)),
         n_vars=n,
         lower=tuple([0] * n),
@@ -27,55 +26,50 @@ def tiny_model(rows, nfold=None, n=2):
 
 
 class TestValidation:
+    """A model is validated when it is constructed."""
+
     def test_rejects_bad_bounds(self):
-        m = IpModel("min", Linear((1,)), 1, (2,), (0,), ())
         with pytest.raises(ValueError):
-            m.validate()
+            IpModel(Linear((1,)), 1, (2,), (0,), ())
 
     def test_rejects_row_index_out_of_range(self):
-        m = tiny_model([LinearRow.make({5: 1}, GE, 0)])
         with pytest.raises(ValueError):
-            m.validate()
+            tiny_model([LinearRow.make({5: 1}, GE, 0)])
 
     def test_nfold_layout_checked_against_rows(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        good = tiny_model(
+        tiny_model(
             [LinearRow.make({0: 1, 1: 1}, EQ, 3)],
             nfold=NFoldBlocks(1, 0, 1, 2, a1, a2),
         )
-        good.validate()
         # wrong coefficient in the repeated top block
-        bad = tiny_model(
-            [LinearRow.make({0: 1, 1: 2}, EQ, 3)],
-            nfold=NFoldBlocks(1, 0, 1, 2, a1, a2),
-        )
         with pytest.raises(ValueError):
-            bad.validate()
+            tiny_model(
+                [LinearRow.make({0: 1, 1: 2}, EQ, 3)],
+                nfold=NFoldBlocks(1, 0, 1, 2, a1, a2),
+            )
 
     def test_nfold_requires_equalities(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        bad = tiny_model(
-            [LinearRow.make({0: 1, 1: 1}, GE, 3)],
-            nfold=NFoldBlocks(1, 0, 1, 2, a1, a2),
-        )
         with pytest.raises(ValueError):
-            bad.validate()
+            tiny_model(
+                [LinearRow.make({0: 1, 1: 1}, GE, 3)],
+                nfold=NFoldBlocks(1, 0, 1, 2, a1, a2),
+            )
 
     def test_nfold_dimension_mismatch(self):
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        bad = tiny_model(
-            [LinearRow.make({0: 1, 1: 1}, EQ, 3)],
-            nfold=NFoldBlocks(1, 0, 1, 3, a1, a2),
-        )
         with pytest.raises(ValueError):
-            bad.validate()
+            tiny_model(
+                [LinearRow.make({0: 1, 1: 1}, EQ, 3)],
+                nfold=NFoldBlocks(1, 0, 1, 3, a1, a2),
+            )
 
 
-GOLDEN_DUMP = """sense min
-vars 2
+GOLDEN_DUMP = """vars 2
 bound 0 0 2
 bound 1 0 1
 obj linear 1 0

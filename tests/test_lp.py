@@ -12,7 +12,7 @@ from ndsolve import algorithms, lp as lp_module
 from ndsolve.algorithms import cds_rounding_approx, relax_model
 from ndsolve.backends import solve_boxed
 from ndsolve.graphs import type_graph
-from ndsolve.ipmodel import EQ, GE, LE, MAX, LinearRow
+from ndsolve.ipmodel import EQ, GE, LE, LinearRow
 from ndsolve.lp import LpProblem, solve_lp
 from ndsolve.models import build_cds_ilp
 
@@ -74,7 +74,7 @@ class TestBasics:
 
 class TestContract:
     """Every datum of an LpProblem is an int and every box is finite; the
-    only producer in the package is relax_model, on a MIN model."""
+    only producer in the package is relax_model."""
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, None], ids=["fraction", "float", "none"])
     def test_make_rejects_a_non_int_datum(self, bad):
@@ -90,11 +90,6 @@ class TestContract:
             problem([1, 1], [], [0], [2, 2])
         with pytest.raises(ValueError, match="out of range"):
             LpProblem.make([1], [LinearRow.make({1: 1}, LE, 3)], [0], [2])
-
-    def test_relax_model_rejects_a_max_model(self):
-        model = dataclasses.replace(build_cds_ilp(type_graph(star_graph(3, capacity=[3, 0, 0, 0]))), sense=MAX)
-        with pytest.raises(ValueError, match="MIN model"):
-            relax_model(model)
 
 
 def solve_square(rows, rhs):
