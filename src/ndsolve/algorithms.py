@@ -291,7 +291,7 @@ def proximity_box(t: TypeGraph, lp_point):
     return lo, hi
 
 
-def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
+def cds_proximity_solve(t: TypeGraph, g: Graph, budget=None) -> CdsSolution:
     """The smallest class sizes inside the proximity box around the
     relaxation optimum that pass the Hall conditions, decoded.
 
@@ -301,7 +301,8 @@ def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
     certifies it.  Candidates are tested on the type graph, O(2^k) each,
     never by a vertex-level matching: only the optimum goes through
     decode_cds.  Its cost is one LP over O(k^2) variables and a search of a
-    box of at most (2k^2 + 2)^k points, so f(k) poly(n).
+    box of at most (2k^2 + 2)^k points, so f(k) poly(n).  The search runs
+    under budget (a backends.Budget, the default when None).
     """
     res = solve_lp(relax_model(build_cds_ilp(t)))
     if not res.optimal:
@@ -309,7 +310,7 @@ def cds_proximity_solve(t: TypeGraph, g: Graph) -> CdsSolution:
     lo, hi = proximity_box(t, res.point)
     box = IpModel(objective=Linear((1,) * t.k), n_vars=t.k, lower=lo, upper=hi, rows=(),
                   convex_rows=(cds_hall_row(t),))
-    found = solve_boxed(box)
+    found = solve_boxed(box, budget)
     if not found.optimal:
         raise RuntimeError("no valid point inside the proximity box")
     sol = decode_cds(t, g, found.point)

@@ -23,14 +23,12 @@ they are enumerated.  The
 hooks are the models' own: max-q-cut's, the n-fold colouring model's, and
 models.catalog_remainder_bound, which the general convex catalog model and
 the stacked one, whose catalog terms are 0, share.  A value is dropped when
-its bound is >= the incumbent, the rule that keeps the first optimum found,
-so the lexicographically smallest optimum is returned with or without the
-hook.  Before the first leaf, the model's start point (initial_point), if
-it has one, prunes in the incumbent's place: a value is dropped when its
-bound is strictly above the start's value, and the first leaf at or below
-that value becomes the incumbent.  The result is the same as without the
-start and no node is added (see solve_boxed).  solve_boxed takes every
-model.
+its bound is >= the limit, the rule that keeps the first optimum found, so
+the lexicographically smallest optimum is returned with or without the
+hook.  The limit is the incumbent's value; a model's start point
+(initial_point) valued V0 sets the first limit to V0 + 1, with no
+incumbent point.  The result is the same as without the start and no node
+is added (see solve_boxed).  solve_boxed takes every model.
 
 solve_nfold runs iterative augmentation on models with an n-fold block
 annotation.  Each step is a brick DP over the moves within the box, keeping
@@ -44,8 +42,10 @@ Graver element of the full n-fold matrix that moves a point within the box
 is such a step (see solve_nfold).
 
 solve_nfold and solve_augment need a linear or separable convex objective,
-as augmentation is exact only for those, and linear rows only: they reject
-quadratic and general convex objectives and convex rows with ValueError.
+as augmentation is exact only for those, linear rows only, and a start
+point that satisfies the boxes and rows, as augmentation walks from one:
+they reject quadratic and general convex objectives, convex rows and a
+missing or broken start with ValueError, so neither returns infeasible.
 solve_nfold also needs the n-fold annotation, and solve_augment equality
 rows only.
 
@@ -156,9 +156,9 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
 
     Takes every model, whatever its objective, rows and convex rows.
     Returns the lexicographically smallest optimal point; raises BudgetError
-    when the node budget runs out, and ValueError when it finds no leaf at
-    or below the value of a start point that breaks a box, a row or a
-    convex row.  Every node counts against budget.max_nodes, the root and
+    when the node budget runs out, and ValueError when it finds no leaf
+    valued below V0 + 1, V0 being the value of a start point that breaks a
+    box, a row or a convex row.  Every node counts against budget.max_nodes, the root and
     the leaves included.
 
     The set-up is O(nnz + n): one backward pass over each row's nonzeros
@@ -172,54 +172,40 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     down a level at each value it keeps and undoing that value's activity
     updates when it comes back; a value whose box breaks a convex row's
     box_min is dropped, and so is one whose objective bound is >= the
-    incumbent.  Before the first leaf the model's start point, if it has
-    one, stands in for the incumbent: with V0 its value, a value is dropped
-    when its bound is > V0, and the first leaf at or below V0 becomes the
-    incumbent.  The start itself is checked only when the search ends with
-    no leaf.  The children at the last variable are leaves, evaluated in
-    their parent's value loop.  The per-variable least values behind the
-    suffix minima come from slope bisection for separable convex terms and
-    from the box ends for linear terms.  At a level whose term is linear
-    with a coefficient >= 0, partial + term(v) + rest_min does not fall as
-    v rises, and the limit does not change while no child is searched, so
-    once that sum alone drops a value it drops every later one: the loop
-    ends there, and the tree is the same.
+    limit.  The limit is the incumbent's value; with a start point valued
+    V0, the first limit is V0 + 1, with no incumbent point.  A leaf valued
+    below the limit becomes the incumbent.  The start itself is checked
+    only when the search ends with no leaf.  The children at the last
+    variable are leaves, evaluated in their parent's value loop.  The
+    per-variable least values behind the suffix minima come from slope
+    bisection for separable convex terms and from the box ends for linear
+    terms.  At a level whose term is linear with a coefficient >= 0,
+    partial + term(v) + rest_min does not fall as v rises, and the limit
+    does not change while no child is searched, so once that sum alone
+    drops a value it drops every later one: the loop ends there, and the
+    tree is the same.
 
-    Call a leaf good when it satisfies the boxes, the rows and the convex
-    rows.  Every bound is admissible, so a dropped value's subtree holds
-    only good leaves valued at least its bound.  Neither argument below
-    assumes that objective values are integers.
-
-    Why the start does not change the result.  Say some good leaf is valued
-    <= V0, so the optimum V* is <= V0.  Until a leaf is accepted, a subtree
-    is dropped only when its bound is > V0, so it holds no good leaf valued
-    <= V0, and the leaves are walked in lexicographic order: the first leaf
-    accepted, L, is the lexicographically first good leaf valued <= V0.
-    The lexicographically smallest optimum x* is such a leaf, so x* is L or
-    comes after it.  Every incumbent before x* is valued > V*, since a good
-    leaf valued V* before x* would be a smaller optimum; the bounds on the
-    path to x* are <= V*, so none of its values is dropped, x* is accepted,
-    and no later leaf is valued < V*.  The result is x*, as without the
-    start.  If no good leaf is valued <= V0, no leaf is accepted, and the
-    start is no good leaf, as it would be one valued V0: it breaks a box, a
-    row or a convex row, and ValueError says so.  (A good start that the
-    search still misses means a bound was not admissible: RuntimeError.)
-
-    Why the start adds no node.  Walk both searches in the same order and
-    say the unseeded one has visited every node before p that the seeded
-    one has.  The unseeded incumbent at p is the least value U of the good
-    leaves it has visited, each of them visited by the seeded search or in
-    a subtree it dropped.  Before the seeded search accepts a leaf, every
-    good leaf it visited is valued > V0, or it would have been accepted,
-    and so is every leaf of a subtree it dropped: U > V0, and a value it
-    keeps, its bound <= V0 < U, the unseeded search keeps as well.  Once it
-    holds an incumbent S <= V0, the least value of the good leaves it
-    visited that are <= V0, the other leaves before p are valued > V0 or at
-    least the incumbent at the time their subtree was dropped, which is
-    >= S; so U >= S, and U <= S as the unseeded search visited those
-    leaves too.  With U = S both searches apply the same >= rule at p.  The
-    row checks and box_min tests read no incumbent.  So every node the
-    seeded search visits, the unseeded one visits.
+    Why the start changes neither the result nor the tree.  Call a leaf
+    good when it satisfies the boxes, the rows and the convex rows.  Every
+    bound is admissible, so a dropped value's subtree holds only good
+    leaves valued at least its bound.  Any first limit L above V0 will do,
+    and the argument assumes no integer values.  A good start is a good
+    leaf valued below L, so the lexicographically smallest optimum x*, of
+    value V*, is valued below L as well.  Every good leaf before x* is
+    valued above V*, so every limit before x* is, while the bounds on the
+    path to x* are <= V*: x* is accepted, and no later leaf is valued below
+    it.  The result is x*, as without the start.  If no leaf is accepted,
+    the start is no good leaf, and ValueError says so (a good start missed
+    means a bound was not admissible: RuntimeError).  Walk both searches in
+    the same order to a node p.  A good leaf the unseeded search has
+    visited is valued no lower than the seeded limit now: the seeded search
+    has visited it, or dropped it in a subtree at a limit no lower, as
+    limits only fall.  So the unseeded limit, the least value of those
+    leaves (none before the first), is no lower than the seeded one, and
+    each value the seeded search keeps the unseeded one keeps.  The row
+    checks and box_min tests read no limit.  So the start adds no node.  With the integer
+    objective values and bounds of every model here, L = V0 + 1 drops
+    exactly the values whose bound is above V0.
     """
     budget = budget or Budget()
     n = model.n_vars
@@ -270,9 +256,9 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
     nodes = 1  # the root
     if nodes > max_nodes:
         raise BudgetError("branch-and-bound node budget exceeded")
-    # until the first leaf, best_val is the start's value and best_pt None
+    # the limit: the start's value + 1 until the first leaf, None with no start
     start = model.initial_point
-    best_val = None if start is None else value_of(start)
+    best_val = None if start is None else value_of(start) + 1
     best_pt = None
 
     if n:
@@ -313,22 +299,17 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
                     acts[r] -= c * v
             for v in its[d]:
                 point[d] = v
-                # a bound drops v when it is > best_val, or == once a leaf is found
                 if term is not None:
                     new = partial + term(v)
                     if best_val is not None:
-                        bound = new + rest_min
-                        if bound >= best_val and (bound > best_val or best_pt is not None):
+                        if new + rest_min >= best_val:
                             if rising:
                                 break  # so do the later values, whose new is no less
                             continue
-                        if level_hook is not None:
-                            bound = new + level_hook(point, d + 1)
-                            if bound >= best_val and (bound > best_val or best_pt is not None):
-                                continue
+                        if level_hook is not None and new + level_hook(point, d + 1) >= best_val:
+                            continue
                 elif level_hook is not None and best_val is not None:
-                    bound = level_hook(point, d + 1)
-                    if bound >= best_val and (bound > best_val or best_pt is not None):
+                    if level_hook(point, d + 1) >= best_val:
                         continue
                 if convex_rows:
                     lo_box[d] = hi_box[d] = v
@@ -341,10 +322,7 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
                     if convex_rows and any(cr.fn(point) > 0 for cr in convex_rows):
                         continue
                     val = new if term is not None else value_of(point)
-                    if best_pt is None:
-                        if best_val is not None and val > best_val:
-                            continue  # above the start's value
-                    elif val >= best_val:
+                    if best_val is not None and val >= best_val:
                         continue
                     best_val = val
                     best_pt = tuple(point)
@@ -372,10 +350,11 @@ def solve_boxed(model: IpModel, budget: Budget | None = None) -> SolveResult:
 
 
 def _no_leaf(model: IpModel, nodes):
-    """The result of a solve_boxed search that reached no leaf: infeasible
+    """The result of a solve_boxed search that accepted no leaf: infeasible
     when the model has no start point.  A start that breaks a box, a row or
-    a convex row raises ValueError; a start that satisfies them all would
-    have been a leaf, so RuntimeError says that a bound was not admissible."""
+    a convex row raises ValueError; a start that satisfies them all is a
+    leaf below the first limit, its value + 1, so RuntimeError says that a
+    bound was not admissible."""
     if model.initial_point is None:
         return SolveResult("infeasible", None, None, nodes)
     if not _is_feasible(model, model.initial_point):
@@ -387,29 +366,22 @@ def _no_leaf(model: IpModel, nodes):
 # n-fold augmentation backend
 # ---------------------------------------------------------------------------
 
-def _initial_point(model: IpModel, budget: Budget):
-    if model.initial_point is not None:
-        if not _is_feasible(model, model.initial_point):
-            raise ValueError("initial point breaks a box, a row or a convex row")
-        return model.initial_point
-    # fall back to a feasibility search; desk-scale but explicit
-    feas = IpModel(
-        objective=Linear(tuple([0] * model.n_vars)),
-        n_vars=model.n_vars,
-        lower=model.lower,
-        upper=model.upper,
-        rows=model.rows,
-        convex_rows=model.convex_rows,
-    )
-    res = solve_boxed(feas, budget=budget)
-    return res.point if res.optimal else None
+def _start(model: IpModel, backend: str):
+    """The model's start point, which augmentation walks from; ValueError
+    when there is none or it breaks a box, a row or a convex row."""
+    x = model.initial_point
+    if x is None:
+        raise ValueError(f"{backend} needs a start point (initial_point)")
+    if not _is_feasible(model, x):
+        raise ValueError("initial point breaks a box, a row or a convex row")
+    return x
 
 
 def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Exact augmentation over the n-fold block structure.
 
-    Needs the n-fold annotation, linear rows only and a linear or separable
-    convex objective.  Let W be the largest box width max(u - l).  The
+    Needs the n-fold annotation, linear rows only, a linear or separable
+    convex objective and a feasible start point.  Let W be the largest box width max(u - l).  The
     moves per brick are the zero vector and every h with A2 h = 0 and
     ||h||_inf <= W; each step is the best choice of one move per brick that
     stays in the box and whose A1-parts cancel, found by a DP over bricks,
@@ -474,10 +446,7 @@ def solve_nfold(model: IpModel, budget: Budget | None = None) -> SolveResult:
     fns = _objective_terms(model, "n-fold backend")
     lower, upper = model.lower, model.upper
 
-    x = _initial_point(model, budget)
-    if x is None:
-        return SolveResult("infeasible", None, None, 0)
-    x = list(x)
+    x = list(_start(model, "n-fold backend"))
 
     width = max(map(sub, upper, lower), default=0)
     moves = sorted([(0,) * t] + _kernel_vectors_within(nf.a2, width, budget.max_nodes))
@@ -613,8 +582,8 @@ def clear_graver_cache():
 def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
     """Graver-best augmentation over the model's full constraint matrix.
 
-    Needs equality rows only and a linear or separable convex objective.
-    The basis comes from cached_graver_basis: the signed simple cycles when
+    Needs equality rows only, a linear or separable convex objective and a
+    feasible start point.  The basis comes from cached_graver_basis: the signed simple cycles when
     the matrix is a node-arc incidence matrix, else the completion, cached
     because models built from the same type-graph shape share their matrix.
     """
@@ -623,9 +592,7 @@ def solve_augment(model: IpModel, budget: Budget | None = None) -> SolveResult:
         raise ValueError("augmentation needs a pure equality standard form")
     _objective_terms(model, "augmentation")
 
-    x0 = _initial_point(model, budget)
-    if x0 is None:
-        return SolveResult("infeasible", None, None, 0)
+    x0 = _start(model, "augmentation")
     basis = cached_graver_basis(model.matrix())
     res = augment_to_optimum(x0, model.objective.value, (model.lower, model.upper), basis,
                              max_steps=budget.max_steps)

@@ -83,13 +83,13 @@ def _dominators(sol):
 @dataclass(frozen=True)
 class Route:
     """One way to answer a problem.  ``build(inst, t)`` makes the model of a
-    MODEL route, which the backend ``SOLVERS[method]`` solves, or runs an
-    ALGORITHM (a dominating set from the type graph) or the ORACLE (brute
-    force).  ``model`` and ``method`` fill a CSV row's model and backend
-    columns.  Every model minimizes, so a problem that maximizes is modelled
-    by its negation and its route's ``sign`` of -1 turns the model's value
-    back into the answer.  An answer is at most ``gap(t)`` above the
-    optimum."""
+    MODEL route, which the backend ``SOLVERS[method]`` solves, or runs the
+    ORACLE (brute force); ``build(inst, t, budget)`` runs an ALGORITHM (a
+    dominating set from the type graph) under the budget.  ``model`` and
+    ``method`` fill a CSV row's model and backend columns.  Every model
+    minimizes, so a problem that maximizes is modelled by its negation and
+    its route's ``sign`` of -1 turns the model's value back into the answer.
+    An answer is at most ``gap(t)`` above the optimum."""
 
     kind: str
     model: str
@@ -109,9 +109,10 @@ class Route:
                 return None, res.nodes, ["infeasible"]
             value = self.sign * res.value
             return value, res.nodes, self._report(inst, t, model, res.point, value)
-        found = self.build(inst, t)
         if self.kind == ORACLE:
+            found = self.build(inst, t)
             return found, 0, [f"algo: {self.method} value: {found}"]
+        found = self.build(inst, t, budget)
         if not check_cds(inst.graph, found):
             raise RuntimeError(f"{self.method} returned an invalid dominating set")
         return found.size, 0, [f"algo: {self.method} value: {found.size} witness: {_dominators(found)}"]
@@ -145,8 +146,10 @@ ROUTES = {
         "proximity",
         Route(MODEL, "convex", "boxed", lambda inst, t: build_cds_convex(t)),
         Route(MODEL, "ilp", "boxed", lambda inst, t: build_cds_ilp(t)),
-        Route(ALGORITHM, "-", "proximity", lambda inst, t: cds_proximity_solve(t, inst.graph)),
-        Route(ALGORITHM, "-", "rounding", lambda inst, t: cds_rounding_approx(t, inst.graph),
+        Route(ALGORITHM, "-", "proximity",
+              lambda inst, t, budget=None: cds_proximity_solve(t, inst.graph, budget)),
+        Route(ALGORITHM, "-", "rounding",
+              lambda inst, t, budget=None: cds_rounding_approx(t, inst.graph),
               gap=lambda t: t.k * t.k),
         Route(ORACLE, "-", "brute", lambda inst, t: cds_brute(inst.graph).size),
     ),
@@ -204,6 +207,8 @@ def run_solve(args) -> int:
         raise ValueError(f"--budget must be positive, got {args.budget}")
     inst, t = _read(args.file, args.problem)
     if args.q is not None:
+        if inst.problem != "maxqcut":
+            raise ValueError(f"--q applies to maxqcut instances only, not {inst.problem!r}")
         inst = Instance(inst.graph, inst.problem, args.q)
     route = _route(args, inst.problem)
     budget = Budget(max_nodes=args.budget, max_dp_states=args.budget) if args.budget else Budget()

@@ -113,10 +113,10 @@ class IpModel:
     nfold: NFoldBlocks | None = None
     stacked: StackedBlocks | None = None
     tag: str | None = None
-    # optional start point: solve_nfold and solve_augment augment from it
-    # and reject it unless it satisfies the boxes and rows; solve_boxed
-    # prunes by its value until its first leaf and checks it only when it
-    # finds no leaf at or below that value
+    # start point: solve_nfold and solve_augment need one and augment from
+    # it, rejecting it unless it satisfies the boxes and rows; solve_boxed
+    # takes its value + 1 as its first limit and checks it only when it
+    # finds no leaf below that limit
     initial_point: tuple | None = None
     # optional remainder_bound(point, depth): a lower bound on the objective
     # of every completion of point[:depth] that satisfies the boxes and rows,

@@ -544,16 +544,16 @@ def split_stacked_blocks(model: IpModel):
     )
 
 
-def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
+def build_sumcol_nfold(t: TypeGraph) -> IpModel:
     """Color-indexed model: bricks are colors, each with a 0/1 variable per
     class and a slack per non-loop type edge.
 
     The loop rows x_i + x_i <= 1 are dropped: 0/1 bounds already say that a
     color meets a clique class at most once.
 
-    By default there are S = sum_i class_slots(t, i) bricks, not one per
-    vertex, and the optimum, and the lexicographically smallest optimum
-    truncated to its first S bricks, are those of any larger color_count:
+    There are S = sum_i class_slots(t, i) bricks, not one per vertex, and
+    the optimum, and the lexicographically smallest optimum truncated to its
+    first S bricks, are those of the model with any more bricks:
     - Every brick used by an optimum holds a slot, so at most S bricks are
       used.
     - Say an optimum used a brick b >= S.  Then at most S - 1 of the bricks
@@ -574,14 +574,11 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
     bricks: when class i is placed, the other classes hold at most
     S - slots_i colors between them, so at least slots_i of the colors
     0..S-1 are free for it, and its slots_i lowest free colors all lie
-    below S.  The start is None when color_count is below the colors it
-    needs.
+    below S.
     """
     k = t.k
     slots = [class_slots(t, i) for i in range(k)]
-    n_colors = color_count if color_count is not None else sum(slots)
-    if n_colors < 0:
-        raise ValueError("the color count must be non-negative")
+    n_colors = sum(slots)
     edges_nl = sorted(e for e in t.edges if e[0] != e[1])
     s = len(edges_nl)
     tt = k + s
@@ -617,16 +614,13 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
         held = set().union(*(colors[j] for j in t.neighbors(i)))
         free = (c for c in itertools.count() if c not in held)
         colors[i] = tuple(itertools.islice(free, slots[i]))
-    initial = None
-    if max((c for cs in colors for c in cs), default=-1) < n_colors:
-        point = [0] * n
-        for i, cs in enumerate(colors):
-            for c in cs:
-                point[c * tt + i] = 1
-        for b in range(n_colors):
-            for e_idx, (i, j) in enumerate(edges_nl):
-                point[b * tt + k + e_idx] = 1 - point[b * tt + i] - point[b * tt + j]
-        initial = tuple(point)
+    start = [0] * n
+    for i, cs in enumerate(colors):
+        for c in cs:
+            start[c * tt + i] = 1
+    for b in range(n_colors):
+        for e_idx, (i, j) in enumerate(edges_nl):
+            start[b * tt + k + e_idx] = 1 - start[b * tt + i] - start[b * tt + j]
 
     def remainder_bound(point, depth, tt=tt, k=k, per_class=per_class, slots=slots):
         # cheapest completion: each class takes its remaining colors
@@ -648,7 +642,7 @@ def build_sumcol_nfold(t: TypeGraph, color_count: int | None = None) -> IpModel:
         rows=tuple(rows),
         nfold=NFoldBlocks(r=k, s=s, t=tt, n=n_colors, a1=a1, a2=a2),
         tag="sumcol_nfold",
-        initial_point=initial,
+        initial_point=tuple(start),
         remainder_bound=remainder_bound,
     )
 

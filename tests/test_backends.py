@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -79,6 +80,15 @@ def brute_optimum(model):
             if best is None or val < best:
                 best, best_pt = val, pt
     return best, best_pt
+
+
+def with_first_start(model):
+    """model started at its lexicographically first point that satisfies
+    the boxes and rows, found by enumeration; None as the start when there
+    is no such point."""
+    ranges = [range(l, u + 1) for l, u in zip(model.lower, model.upper)]
+    start = next((pt for pt in itertools.product(*ranges) if _holds_all(model, pt)), None)
+    return dataclasses.replace(model, initial_point=start)
 
 
 def table_term(values, lo):
@@ -230,32 +240,19 @@ class TestSolveBoxed:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_quadratic_with_a_hook_prunes_and_keeps_the_optimum(self, seed):
-        # the hook is the exact minimum over the feasible completions, found
-        # by enumeration: the strongest admissible bound
-        rng = random.Random(900 + seed)
-        n = rng.randint(3, 4)
-        terms = tuple((p, q, rng.randint(-3, 3))
-                      for p, q in itertools.combinations_with_replacement(range(n), 2))
-        rows = [({j: rng.randint(-1, 2) for j in range(n)}, rng.choice([LE, EQ, GE]),
-                 rng.randint(0, 5))]
-        sign = rng.choice([1, -1])  # -1: a maximization, as the minimization of its negation
-        terms = tuple((p, q, sign * c) for p, q, c in terms)
-        m = simple_model(Quadratic(terms), n, [0] * n, [3] * n, rows=rows)
-        feasible = [pt for pt in itertools.product(range(4), repeat=n)
-                    if _holds_all(m, pt)]
-
-        def hook(point, depth):
-            values = [m.objective_value(pt) for pt in feasible
-                      if list(pt[:depth]) == list(point[:depth])]
-            return min(values, default=10**9)
-
-        plain = solve_boxed(m)
-        hooked = solve_boxed(IpModel(**{**m.__dict__, "remainder_bound": hook}))
+        # an admissible hook changes no answer and adds no node; whether it
+        # drops one depends on the model (test_exact_hook_drops_nodes)
+        m, plain, hooked = hooked_quadratic(seed)
         assert (hooked.status, hooked.point, hooked.value) == (
             plain.status, plain.point, plain.value)
         assert (plain.value, plain.point) == brute_optimum(m)
-        if len(feasible) > 1:
-            assert hooked.nodes < plain.nodes
+        assert hooked.nodes <= plain.nodes
+
+    def test_exact_hook_drops_nodes(self):
+        # seed 13 has two feasible points; once the first is the incumbent,
+        # the exact hook drops the values whose completions are no better
+        _, plain, hooked = hooked_quadratic(13)
+        assert (hooked.nodes, plain.nodes) == (5, 8)
 
     def test_general_convex_without_a_hook_is_enumerated(self):
         fn = lambda p: (p[0] - 2) ** 2 + (p[1] + p[0] - 3) ** 2
@@ -333,6 +330,28 @@ class TestSolveBoxed:
                 start_only_prunes(seeded)
         assert 0 < rejected < 100
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_start_keeps_the_answer_on_fraction_values(self, seed):
+        # objectives valued in thirds, so leaves lie between V0 and the
+        # first limit V0 + 1: a feasible start still leaves the point and
+        # the value of the search without it, and adds no node
+        rng = random.Random(2500 + seed)
+        counts = []
+        for _ in range(100):
+            m = random_separable_convex_model(rng, rng.randint(0, 2))
+            if rng.random() < 0.5:
+                objective = Linear(tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(m.n_vars)))
+            else:
+                objective = SeparableConvex(tuple(
+                    (lambda v, f=f: Fraction(f(v), 3)) for f in m.objective.terms))
+            m = dataclasses.replace(m, objective=objective)
+            ranges = [range(l, u + 1) for l, u in zip(m.lower, m.upper)]
+            feasible = [pt for pt in itertools.product(*ranges) if _holds_all(m, pt)]
+            if feasible:
+                counts.append(start_only_prunes(
+                    dataclasses.replace(m, initial_point=rng.choice(feasible))))
+        assert any(seeded < plain for seeded, plain in counts)
+
     def test_start_off_the_rows(self):
         # min x + 2y, x + y = 2, optimum 2 at (2, 0): (0, 0) breaks the row
         # and is valued below it, (3, 3) breaks it and is valued above
@@ -356,6 +375,30 @@ class TestSolveBoxed:
             solve_boxed(m)
 
 
+def hooked_quadratic(seed):
+    """(model, plain result, hooked result) of solve_boxed on a seeded
+    quadratic model of 3-4 variables in [0, 3] and one row, without and with
+    the exact hook: the minimum over the feasible completions, found by
+    enumeration, the strongest admissible bound."""
+    rng = random.Random(900 + seed)
+    n = rng.randint(3, 4)
+    terms = tuple((p, q, rng.randint(-3, 3))
+                  for p, q in itertools.combinations_with_replacement(range(n), 2))
+    rows = [({j: rng.randint(-1, 2) for j in range(n)}, rng.choice([LE, EQ, GE]),
+             rng.randint(0, 5))]
+    sign = rng.choice([1, -1])  # -1: a maximization, as the minimization of its negation
+    terms = tuple((p, q, sign * c) for p, q, c in terms)
+    m = simple_model(Quadratic(terms), n, [0] * n, [3] * n, rows=rows)
+    feasible = [pt for pt in itertools.product(range(4), repeat=n) if _holds_all(m, pt)]
+
+    def hook(point, depth):
+        values = [m.objective_value(pt) for pt in feasible
+                  if list(pt[:depth]) == list(point[:depth])]
+        return min(values, default=10**9)
+
+    return m, solve_boxed(m), solve_boxed(dataclasses.replace(m, remainder_bound=hook))
+
+
 def start_only_prunes(model):
     """(nodes, nodes without the start) of solve_boxed on model, once the
     two searches are seen to return the same status, point and value."""
@@ -376,11 +419,13 @@ class TestSolveAugment:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_exhaustive_oracle_or_rejects(self, seed):
-        # separable convex and linear objectives are exact; a quadratic one
-        # is rejected
+        # separable convex and linear objectives are exact from the first
+        # feasible point; a quadratic objective is rejected, and so is an
+        # infeasible model, which has no start
         rng = random.Random(1800 + seed)
+        infeasible = solved = 0
         for _ in range(100):
-            m = random_separable_convex_model(rng, 1, rel=EQ)
+            m = with_first_start(random_separable_convex_model(rng, 1, rel=EQ))
             draw = rng.random()
             if draw < 0.25:
                 m = dataclasses.replace(m, objective=Linear(
@@ -390,8 +435,16 @@ class TestSolveAugment:
                 with pytest.raises(ValueError, match="linear or separable convex"):
                     solve_augment(m)
                 continue
+            if m.initial_point is None:
+                assert brute_optimum(m) == (None, None)
+                with pytest.raises(ValueError, match="augmentation needs a start point"):
+                    solve_augment(m)
+                infeasible += 1
+                continue
             res = solve_augment(m)
             assert res.value == brute_optimum(m)[0]
+            solved += 1
+        assert infeasible and solved
 
     def test_final_point_is_rechecked(self, monkeypatch):
         # min -x - y, x - y = 0; a "basis" holding (1, 0), which is no kernel
@@ -448,8 +501,8 @@ class TestSolveNFold:
         a2 = IntMatrix.from_dict(0, 1, {})
         targets = [0, 2, 5]
         terms = tuple((lambda v, c=c: (v - c) ** 2) for c in targets)
-        m = nfold_model(SeparableConvex(terms), a1, a2, 3, [5], [[], [], []],
-                        [0] * 3, [5] * 3)
+        m = with_first_start(nfold_model(SeparableConvex(terms), a1, a2, 3, [5], [[], [], []],
+                                         [0] * 3, [5] * 3))
         res = solve_nfold(m)
         assert res.optimal
         assert res.value == solve_boxed(m).value
@@ -462,8 +515,8 @@ class TestSolveNFold:
             lambda v: v * v, lambda v: 3 * v,
             lambda v: (v - 3) ** 2, lambda v: 0,
         )
-        m = nfold_model(SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
-                        [0] * 4, [3] * 4)
+        m = with_first_start(nfold_model(SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
+                                         [0] * 4, [3] * 4))
         res = solve_nfold(m)
         assert res.optimal and res.value == solve_boxed(m).value
 
@@ -477,11 +530,18 @@ class TestSolveNFold:
         assert res.value == -16
         assert res.nodes <= 2  # one long step per direction at most
 
-    def test_infeasible(self):
+    @pytest.mark.parametrize("rhs", [3, 9])
+    def test_both_augmenting_backends_require_a_start(self, rhs):
+        # x0 + x1 = rhs over [0, 3]^2, feasible at 3 and infeasible at 9:
+        # without a start both backends raise, naming themselves, and
+        # neither answers infeasible
         a1 = IntMatrix.from_rows([[1]])
         a2 = IntMatrix.from_dict(0, 1, {})
-        m = nfold_model(Linear((1, 1)), a1, a2, 2, [9], [[], []], [0, 0], [3, 3])
-        assert solve_nfold(m).status == "infeasible"
+        m = nfold_model(Linear((1, 1)), a1, a2, 2, [rhs], [[], []], [0, 0], [3, 3])
+        with pytest.raises(ValueError, match="n-fold backend needs a start point"):
+            solve_nfold(m)
+        with pytest.raises(ValueError, match="augmentation needs a start point"):
+            solve_augment(m)
 
     def test_brick_move_longer_than_a2_graver_norm(self):
         # A1 = [1 2], A2 empty, brick 2 boxed to 0, start (0,1,0,0): reaching
@@ -516,8 +576,8 @@ class TestSolveNFold:
         a1 = IntMatrix.from_rows([[1, 0]])
         a2 = IntMatrix.from_rows([[1, 1]])
         terms = (lambda v: v * v, lambda v: 3 * v, lambda v: (v - 3) ** 2, lambda v: 0)
-        m = nfold_model(SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
-                        [0] * 4, [3] * 4)
+        m = with_first_start(nfold_model(SeparableConvex(terms), a1, a2, 2, [3], [[3], [3]],
+                                         [0] * 4, [3] * 4))
         assert solve_nfold(m).optimal
         units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         monkeypatch.setattr(backends, "_kernel_vectors_within", lambda a, cap, max_nodes: units)

@@ -152,6 +152,26 @@ class TestSolve:
     def test_budget_exit_code(self, p3_sumcol):
         assert main(["solve", "--model", "nfold", "--budget", "3", p3_sumcol]) == 2
 
+    def test_budget_bounds_the_proximity_search(self, tmp_path, capsys):
+        # a 4-vertex star of capacity 1: the box search needs more than its
+        # root, so one node stops it, as it stops the ilp model's search
+        path = tmp_path / "star.txt"
+        write_instance(Instance(star_graph(3, capacity=[1] * 4), "cds"), path)
+        assert main(["solve", "--algo", "proximity", "--no-timing", str(path)]) == 0
+        capsys.readouterr()
+        for route in (["--algo", "proximity"], ["--model", "ilp"]):
+            assert main(["solve", *route, "--budget", "1", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "budget exhausted: branch-and-bound node budget exceeded\n")
+
+    def test_q_is_rejected_off_maxqcut(self, p3_sumcol, star_cds, k4_cut, capsys):
+        for path, problem in ((p3_sumcol, "sumcol"), (star_cds, "cds")):
+            assert main(["solve", "--q", "5", path]) == 3
+            assert capsys.readouterr().err == (
+                f"input error: --q applies to maxqcut instances only, not {problem!r}\n")
+        assert main(["solve", "--q", "4", "--no-timing", k4_cut]) == 0
+        assert "value: 6\n" in capsys.readouterr().out  # K4 split into 4 parts cuts every edge
+
     @pytest.mark.parametrize("line, flag, budget", [
         pytest.param(["solve", "--model", "nfold", "--backend", "nfold"], "--budget", "0", id="0"),
         pytest.param(["solve", "--model", "nfold", "--backend", "nfold"], "--budget", "-1", id="-1"),

@@ -247,14 +247,6 @@ class TestSumColoringModels:
         t = type_graph(complete_graph(m))
         assert solve_boxed(build_sumcol_graver(t)).value == m * (m + 1) // 2
 
-    def test_color_count_insensitive_upward(self):
-        g = path_graph(3)
-        t = type_graph(g)
-        values = {
-            solve_boxed(build_sumcol_nfold(t, color_count=c)).value for c in (3, 4, 6)
-        }
-        assert values == {4}
-
     def test_nfold_annotation_dimensions(self):
         t = type_graph(star_graph(3))
         m = build_sumcol_nfold(t)
