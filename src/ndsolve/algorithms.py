@@ -2,10 +2,11 @@
 
 The oracles are assumption-free: the domination oracle checks arbitrary
 vertex subsets by bipartite matching (it does not restrict itself to
-capacity-ordered solutions, so exchange arguments can be tested against it),
-the coloring oracle enumerates proper colorings directly on the graph, and
-the cut oracle enumerates partitions.  All three refuse graphs above a size
-guard.
+capacity-ordered solutions, so it also arbitrates the exchange argument
+that justifies them), the coloring oracle enumerates proper colorings
+directly on the graph, and the cut oracle enumerates partitions.  Each
+refuses a graph above its size guard, a module constant (CDS_SIZE_GUARD,
+COLORING_SIZE_GUARD, CUT_SIZE_GUARD).
 
 On top of the LP relaxation of the linear domination model (relax_model:
 the model's own integer rows over its finite boxes, minimized, which
@@ -37,7 +38,7 @@ from collections import Counter
 from operator import countOf
 
 from .backends import solve_boxed
-from .graphs import Graph, TypeGraph, twin_partition
+from .graphs import Graph, TypeGraph
 from .ipmodel import IpModel, Linear
 from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
@@ -56,7 +57,6 @@ COLORING_SIZE_GUARD = 9
 CUT_SIZE_GUARD = 10
 
 __all__ = [
-    "capacity_reorder",
     "cds_brute",
     "cds_proximity_solve",
     "cds_rounding_approx",
@@ -114,9 +114,9 @@ def _guard(g, limit, what):
         raise ValueError(f"{what} oracle guard: {g.n} > {limit}")
 
 
-def cds_brute(g: Graph, max_n: int = CDS_SIZE_GUARD) -> CdsSolution:
+def cds_brute(g: Graph) -> CdsSolution:
     """Smallest capacitated dominating set by subset enumeration."""
-    _guard(g, max_n, "domination")
+    _guard(g, CDS_SIZE_GUARD, "domination")
     for size in range(g.n + 1):
         for d in itertools.combinations(range(g.n), size):
             assignment = _match_subset(g, set(d))
@@ -125,7 +125,7 @@ def cds_brute(g: Graph, max_n: int = CDS_SIZE_GUARD) -> CdsSolution:
     raise AssertionError("the full vertex set always dominates")
 
 
-def sumcol_brute(g: Graph, max_n: int = COLORING_SIZE_GUARD) -> dict:
+def sumcol_brute(g: Graph) -> dict:
     """Minimum-sum proper coloring by exhaustive search.
 
     Colors range over 1..n; restricting early vertices to low colors would
@@ -133,7 +133,7 @@ def sumcol_brute(g: Graph, max_n: int = COLORING_SIZE_GUARD) -> dict:
     give its first vertex a high color when a larger class takes color 1).
     Branches are cut by the trivial remaining-cost bound.
     """
-    _guard(g, max_n, "coloring")
+    _guard(g, COLORING_SIZE_GUARD, "coloring")
     n = g.n
     below = [nb[:bisect_left(nb, v)] for v, nb in enumerate(g.neighbors)]
     colors = [0] * n
@@ -160,9 +160,9 @@ def sumcol_brute(g: Graph, max_n: int = COLORING_SIZE_GUARD) -> dict:
     return dict(best[0]) if n else {}
 
 
-def maxqcut_brute(g: Graph, q: int, max_n: int = CUT_SIZE_GUARD) -> dict:
+def maxqcut_brute(g: Graph, q: int) -> dict:
     """Partition into q parts maximizing cross edges, by exhaustive search."""
-    _guard(g, max_n, "cut")
+    _guard(g, CUT_SIZE_GUARD, "cut")
     if q < 2:
         raise ValueError("need at least two parts")
     n = g.n
@@ -191,77 +191,6 @@ def maxqcut_brute(g: Graph, q: int, max_n: int = CUT_SIZE_GUARD) -> dict:
     finally:
         del rec  # it holds itself through its cell
     return best[0] if n else {}
-
-
-# ---------------------------------------------------------------------------
-# capacity-ordered exchange
-# ---------------------------------------------------------------------------
-
-def _capacity_order(g: Graph):
-    classes = twin_partition(g).classes
-    return [sorted(c, key=lambda v: (-g.capacity[v], v)) for c in classes]
-
-
-def capacity_reorder(g: Graph, sol: CdsSolution) -> CdsSolution:
-    """Exchange dominators until each class holds a capacity-ordered prefix.
-
-    One exchange swaps a chosen vertex v for an unchosen higher-capacity
-    twin u; u inherits v's load and v inherits u's old dominator (or u
-    itself when u was served by v).  Size is preserved and the number of
-    out-of-prefix picks strictly drops, so this terminates.
-    """
-    if not check_cds(g, sol):
-        raise ValueError("input is not a valid solution")
-    classes = _capacity_order(g)
-    dom = set(sol.dominators)
-    delta = dict(sol.assignment)
-
-    def mismatch():
-        score = 0
-        for cls in classes:
-            inside = set(v for v in cls if v in dom)
-            prefix = set(cls[: len(inside)])
-            score += len(prefix.symmetric_difference(inside))
-        return score
-
-    while True:
-        swap = None
-        for cls in classes:
-            inside = [v for v in cls if v in dom]
-            prefix = cls[: len(inside)]
-            extra = [v for v in inside if v not in set(prefix)]
-            missing = [u for u in prefix if u not in dom]
-            if extra:
-                swap = (missing[0], extra[0])
-                break
-        if swap is None:
-            break
-        u, v = swap
-        before = mismatch()
-        new_delta = {}
-        for x, y in delta.items():
-            if x == u:
-                continue
-            new_delta[x] = u if y == v else y
-        y0 = delta[u]
-        new_delta[v] = u if y0 == v else y0
-        dom.discard(v)
-        dom.add(u)
-        delta = new_delta
-        if mismatch() >= before:
-            raise RuntimeError(f"exchange {u}<->{v} did not reduce the out-of-prefix picks")
-    out = CdsSolution.make(dom, delta)
-    if not check_cds(g, out) or out.size != sol.size:
-        raise RuntimeError("capacity reorder produced an invalid or resized solution")
-    return out
-
-
-def is_capacity_ordered(g: Graph, dominators) -> bool:
-    dom = set(dominators)
-    return all(
-        set(cls[: len([v for v in cls if v in dom])]) == {v for v in cls if v in dom}
-        for cls in _capacity_order(g)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ For capacitated instances each class additionally keeps its vertices sorted
 by non-increasing capacity, so that "the first l vertices of class i" is a
 well-defined prefix.  The domination capacity f_i(l) is the total capacity
 of that prefix; it is concave piecewise-linear in l.  The type graph keeps
-the prefix sums of each class's sorted capacities (TypeGraph.capacity_prefix),
-so f_i(l) is one lookup.
+the prefix sums of each class's sorted capacities, and f_i(l) is the lookup
+TypeGraph.capacity_prefix[i][l], for 0 <= l <= |V_i|: the one rule that
+every domination model and route reads.
 
 A Graph holds its edges as runs, the edge block of the instance file format
 grouped by smaller endpoint: the strictly ascending heads u, and for each
@@ -26,9 +27,9 @@ per edge.  The instance parser and the blow-up generator
 Graph(n, pairs) cuts strictly increasing pairs into runs where u changes
 (cut_runs) and goes through the same check; Graph.from_edges is the one
 constructor that normalises (orients each pair, sorts, drops repeats), for
-pairs from anywhere else (tests, matrices.primal_graph).  Graph.edges, the
-pair tuple, is a view built on first use for the few readers that want
-pairs; no solve path and no file writer builds it.
+pairs from anywhere else (the tests).  Graph.edges, the pair tuple, is a
+view built on first use for the few readers that want pairs; no solve path
+and no file writer builds it.
 
 Costs: holding a graph is O(m) whatever the header's n; the first O(n)
 allocation is Graph.neighbors, one tuple of sorted neighbor tuples built on
@@ -200,12 +201,6 @@ def _contains(nbrs, v):
     return i < len(nbrs) and nbrs[i] == v
 
 
-def are_twins(g: Graph, u: int, v: int) -> bool:
-    """True when u and v have identical neighborhoods outside {u, v}."""
-    nbr = g.neighbors
-    return [w for w in nbr[u] if w != v] == [w for w in nbr[v] if w != u]
-
-
 @dataclass(frozen=True)
 class TypePartition:
     """The twin-equivalence classes of a graph, in order of smallest member.
@@ -300,25 +295,8 @@ class TypeGraph:
         return tuple(tuple(accumulate(caps, initial=0)) for caps in self.sorted_capacities)
 
 
-def build_type_graph(g: Graph, p: TypePartition) -> TypeGraph:
-    """Compress g along its twin partition p.
-
-    Rejects any p that is not the twin partition of g (wrong classes or
-    wrong kinds).
-    """
-    expected = twin_partition(g)
-    if frozenset(map(frozenset, p.classes)) != frozenset(map(frozenset, expected.classes)):
-        raise ValueError("partition classes are not the twin classes of the graph")
-    canon_kind = {frozenset(c): knd for c, knd in zip(expected.classes, expected.kinds)}
-    for c, knd in zip(p.classes, p.kinds):
-        if canon_kind[frozenset(c)] != knd:
-            raise ValueError(f"class {c!r} has kind {knd!r}, expected {canon_kind[frozenset(c)]!r}")
-    return _compress(g, p)
-
-
 def type_graph(g: Graph) -> TypeGraph:
-    """The type graph of g: build_type_graph(g, twin_partition(g)) without
-    re-deriving the partition to check it."""
+    """The type graph of g: g compressed along its twin partition."""
     return _compress(g, twin_partition(g))
 
 
@@ -348,20 +326,3 @@ def _compress(g: Graph, p: TypePartition) -> TypeGraph:
         edges=frozenset(edges),
         sorted_capacities=caps,
     )
-
-
-def domination_capacity(t: TypeGraph, i: int, ell: int) -> int:
-    """f_i(ell): total capacity of the ell highest-capacity vertices of class i.
-
-    Clamped at ell = |V_i| for larger ell.  The increments are the sorted
-    capacities themselves, so f_i is concave.  One lookup in
-    TypeGraph.capacity_prefix.
-    """
-    if t.sorted_capacities is None:
-        raise ValueError("type graph carries no capacities")
-    if not 0 <= i < t.k:
-        raise ValueError(f"unknown class index {i}")
-    if ell < 0:
-        raise ValueError("prefix length must be non-negative")
-    prefix = t.capacity_prefix[i]
-    return prefix[min(ell, len(prefix) - 1)]

@@ -225,11 +225,6 @@ def _normal_form(s, basis):
     return v
 
 
-def _conformal_normal_form(s, basis_list):
-    """Greedily subtract conformal elements; the remainder is the normal form."""
-    return _normal_form(_entry(tuple(s)), [_entry(tuple(g)) for g in basis_list])
-
-
 def _pottier_completion(a: IntMatrix, max_elements: int):
     """Close a kernel lattice basis under conformal reduction of sums.
 
@@ -427,11 +422,6 @@ def graver_basis(a: IntMatrix, max_elements: int = 200_000) -> GraverBasis:
 def g1_norm(b: GraverBasis) -> int:
     """Largest l1-norm over the basis (0 for a trivial kernel)."""
     return max((_l1(v) for v in b.elements), default=0)
-
-
-def g_inf_norm(b: GraverBasis) -> int:
-    """Largest infinity-norm over the basis."""
-    return max((max(abs(x) for x in v) for v in b.elements), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -191,39 +191,3 @@ class IpModel:
             for i, c in row.coeffs:
                 d[(r, i)] = c
         return IntMatrix.from_dict(len(self.rows), self.n_vars, d)
-
-
-def dump_model(m: IpModel) -> str:
-    """Canonical line-oriented serialization for golden-file comparisons."""
-    out = [f"vars {m.n_vars}"]
-    for i in range(m.n_vars):
-        out.append(f"bound {i} {m.lower[i]} {m.upper[i]}")
-    obj = m.objective
-    if isinstance(obj, Linear):
-        out.append("obj linear " + " ".join(str(c) for c in obj.coeffs))
-    elif isinstance(obj, SeparableConvex):
-        out.append("obj sepconvex")
-        for i, f in enumerate(obj.terms):
-            vals = " ".join(str(f(v)) for v in range(m.lower[i], m.upper[i] + 1))
-            out.append(f"objterm {i} {vals}")
-    elif isinstance(obj, Quadratic):
-        out.append("obj quadratic")
-        for p, q, c in sorted(obj.terms):
-            out.append(f"qterm {p} {q} {c}")
-    elif isinstance(obj, GeneralConvex):
-        out.append(f"obj general {obj.name}")
-    else:
-        raise ValueError("unknown objective form")
-    for r, row in enumerate(m.rows):
-        out.append(f"row {r} {row.rel} {row.rhs}")
-        for i, c in row.coeffs:
-            out.append(f"entry {r} {i} {c}")
-    for cr in m.convex_rows:
-        out.append(f"convexrow {cr.name}")
-    if m.nfold is not None:
-        out.append(f"nfold {m.nfold.r} {m.nfold.s} {m.nfold.t} {m.nfold.n}")
-    if m.stacked is not None:
-        out.append(f"stacked {m.stacked.f_rows} {m.stacked.l_rows}")
-    if m.tag:
-        out.append(f"tag {m.tag}")
-    return "\n".join(out) + "\n"

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from operator import mul, sub
 
-from .graphs import CLIQUE, Graph, TypeGraph, domination_capacity
+from .graphs import CLIQUE, Graph, TypeGraph
 from .ipmodel import (
     EQ,
     GE,
@@ -42,7 +42,6 @@ from .ipmodel import (
     Quadratic,
     SeparableConvex,
     StackedBlocks,
-    dump_model,
 )
 from .matching import max_bipartite_matching
 from .matrices import IntMatrix
@@ -64,7 +63,6 @@ __all__ = [
     "decode_cds",
     "decode_coloring",
     "decode_partition",
-    "dump_model",
     "split_stacked_blocks",
 ]
 
@@ -91,7 +89,7 @@ def _cds_frame(t: TypeGraph):
     pos = {p: k + idx for idx, p in enumerate(pairs)}
     lower = [0] * (k + len(pairs))
     upper = list(t.weights) + [
-        min(t.weights[j], domination_capacity(t, i, t.weights[i])) for i, j in pairs
+        min(t.weights[j], t.capacity_prefix[i][t.weights[i]]) for i, j in pairs
     ]
     rows = []
     for j in range(t.k):
@@ -148,7 +146,7 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
                 continue  # the tangent at ell - 1 is this row
             coeffs = {p: 1 for p in served}
             coeffs[i] = coeffs.get(i, 0) - c_l
-            rhs = domination_capacity(t, i, ell - 1) - c_l * (ell - 1)
+            rhs = t.capacity_prefix[i][ell - 1] - c_l * (ell - 1)
             rows.append(LinearRow.make(coeffs, "<=", rhs))
     return IpModel(
         objective=Linear(tuple([1] * k + [0] * len(pairs))),

@@ -1,14 +1,28 @@
-"""Small graph constructors and brute-force helpers shared by the tests."""
+"""Small graph constructors, brute-force helpers, and the checks that only
+the tests read, shared by the tests.
+
+The checks are the exchange behind capacity-ordered solutions (acceptance
+criterion 5), path decompositions of a model's dual graph (criterion 6, the
+paper's bounded-dual-treewidth claim for the stacked model), twins and a
+type graph built from a partition that is checked first, the domination
+capacity f_i(l) with its argument checks, the Graver basis' infinity norm
+and normal form, and a canonical serialization of a model for golden-file
+comparisons.
+"""
 
 import itertools
 import operator
 import random
 import re
+from dataclasses import dataclass
 
-from ndsolve.graphs import Graph, type_graph
-from ndsolve.graver import conformal
-from ndsolve.ipmodel import SeparableConvex
+from ndsolve.algorithms import check_cds
+from ndsolve.graphs import Graph, TypeGraph, TypePartition, _compress, twin_partition, type_graph
+from ndsolve.graver import GraverBasis, _entry, _normal_form, conformal
+from ndsolve.ipmodel import GeneralConvex, IpModel, Linear, Quadratic, SeparableConvex
 from ndsolve.instances import PROBLEMS, Instance, ParseError, generate_blowup, random_template
+from ndsolve.matrices import IntMatrix
+from ndsolve.models import CdsSolution
 
 
 def complete_graph(n, capacity=None):
@@ -72,8 +86,6 @@ def set_partitions(items):
 def brute_min_twin_partition(g: Graph):
     """Independent oracle: the minimum number of classes over all partitions
     whose classes consist of pairwise twins."""
-    from ndsolve.graphs import are_twins
-
     best = None
     for part in set_partitions(range(g.n)):
         if all(are_twins(g, u, v) for cls in part for u in cls for v in cls if u < v):
@@ -250,3 +262,249 @@ def reference_parse(text):
     if at - 1 != len(lines):
         raise ParseError(at, f"unexpected trailing line {lines[at - 1]!r}")
     return Instance(Graph(n, edges, capacity), problem, q)
+
+
+# ---------------------------------------------------------------------------
+# twins, a checked type graph, and f_i(l) with its argument checks
+# ---------------------------------------------------------------------------
+
+def are_twins(g: Graph, u: int, v: int) -> bool:
+    """True when u and v have identical neighborhoods outside {u, v}."""
+    nbr = g.neighbors
+    return [w for w in nbr[u] if w != v] == [w for w in nbr[v] if w != u]
+
+
+def build_type_graph(g: Graph, p: TypePartition) -> TypeGraph:
+    """Compress g along its twin partition p.
+
+    Rejects any p that is not the twin partition of g (wrong classes or
+    wrong kinds).
+    """
+    expected = twin_partition(g)
+    if frozenset(map(frozenset, p.classes)) != frozenset(map(frozenset, expected.classes)):
+        raise ValueError("partition classes are not the twin classes of the graph")
+    canon_kind = {frozenset(c): knd for c, knd in zip(expected.classes, expected.kinds)}
+    for c, knd in zip(p.classes, p.kinds):
+        if canon_kind[frozenset(c)] != knd:
+            raise ValueError(f"class {c!r} has kind {knd!r}, expected {canon_kind[frozenset(c)]!r}")
+    return _compress(g, p)
+
+
+def domination_capacity(t: TypeGraph, i: int, ell: int) -> int:
+    """f_i(ell): total capacity of the ell highest-capacity vertices of class i.
+
+    Clamped at ell = |V_i| for larger ell.  The increments are the sorted
+    capacities themselves, so f_i is concave.  One lookup in
+    TypeGraph.capacity_prefix.
+    """
+    if t.sorted_capacities is None:
+        raise ValueError("type graph carries no capacities")
+    if not 0 <= i < t.k:
+        raise ValueError(f"unknown class index {i}")
+    if ell < 0:
+        raise ValueError("prefix length must be non-negative")
+    prefix = t.capacity_prefix[i]
+    return prefix[min(ell, len(prefix) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# capacity-ordered exchange (acceptance criterion 5)
+# ---------------------------------------------------------------------------
+
+def _capacity_order(g: Graph):
+    classes = twin_partition(g).classes
+    return [sorted(c, key=lambda v: (-g.capacity[v], v)) for c in classes]
+
+
+def capacity_reorder(g: Graph, sol: CdsSolution) -> CdsSolution:
+    """Exchange dominators until each class holds a capacity-ordered prefix.
+
+    One exchange swaps a chosen vertex v for an unchosen higher-capacity
+    twin u; u inherits v's load and v inherits u's old dominator (or u
+    itself when u was served by v).  Size is preserved and the number of
+    out-of-prefix picks strictly drops, so this terminates.
+    """
+    if not check_cds(g, sol):
+        raise ValueError("input is not a valid solution")
+    classes = _capacity_order(g)
+    dom = set(sol.dominators)
+    delta = dict(sol.assignment)
+
+    def mismatch():
+        score = 0
+        for cls in classes:
+            inside = set(v for v in cls if v in dom)
+            prefix = set(cls[: len(inside)])
+            score += len(prefix.symmetric_difference(inside))
+        return score
+
+    while True:
+        swap = None
+        for cls in classes:
+            inside = [v for v in cls if v in dom]
+            prefix = cls[: len(inside)]
+            extra = [v for v in inside if v not in set(prefix)]
+            missing = [u for u in prefix if u not in dom]
+            if extra:
+                swap = (missing[0], extra[0])
+                break
+        if swap is None:
+            break
+        u, v = swap
+        before = mismatch()
+        new_delta = {}
+        for x, y in delta.items():
+            if x == u:
+                continue
+            new_delta[x] = u if y == v else y
+        y0 = delta[u]
+        new_delta[v] = u if y0 == v else y0
+        dom.discard(v)
+        dom.add(u)
+        delta = new_delta
+        if mismatch() >= before:
+            raise RuntimeError(f"exchange {u}<->{v} did not reduce the out-of-prefix picks")
+    out = CdsSolution.make(dom, delta)
+    if not check_cds(g, out) or out.size != sol.size:
+        raise RuntimeError("capacity reorder produced an invalid or resized solution")
+    return out
+
+
+def is_capacity_ordered(g: Graph, dominators) -> bool:
+    dom = set(dominators)
+    return all(
+        set(cls[: len([v for v in cls if v in dom])]) == {v for v in cls if v in dom}
+        for cls in _capacity_order(g)
+    )
+
+
+# ---------------------------------------------------------------------------
+# path decompositions of a dual graph (acceptance criterion 6)
+# ---------------------------------------------------------------------------
+
+def primal_graph(a: IntMatrix) -> Graph:
+    """Graph over columns; i ~ j when some row is non-zero in both."""
+    support = [[] for _ in range(a.m)]
+    for (r, c), _ in a.entries:
+        support[r].append(c)
+    edges = set()
+    for sup in support:
+        edges.update(itertools.combinations(sup, 2))
+    return Graph.from_edges(a.n, edges)
+
+
+def dual_graph(a: IntMatrix) -> Graph:
+    """Graph over rows; equals the primal graph of the transpose."""
+    return primal_graph(a.transpose())
+
+
+@dataclass(frozen=True)
+class PathDecomposition:
+    """Ordered bags over the vertices of some graph."""
+
+    bags: tuple  # of frozensets
+
+    @property
+    def width(self):
+        return max((len(b) for b in self.bags), default=0) - 1
+
+
+@dataclass(frozen=True)
+class DecompositionReport:
+    valid: bool
+    width: int
+    reason: str = ""
+
+
+def verify_decomposition(g: Graph, d: PathDecomposition) -> DecompositionReport:
+    """Check the three path-decomposition conditions for g; report width."""
+    width = d.width
+    covered = set().union(*d.bags) if d.bags else set()
+    missing = set(range(g.n)) - covered
+    if missing:
+        return DecompositionReport(False, width, f"vertex {min(missing)} in no bag")
+    for u, run in zip(g.heads, g.runs):
+        for v in run:
+            if not any(u in b and v in b for b in d.bags):
+                return DecompositionReport(False, width, f"edge ({u},{v}) in no bag")
+    for v in range(g.n):
+        hits = [i for i, b in enumerate(d.bags) if v in b]
+        if hits != list(range(hits[0], hits[-1] + 1)):
+            return DecompositionReport(False, width, f"occurrences of {v} not contiguous")
+    return DecompositionReport(True, width)
+
+
+def stacked_path_decomposition(model) -> PathDecomposition:
+    """The explicit decomposition of the dual graph of a stacked (F over L) model.
+
+    Row i of L only shares columns with rows i-1 and i+1 of L (through the
+    chained counter variables), so bags of {all F-rows, L_i, L_{i+1}} for
+    consecutive i cover every dual edge with width <= k+1.
+    """
+    blocks = getattr(model, "stacked", None)
+    if blocks is None:
+        raise ValueError("model carries no stacked F/L block annotation")
+    f_rows, l_rows = blocks.f_rows, blocks.l_rows
+    f_bag = frozenset(range(f_rows))
+    if l_rows == 0:
+        return PathDecomposition((f_bag,) if f_rows else ())
+    if l_rows == 1:
+        return PathDecomposition((f_bag | {f_rows},))
+    bags = tuple(
+        f_bag | {f_rows + i, f_rows + i + 1} for i in range(l_rows - 1)
+    )
+    return PathDecomposition(bags)
+
+
+# ---------------------------------------------------------------------------
+# Graver bases: infinity norm and conformal normal form
+# ---------------------------------------------------------------------------
+
+def _conformal_normal_form(s, basis_list):
+    """Greedily subtract conformal elements; the remainder is the normal form."""
+    return _normal_form(_entry(tuple(s)), [_entry(tuple(g)) for g in basis_list])
+
+
+def g_inf_norm(b: GraverBasis) -> int:
+    """Largest infinity-norm over the basis."""
+    return max((max(abs(x) for x in v) for v in b.elements), default=0)
+
+
+# ---------------------------------------------------------------------------
+# canonical model serialization for golden-file comparisons
+# ---------------------------------------------------------------------------
+
+def dump_model(m: IpModel) -> str:
+    """Canonical line-oriented serialization for golden-file comparisons."""
+    out = [f"vars {m.n_vars}"]
+    for i in range(m.n_vars):
+        out.append(f"bound {i} {m.lower[i]} {m.upper[i]}")
+    obj = m.objective
+    if isinstance(obj, Linear):
+        out.append("obj linear " + " ".join(str(c) for c in obj.coeffs))
+    elif isinstance(obj, SeparableConvex):
+        out.append("obj sepconvex")
+        for i, f in enumerate(obj.terms):
+            vals = " ".join(str(f(v)) for v in range(m.lower[i], m.upper[i] + 1))
+            out.append(f"objterm {i} {vals}")
+    elif isinstance(obj, Quadratic):
+        out.append("obj quadratic")
+        for p, q, c in sorted(obj.terms):
+            out.append(f"qterm {p} {q} {c}")
+    elif isinstance(obj, GeneralConvex):
+        out.append(f"obj general {obj.name}")
+    else:
+        raise ValueError("unknown objective form")
+    for r, row in enumerate(m.rows):
+        out.append(f"row {r} {row.rel} {row.rhs}")
+        for i, c in row.coeffs:
+            out.append(f"entry {r} {i} {c}")
+    for cr in m.convex_rows:
+        out.append(f"convexrow {cr.name}")
+    if m.nfold is not None:
+        out.append(f"nfold {m.nfold.r} {m.nfold.s} {m.nfold.t} {m.nfold.n}")
+    if m.stacked is not None:
+        out.append(f"stacked {m.stacked.f_rows} {m.stacked.l_rows}")
+    if m.tag:
+        out.append(f"tag {m.tag}")
+    return "\n".join(out) + "\n"

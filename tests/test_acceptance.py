@@ -11,7 +11,6 @@ import itertools
 import random
 
 from ndsolve.algorithms import (
-    capacity_reorder,
     cds_brute,
     cds_proximity_solve,
     cds_rounding_approx,
@@ -19,7 +18,6 @@ from ndsolve.algorithms import (
     check_coloring,
     coloring_cost,
     cut_value,
-    is_capacity_ordered,
     maxqcut_brute,
     proximity_box,
     relax_model,
@@ -37,7 +35,7 @@ from ndsolve.graver import g1_norm, stacking_check
 from ndsolve.instances import generate_blowup, random_template
 from ndsolve.ipmodel import EQ, IpModel, Linear, LinearRow, SeparableConvex
 from ndsolve.lp import solve_lp
-from ndsolve.matrices import IntMatrix, dual_graph, stacked_path_decomposition, verify_decomposition
+from ndsolve.matrices import IntMatrix
 from ndsolve.models import (
     CdsSolution,
     build_catalog,
@@ -50,6 +48,14 @@ from ndsolve.models import (
     decode_cds,
     decode_coloring,
     split_stacked_blocks,
+)
+
+from helpers import (
+    capacity_reorder,
+    dual_graph,
+    is_capacity_ordered,
+    stacked_path_decomposition,
+    verify_decomposition,
 )
 
 SUITE_SIZE = 200

@@ -7,7 +7,6 @@ import pytest
 
 from ndsolve import algorithms
 from ndsolve.algorithms import (
-    capacity_reorder,
     cds_brute,
     cds_proximity_solve,
     cds_rounding_approx,
@@ -15,7 +14,6 @@ from ndsolve.algorithms import (
     check_coloring,
     coloring_cost,
     cut_value,
-    is_capacity_ordered,
     max_bipartite_matching,
     maxqcut_brute,
     proximity_box,
@@ -34,9 +32,12 @@ from ndsolve.models import (
     decode_cds,
 )
 
+import helpers
 from helpers import (
+    capacity_reorder,
     complete_graph,
     empty_graph,
+    is_capacity_ordered,
     path_graph,
     pinned_cds_instances,
     random_graph,
@@ -247,14 +248,14 @@ class TestCapacityReorder:
     def test_exchange_that_does_not_progress_raises(self, monkeypatch):
         # vertex 0 in two classes: each exchange undoes the other's progress,
         # so without the guard the loop would swap forever
-        monkeypatch.setattr(algorithms, "_capacity_order", lambda g: [[1, 0], [0, 1]])
+        monkeypatch.setattr(helpers, "_capacity_order", lambda g: [[1, 0], [0, 1]])
         g = complete_graph(2, capacity=[1, 1])
         with pytest.raises(RuntimeError, match="did not reduce"):
             capacity_reorder(g, CdsSolution.make({0}, {1: 0}))
 
     def test_invalid_result_raises(self, monkeypatch):
         verdicts = iter([True, False])  # the input passes, the result fails
-        monkeypatch.setattr(algorithms, "check_cds", lambda g, sol: next(verdicts))
+        monkeypatch.setattr(helpers, "check_cds", lambda g, sol: next(verdicts))
         g = star_graph(3, capacity=[3, 0, 0, 0])
         with pytest.raises(RuntimeError, match="invalid or resized"):
             capacity_reorder(g, CdsSolution.make({0}, {1: 0, 2: 0, 3: 0}))

@@ -73,6 +73,33 @@ class TestNd:
         assert "Traceback" not in err
 
 
+def run_module(*argv):
+    """python -m ndsolve argv in a fresh interpreter, with this test run's
+    ndsolve first on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndsolve.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "ndsolve", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+class TestEntryPoint:
+    """python -m ndsolve runs __main__.py, which calls cli.main with no
+    arguments, so that cli.main reads sys.argv[1:], and exits with its code."""
+
+    def test_nd_prints_the_decomposition(self, star_cds, capsys):
+        proc = run_module("nd", star_cds)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(["nd", star_cds]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert "nd: 2" in proc.stdout and "class 1" in proc.stdout
+
+    def test_unknown_option_exits_3(self, star_cds):
+        proc = run_module("solve", star_cds, "--bogus")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --bogus" in proc.stderr
+
+
 class TestSolve:
     def test_cds_default_model(self, star_cds, capsys):
         assert main(["solve", star_cds]) == 0

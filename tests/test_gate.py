@@ -1,13 +1,17 @@
-"""A medium-n cross-route gate for capacitated domination and sum colouring.
+"""A medium-n cross-route gate for the three problems.
 
-The acceptance gate stops at n <= 8, where the brute-force oracles run.
-Here the classes are larger and the routes are checked against each other.
+The acceptance gate stops at n <= 8.  Here the classes are larger and the
+routes are checked against each other, or against the brute-force oracle
+where it still runs.
 - Domination (k <= 4, n <= 24, capacities <= 6): `proximity` must equal the
   optimum of `ilp/boxed`, `rounding` must lie within k^2 above it, and
   every witness must pass check_cds.
 - Sum colouring (k <= 4, 9 <= n <= 40): `convexfd/boxed`, `graver/boxed`,
   `graver/augment`, `nfold/nfold` and `nfold/boxed` must agree, and every
   decoded colouring must pass check_coloring and cost the value.
+- Max-q-cut (k <= 4, 9 <= n <= 10, q in {2, 3}): `quadratic/boxed` must
+  equal maxqcut_brute's cut, and its decoded partition must be a partition
+  into q parts that cuts as many edges.
 The exact routes run under counter budgets, never a clock; an instance a
 route cannot finish is counted, and a floor on the instances answered keeps
 the budget from quietly emptying the gate.
@@ -15,7 +19,14 @@ the budget from quietly emptying the gate.
 
 import random
 
-from ndsolve.algorithms import cds_proximity_solve, cds_rounding_approx, check_cds, coloring_cost
+from ndsolve.algorithms import (
+    cds_proximity_solve,
+    cds_rounding_approx,
+    check_cds,
+    coloring_cost,
+    cut_value,
+    maxqcut_brute,
+)
 from ndsolve.backends import Budget, solve_augment, solve_boxed, solve_nfold
 from ndsolve.errors import BudgetError
 from ndsolve.graphs import type_graph
@@ -23,12 +34,14 @@ from ndsolve.instances import generate_blowup, random_template
 from ndsolve.models import (
     build_catalog,
     build_cds_ilp,
+    build_maxqcut,
     build_sumcol_convex,
     build_sumcol_graver,
     build_sumcol_nfold,
     check_coloring,
     decode_cds,
     decode_coloring,
+    decode_partition,
 )
 
 GATE_INSTANCES = 400
@@ -115,3 +128,39 @@ def test_sumcol_routes_agree_at_medium_n():
             values.add(res.value)
         assert len(values) <= 1, (g, values)
     assert all(answered[name] >= floor for name, floor in SUMCOL_FLOORS.items()), answered
+
+
+MAXQCUT_INSTANCES = 50
+MAXQCUT_BUDGET = Budget(max_nodes=2_000)
+# at this budget quadratic/boxed answers all 100 (instance, q) pairs, in at
+# most 417 nodes
+MAXQCUT_FLOOR = 95
+
+
+def maxqcut_instances():
+    for seed in range(MAXQCUT_INSTANCES):
+        rng = random.Random(80_000 + seed)
+        while True:  # redraw until 9 <= n <= 10, above the acceptance gate
+            template = random_template(rng, max_k=4, max_n=10)
+            if 9 <= sum(template.weights) <= 10:
+                break
+        g = generate_blowup(template, seed=rng.randrange(2**30))
+        yield type_graph(g), g
+
+
+def test_maxqcut_route_meets_the_oracle_at_medium_n():
+    answered = 0
+    for t, g in maxqcut_instances():
+        for q in (2, 3):
+            try:
+                res = solve_boxed(build_maxqcut(t, q), MAXQCUT_BUDGET)
+            except BudgetError:
+                continue
+            answered += 1
+            cut = -res.value  # the model minimizes -cut
+            assert cut == cut_value(g, maxqcut_brute(g, q)), (g, q)
+            partition = decode_partition(t, g, res.point)
+            assert set(partition) == set(range(g.n)), (g, q)
+            assert set(partition.values()) <= set(range(1, q + 1)), (g, q)
+            assert cut_value(g, partition) == cut, (g, q)
+    assert answered >= MAXQCUT_FLOOR, answered

@@ -8,18 +8,18 @@ from ndsolve.graphs import (
     INDEPENDENT,
     Graph,
     TypePartition,
-    are_twins,
-    build_type_graph,
     cut_runs,
-    domination_capacity,
     twin_partition,
     type_graph,
 )
 
 from helpers import (
+    are_twins,
     brute_min_twin_partition,
+    build_type_graph,
     complete_graph,
     cycle_graph,
+    domination_capacity,
     empty_graph,
     path_graph,
     random_graph,

@@ -13,7 +13,6 @@ from ndsolve.graver import (
     augment_to_optimum,
     conformal,
     g1_norm,
-    g_inf_norm,
     graver_basis,
     graver_best_step,
     kernel_lattice_basis,
@@ -24,7 +23,7 @@ from ndsolve.instances import generate_blowup, random_template
 from ndsolve.matrices import IntMatrix
 from ndsolve.models import build_sumcol_graver, split_stacked_blocks
 
-from helpers import graver_by_enumeration, kernel_vectors_by_product
+from helpers import _conformal_normal_form, g_inf_norm, graver_by_enumeration, kernel_vectors_by_product
 
 
 vectors = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
@@ -221,7 +220,7 @@ class TestGraverBasis:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_conformal_decomposition_property(self, seed):
-        from ndsolve.graver import _conformal_normal_form, _kernel_vectors_within
+        from ndsolve.graver import _kernel_vectors_within
 
         rng = random.Random(100 + seed)
         a = IntMatrix.from_dict(
@@ -234,8 +233,6 @@ class TestGraverBasis:
             assert not any(_conformal_normal_form(v, elems))
 
     def test_every_element_needed(self):
-        from ndsolve.graver import _conformal_normal_form
-
         b = graver_basis(IntMatrix.from_rows([[1, 1, -1]]))
         elems = sorted(b.elements)
         for v in elems:

@@ -8,10 +8,11 @@ from ndsolve.ipmodel import (
     Linear,
     LinearRow,
     NFoldBlocks,
-    dump_model,
 )
 from ndsolve.matrices import IntMatrix
 from ndsolve.models import build_cds_ilp
+
+from helpers import dump_model
 
 
 def tiny_model(rows, nfold=None, n=2):

@@ -3,17 +3,18 @@ from dataclasses import dataclass
 
 import pytest
 
-from ndsolve.matrices import (
+from ndsolve.matrices import IntMatrix
+
+from helpers import (
     DecompositionReport,
-    IntMatrix,
     PathDecomposition,
+    complete_graph,
     dual_graph,
-    stacked_path_decomposition,
+    empty_graph,
     primal_graph,
+    stacked_path_decomposition,
     verify_decomposition,
 )
-
-from helpers import empty_graph, complete_graph
 
 
 def identity(n):

@@ -22,7 +22,6 @@ from ndsolve.models import (
     decode_cds,
     decode_coloring,
     decode_partition,
-    dump_model,
     split_stacked_blocks,
 )
 from ndsolve.algorithms import (
@@ -38,6 +37,7 @@ from ndsolve.algorithms import (
 from helpers import (
     complete_graph,
     cycle_graph,
+    dump_model,
     empty_graph,
     path_graph,
     random_graph,

@@ -1,10 +1,13 @@
 """Every public top-level def or class in ``src/ndsolve`` is referenced by
-some module of ``src/ndsolve`` or by a ``bench/*.py`` script, apart from a
-pinned set of names that only tests read.  A new test-only name fails here,
-and moving one of the pinned names out of ``src`` shrinks the set.
+some module of ``src/ndsolve`` or by a ``bench/*.py`` script: a name that
+only tests read belongs in ``tests/``, and a new one fails here.
 
-A reference is an imported name, a name or an attribute; a string in
-``__all__`` is none.  A definition's own name is no reference to it."""
+A reference is a name or an attribute that a module reads.  An imported
+name counts only where its module reads it, under its own name or its
+alias: an import kept only to re-export the name, in ``__all__`` or not,
+reads nothing, and neither does a string in ``__all__``.  A definition's
+own name is no reference to it.  Members (methods, properties, fields) are
+outside the scan."""
 
 import ast
 from pathlib import Path
@@ -13,17 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ndsolve").glob("*.py"))
 SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
 
-# read only by tests (acceptance criteria 5 and 6, and unit tests)
-TEST_ONLY = {
-    "algorithms.capacity_reorder",
-    "algorithms.is_capacity_ordered",
-    "graphs.are_twins",
-    "graphs.build_type_graph",
-    "graver.g_inf_norm",
-    "matrices.dual_graph",
-    "matrices.verify_decomposition",
-    "matrices.stacked_path_decomposition",
-}
+# read only by tests: none
+TEST_ONLY = set()
 
 
 def public_defs(tree):
@@ -34,16 +28,18 @@ def public_defs(tree):
 
 
 def references(tree):
-    """Every imported name, name and attribute a module reads."""
-    found = set()
+    """Every name and attribute a module reads, and the imported name
+    behind each alias it reads."""
+    read = set()
+    aliases = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            read.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name.rpartition(".")[2])
-    return found
+            read.add(node.attr)
+        elif isinstance(node, ast.alias) and node.asname is not None:
+            aliases.append(node)
+    return read | {alias.name.rpartition(".")[2] for alias in aliases if alias.asname in read}
 
 
 def unreferenced(modules, scripts=()):
@@ -59,12 +55,24 @@ def unreferenced(modules, scripts=()):
 def test_scan_counts_imports_names_and_attributes_but_not_all():
     modules = {
         "a": "__all__ = ['lonely']\ndef lonely():\n    pass\ndef called():\n    pass\n"
-             "class Imported:\n    pass\ndef _private():\n    pass\n",
-        "b": "from .a import Imported\ndef user(m):\n    return m.attr() + called()\n"
+             "class Imported:\n    pass\ndef aliased():\n    pass\ndef _private():\n    pass\n",
+        "b": "from .a import Imported, aliased as renamed\n"
+             "def user(m):\n    return m.attr() + called() + Imported() + renamed()\n"
              "def attr():\n    pass\n",
     }
     assert unreferenced(modules) == ["a.lonely", "b.user"]
     assert unreferenced(modules, ["import ndsolve.b\nndsolve.b.user()\n"]) == ["a.lonely"]
+
+
+def test_scan_counts_no_import_that_only_reexports():
+    modules = {
+        "a": "def shown():\n    pass\n",
+        "b": "from .a import shown\n__all__ = ['shown']\n",
+        "c": "from .a import shown as alias\n",
+    }
+    assert unreferenced(modules) == ["a.shown"]
+    assert unreferenced(modules, ["from ndsolve.b import shown\n"]) == ["a.shown"]
+    assert unreferenced(modules, ["from ndsolve.b import shown\nshown()\n"]) == []
 
 
 def test_only_the_pinned_names_are_test_only():
