@@ -20,17 +20,17 @@ at most k pins the rounding succeeds.
 
 These two are the CDS routes that run in f(k) poly(n).  Each LP has O(k^2)
 variables and k rows plus one per distinct capacity of a class.  Proximity
-searches its box with backends.solve_boxed on a k-variable model whose one
-convex row is the Hall conditions (models.cds_hall_row, O(2^k) per test),
-and decodes only the optimum it returns; rounding decodes once, so each
-makes one vertex-level matching.  The ilp and convex models under
-solve_boxed are exact cross-checks, not such routes: their
-branch-and-bound branches over the y variables, whose boxes grow with the
-class sizes.
+searches its box with backends.solve_boxed on the k-variable convex model
+(models.build_cds_convex, whose one convex row is the Hall conditions,
+O(2^k) per test) and decodes only the optimum it returns; rounding decodes
+once, so each makes one vertex-level matching.  The ilp model under
+solve_boxed is an exact cross-check, not such a route: its branch-and-bound
+branches over the served counts y, whose boxes grow with the class sizes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from bisect import bisect_left
@@ -39,14 +39,14 @@ from operator import countOf
 
 from .backends import solve_boxed
 from .graphs import Graph, TypeGraph
-from .ipmodel import IpModel, Linear
+from .ipmodel import Linear
 from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
 from .models import (
     CdsSolution,
     _match_subset,
+    build_cds_convex,
     build_cds_ilp,
-    cds_hall_row,
     cds_pairs,
     check_coloring,
     decode_cds,
@@ -224,22 +224,22 @@ def cds_proximity_solve(t: TypeGraph, g: Graph, budget=None) -> CdsSolution:
     """The smallest class sizes inside the proximity box around the
     relaxation optimum that pass the Hall conditions, decoded.
 
-    solve_boxed searches the box on a k-variable model: minimize sum x with
-    no rows and one convex row, models.cds_hall_row.  It returns the
-    lexicographically smallest optimum, the first smallest decodable x, and
-    certifies it.  Candidates are tested on the type graph, O(2^k) each,
-    never by a vertex-level matching: only the optimum goes through
-    decode_cds.  Its cost is one LP over O(k^2) variables and a search of a
-    box of at most (2k^2 + 2)^k points, so f(k) poly(n).  The search runs
-    under budget (a backends.Budget, the default when None).
+    solve_boxed searches models.build_cds_convex with its class box cut
+    down to the proximity box, and returns the lexicographically smallest
+    optimum there, certified.  Candidates are tested on the type graph,
+    O(2^k) each; only the optimum goes through decode_cds.  Its cost is one
+    LP over O(k^2) variables and a search of at most (2k^2 + 2)^k points,
+    so f(k) poly(n).  The search runs under budget (a backends.Budget, the
+    default when None).  The answer is optimal only if an optimum lies in
+    the box: that k^2 proximity bound is tested (acceptance criterion 5),
+    not proved.  The convex/boxed route searches the whole class box and
+    is exact by the proof in models.cds_hall_row.
     """
     res = solve_lp(relax_model(build_cds_ilp(t)))
     if not res.optimal:
         raise RuntimeError("domination relaxation must be feasible and bounded")
     lo, hi = proximity_box(t, res.point)
-    box = IpModel(objective=Linear((1,) * t.k), n_vars=t.k, lower=lo, upper=hi, rows=(),
-                  convex_rows=(cds_hall_row(t),))
-    found = solve_boxed(box, budget)
+    found = solve_boxed(dataclasses.replace(build_cds_convex(t), lower=lo, upper=hi), budget)
     if not found.optimal:
         raise RuntimeError("no valid point inside the proximity box")
     sol = decode_cds(t, g, found.point)

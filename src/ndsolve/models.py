@@ -1,9 +1,10 @@
 """IP models over type graphs, and decoders back to combinatorial witnesses.
 
-Capacitated domination comes in two equivalent flavors: a convex model whose
-capacity rows bound the demand served by class i by the concave function
-f_i(x_i), and a fully linear model where each concave bound is replaced by
-its tangents, one per distinct capacity of the class.
+Capacitated domination comes in two equivalent flavors: the paper's convex
+program in dimension k, whose one convex row is the Hall conditions of the
+class sizes x (cds_hall_row), and a fully linear model that adds served
+counts y_ij and replaces each concave capacity bound f_i(x_i) by its
+tangents, one per distinct capacity of the class.
 
 Sum coloring comes in three.  The color-indexed model has one 0/1 variable
 per (class, color) pair and an n-fold row layout (bricks = colors).  The
@@ -81,53 +82,33 @@ def cds_pairs(t: TypeGraph):
     return [(i, j) for i in range(t.k) for j in sorted(t.neighbors(i))]
 
 
-def _cds_frame(t: TypeGraph):
+def build_cds_convex(t: TypeGraph) -> IpModel:
+    """Minimize sum x over the class box [0, w] with no linear rows and one
+    convex row, cds_hall_row(t): the paper's convex program in dimension k.
+
+    It is build_cds_ilp projected onto x.  An x of the box extends to served
+    counts y there iff the Hall row holds at x: y may be lowered until it
+    meets each demand w_j - x_j exactly, and is then the class-level flow of
+    cds_hall_row's proof, which lies in y's box.  So both models have the
+    same optimal x, and the lexicographically smallest optimum here is the x
+    part of the one there, x coming first.  Its witness is decode_cds(x).
+    """
     if t.sorted_capacities is None:
         raise ValueError("domination models need vertex capacities")
-    k = t.k
-    pairs = cds_pairs(t)
-    pos = {p: k + idx for idx, p in enumerate(pairs)}
-    lower = [0] * (k + len(pairs))
-    upper = list(t.weights) + [
-        min(t.weights[j], t.capacity_prefix[i][t.weights[i]]) for i, j in pairs
-    ]
-    rows = []
-    for j in range(t.k):
-        coeffs = {pos[(i, j)]: 1 for i in sorted(t.neighbors(j))}
-        coeffs[j] = 1  # x_j: vertices inside the set need no dominator
-        rows.append(LinearRow.make(coeffs, GE, t.weights[j]))
-    return k, pairs, pos, lower, upper, rows
-
-
-def build_cds_convex(t: TypeGraph) -> IpModel:
-    """Linear objective |D|, domination rows, and one concave capacity bound
-    per class kept as a convex feasibility rule."""
-    k, pairs, pos, lower, upper, rows = _cds_frame(t)
-    convex_rows = []
-    for i in range(k):
-        served = tuple(pos[(i, j)] for j in sorted(t.neighbors(i)))
-        f_i = t.capacity_prefix[i]  # f_i(x_i) = f_i[x_i], as 0 <= x_i <= w_i in the box
-
-        def fn(point, i=i, served=served, f_i=f_i):
-            return sum(point[p] for p in served) - f_i[point[i]]
-
-        def box_min(lo, hi, i=i, served=served, f_i=f_i):
-            return sum(lo[p] for p in served) - f_i[hi[i]]
-
-        convex_rows.append(ConvexRow(fn, box_min, name=f"cap_{i}"))
     return IpModel(
-        objective=Linear(tuple([1] * k + [0] * len(pairs))),
-        n_vars=k + len(pairs),
-        lower=tuple(lower),
-        upper=tuple(upper),
-        rows=tuple(rows),
-        convex_rows=tuple(convex_rows),
+        objective=Linear((1,) * t.k),
+        n_vars=t.k,
+        lower=(0,) * t.k,
+        upper=tuple(t.weights),
+        rows=(),
+        convex_rows=(cds_hall_row(t),),
         tag="cds",
     )
 
 
 def build_cds_ilp(t: TypeGraph) -> IpModel:
-    """Same variables; each concave capacity bound becomes its tangents.
+    """Class sizes x and served counts y_ij (cds_pairs), domination rows, and
+    each concave capacity bound sum_j y_ij <= f_i(x_i) as its tangents.
 
     For class i with capacities c_1 >= c_2 >= ... the tangent at prefix
     length l is  sum_j y_ij <= f_i(l-1) + c_l * (x_i - l + 1).  When c_l =
@@ -135,8 +116,19 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
     so only the first l of each run of equal capacities gets a row: one per
     distinct capacity of the class, however large the class.
     """
-    k, pairs, pos, lower, upper, rows = _cds_frame(t)
-    rows = list(rows)
+    if t.sorted_capacities is None:
+        raise ValueError("domination models need vertex capacities")
+    k = t.k
+    pairs = cds_pairs(t)
+    pos = {p: k + idx for idx, p in enumerate(pairs)}
+    upper = list(t.weights) + [
+        min(t.weights[j], t.capacity_prefix[i][t.weights[i]]) for i, j in pairs
+    ]
+    rows = []
+    for j in range(k):
+        coeffs = {pos[(i, j)]: 1 for i in sorted(t.neighbors(j))}
+        coeffs[j] = 1  # x_j: vertices inside the set need no dominator
+        rows.append(LinearRow.make(coeffs, GE, t.weights[j]))
     for i in range(k):
         caps = t.sorted_capacities[i]
         served = [pos[(i, j)] for j in sorted(t.neighbors(i))]
@@ -151,7 +143,7 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
     return IpModel(
         objective=Linear(tuple([1] * k + [0] * len(pairs))),
         n_vars=k + len(pairs),
-        lower=tuple(lower),
+        lower=(0,) * len(upper),
         upper=tuple(upper),
         rows=tuple(rows),
         tag="cds",

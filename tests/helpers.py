@@ -5,11 +5,13 @@ The checks are the exchange behind capacity-ordered solutions (acceptance
 criterion 5), path decompositions of a model's dual graph (criterion 6, the
 paper's bounded-dual-treewidth claim for the stacked model), twins and a
 type graph built from a partition that is checked first, the domination
-capacity f_i(l) with its argument checks, the Graver basis' infinity norm
+capacity f_i(l) with its argument checks, the y-variable convex CDS model
+that the k-variable one replaced, the Graver basis' infinity norm
 and normal form, and a canonical serialization of a model for golden-file
 comparisons.
 """
 
+import dataclasses
 import itertools
 import operator
 import random
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 from ndsolve.algorithms import check_cds
 from ndsolve.graphs import Graph, TypeGraph, TypePartition, _compress, twin_partition, type_graph
 from ndsolve.graver import GraverBasis, _entry, _normal_form, conformal
-from ndsolve.ipmodel import GeneralConvex, IpModel, Linear, Quadratic, SeparableConvex
+from ndsolve.ipmodel import ConvexRow, GeneralConvex, IpModel, Linear, Quadratic, SeparableConvex
 from ndsolve.instances import PROBLEMS, Instance, ParseError, generate_blowup, random_template
 from ndsolve.matrices import IntMatrix
-from ndsolve.models import CdsSolution
+from ndsolve.models import CdsSolution, build_cds_ilp, cds_pairs
 
 
 def complete_graph(n, capacity=None):
@@ -305,6 +307,28 @@ def domination_capacity(t: TypeGraph, i: int, ell: int) -> int:
         raise ValueError("prefix length must be non-negative")
     prefix = t.capacity_prefix[i]
     return prefix[min(ell, len(prefix) - 1)]
+
+
+def cds_served_count_convex(t: TypeGraph) -> IpModel:
+    """The y-variable convex CDS model that models.build_cds_convex replaced,
+    kept as its reference: build_cds_ilp's variables, boxes and domination
+    rows, with each class's tangent rows read as one convex row, its
+    concave capacity bound sum_j y_ij - f_i(x_i) <= 0."""
+    ilp = build_cds_ilp(t)
+    pos = {p: t.k + idx for idx, p in enumerate(cds_pairs(t))}
+    convex_rows = []
+    for i in range(t.k):
+        served = tuple(pos[(i, j)] for j in sorted(t.neighbors(i)))
+        f_i = t.capacity_prefix[i]  # f_i(x_i) = f_i[x_i], as 0 <= x_i <= w_i in the box
+
+        def fn(point, i=i, served=served, f_i=f_i):
+            return sum(point[p] for p in served) - f_i[point[i]]
+
+        def box_min(lo, hi, i=i, served=served, f_i=f_i):
+            return sum(lo[p] for p in served) - f_i[hi[i]]
+
+        convex_rows.append(ConvexRow(fn, box_min, name=f"cap_{i}"))
+    return dataclasses.replace(ilp, rows=ilp.rows[:t.k], convex_rows=tuple(convex_rows))
 
 
 # ---------------------------------------------------------------------------

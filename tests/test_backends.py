@@ -796,9 +796,10 @@ def boxed_outcome_digest(models, sign=1):
 # Computed with the search that filled per-row tables of rows x (vars + 1)
 # suffix ranges and made one call per leaf: the per-depth row checks, with
 # leaves evaluated in their parent's loop, must walk the same tree.  The
-# cds convex digest equals PINNED_CDS_BOXED_DIGEST of the ilp model: on
-# these instances each capacity rule's box_min prunes exactly where its
-# tangent rows do.  The two catalog digests were re-pinned when both
+# cds convex digest was re-pinned when the model lost its served counts y
+# and became the k-variable Hall model (2,021 -> 421 nodes; its points lost
+# their y part, tests/test_models.py checks the x part against the old
+# model).  The two catalog digests were re-pinned when both
 # catalog models got catalog_remainder_bound (2,049 -> 1,197 and
 # 3,063 -> 1,715 nodes); their outcomes are pinned apart, below.  The n-fold
 # digest was re-pinned when solve_boxed began to prune from the model's
@@ -809,7 +810,7 @@ PINNED_BOXED_SEARCH_DIGESTS = {
     "sumcol/convexfd": "afbaa8f1ef09770ec2333af3bc1e43b6daca260cc4427c0f4807719d7a4c0b08",
     "sumcol/graver": "3fb4e81e22c8aed5ca87e9b37fcdb9e73393a112b4363a428c39b15799124ca3",
     "maxqcut/quadratic": "b0895a85ac877cd4a4c8de69025899b1cd39f73715a8d5f5e11bb5ee54dea4c2",
-    "cds/convex": "aecb0bd47adc9749575163462fe1ca91171fd973af738409e357ad49fe62e56f",
+    "cds/convex": "18af845649a8455cc485afb046acf8365cc27ac9e34e3c53a9ef26d32984ad2e",
 }
 
 
@@ -831,13 +832,14 @@ def pinned_boxed_models(route):
 
 
 # (status, point, value) of the same searches, computed before the catalog
-# models got a remainder bound: a bound moves nodes only.
+# models got a remainder bound: a bound moves nodes only.  The cds convex
+# outcome was re-pinned with its search digest, above.
 PINNED_BOXED_OUTCOME_DIGESTS = {
     "sumcol/nfold": "4d2d10b9295ee4bc94a299be6a6a9d2319bef400fb04f4d6dd0c7340f1c56e14",
     "sumcol/convexfd": "026b1c1b560efe2f00d72c22554406dc932c800d90aef43959a698cfee198615",
     "sumcol/graver": "e9585ad436a29545ba36b05eecf7ed0ec04b2734854b94fa66d83b49354cc446",
     "maxqcut/quadratic": "ea4f06d881604984cb0b4cb9c52a32381c5b31382cffc87f254d91bea6fa239c",
-    "cds/convex": "455602246da432436dd84e87f7f40157ee7f06259b9bc43db0034fb183b0f23c",
+    "cds/convex": "6a7c753c8981fe1cdf0ef7e47607622b8197e1e36b4b36701b4035d4247e5226",
 }
 
 

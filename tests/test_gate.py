@@ -3,9 +3,11 @@
 The acceptance gate stops at n <= 8.  Here the classes are larger and the
 routes are checked against each other, or against the brute-force oracle
 where it still runs.
-- Domination (k <= 4, n <= 24, capacities <= 6): `proximity` must equal the
-  optimum of `ilp/boxed`, `rounding` must lie within k^2 above it, and
-  every witness must pass check_cds.
+- Domination (k <= 4, n <= 24, capacities <= 6): `proximity` and
+  `convex/boxed` must equal the optimum of `ilp/boxed`, `rounding` must lie
+  within k^2 above it, and every witness must pass check_cds.  A k <= 5
+  part (capacities <= 4) checks `convex/boxed` against `proximity` and
+  rounding's k^2 bound alone.
 - Sum colouring (k <= 4, 9 <= n <= 40): `convexfd/boxed`, `graver/boxed`,
   `graver/augment`, `nfold/nfold` and `nfold/boxed` must agree, and every
   decoded colouring must pass check_coloring and cost the value.
@@ -14,7 +16,8 @@ where it still runs.
   into q parts that cuts as many edges.
 The exact routes run under counter budgets, never a clock; an instance a
 route cannot finish is counted, and a floor on the instances answered keeps
-the budget from quietly emptying the gate.
+the budget from quietly emptying the gate.  `convex/boxed` runs with no
+budget stop: it answers every domination instance.
 """
 
 import random
@@ -33,6 +36,7 @@ from ndsolve.graphs import type_graph
 from ndsolve.instances import generate_blowup, random_template
 from ndsolve.models import (
     build_catalog,
+    build_cds_convex,
     build_cds_ilp,
     build_maxqcut,
     build_sumcol_convex,
@@ -50,12 +54,22 @@ GATE_BUDGET = Budget(max_nodes=5_000)
 GATE_FLOOR = 390
 
 
-def gate_instances():
-    for seed in range(GATE_INSTANCES):
-        rng = random.Random(40_000 + seed)
-        template = random_template(rng, max_k=4, max_n=24, with_capacities=True, max_capacity=6)
+def gate_instances(base=40_000, count=GATE_INSTANCES, max_k=4, max_capacity=6):
+    for seed in range(count):
+        rng = random.Random(base + seed)
+        template = random_template(rng, max_k=max_k, max_n=24, with_capacities=True,
+                                   max_capacity=max_capacity)
         g = generate_blowup(template, seed=rng.randrange(2**30))
         yield type_graph(g), g
+
+
+def convex_boxed(t, g):
+    """The convex/boxed route's result, with no budget stop, once its
+    decoded witness has passed check_cds and has the result's size."""
+    res = solve_boxed(build_cds_convex(t))
+    sol = decode_cds(t, g, res.point)
+    assert res.optimal and sol is not None and check_cds(g, sol) and sol.size == res.value, g
+    return res
 
 
 def test_cds_routes_agree_at_medium_n():
@@ -65,6 +79,8 @@ def test_cds_routes_agree_at_medium_n():
         proximity = cds_proximity_solve(t, g)
         rounding = cds_rounding_approx(t, g)
         assert check_cds(g, proximity) and check_cds(g, rounding), g
+        convex = convex_boxed(t, g)
+        assert convex.value == proximity.size, g
         try:
             res = solve_boxed(build_cds_ilp(t), GATE_BUDGET)
         except BudgetError:
@@ -72,10 +88,22 @@ def test_cds_routes_agree_at_medium_n():
         answered += 1
         sol = decode_cds(t, g, res.point)
         assert sol is not None and check_cds(g, sol) and sol.size == res.value, g
-        assert proximity.size == res.value, g
+        assert convex.value == res.value, g
         assert res.value <= rounding.size <= res.value + t.k * t.k, g
     assert answered >= GATE_FLOOR
     assert large == GATE_INSTANCES  # all above the acceptance gate's n <= 8
+
+
+K5_INSTANCES = 100
+
+
+def test_cds_convex_meets_proximity_at_k5():
+    for t, g in gate_instances(base=45_000, count=K5_INSTANCES, max_k=5, max_capacity=4):
+        proximity = cds_proximity_solve(t, g)
+        rounding = cds_rounding_approx(t, g)
+        assert check_cds(g, proximity) and check_cds(g, rounding), g
+        convex = convex_boxed(t, g)
+        assert convex.value == proximity.size <= rounding.size <= convex.value + t.k * t.k, g
 
 
 SUMCOL_INSTANCES = 150

@@ -23,12 +23,14 @@ from ndsolve.errors import BudgetError
 from ndsolve.graphs import CLIQUE, TypeGraph, type_graph
 from ndsolve.instances import INDEPENDENT, BlowupTemplate, Instance, generate_blowup, write_instance
 from ndsolve.models import (
+    build_cds_convex,
     build_cds_ilp,
     build_maxqcut,
     build_sumcol_convex,
     build_sumcol_graver,
     build_sumcol_nfold,
     class_slots,
+    decode_cds,
 )
 
 LADDER_BUDGET = Budget(max_nodes=2_000_000)
@@ -147,6 +149,25 @@ def test_cds_ilp_boxed_nodes():
                       LADDER_BUDGET)
     assert res.value == 9
     assert res.nodes <= 10_066
+
+
+# (B&B nodes, value) of convex/boxed: the k-variable Hall model searched
+# over the whole class box, with the PROXIMITY values (below).  With the
+# served counts y as variables it took 10,066 nodes at n = 30 and more
+# than 60 s at n = 150.
+CONVEX_BOXED = {30: (35, 9), 75: (282, 21), 150: (791, 42)}
+
+
+@pytest.mark.parametrize("n", sorted(CONVEX_BOXED))
+def test_cds_convex_boxed_nodes(n):
+    g = ladder_graph(n, capacities=(2, 1, 3))
+    t = type_graph(g)
+    res = solve_boxed(build_cds_convex(t), LADDER_BUDGET)
+    ceiling, value = CONVEX_BOXED[n]
+    assert res.nodes <= ceiling
+    assert res.value == value == PROXIMITY[n][1]
+    sol = decode_cds(t, g, res.point)
+    assert sol is not None and sol.size == value and check_cds(g, sol)
 
 
 # (value, augmentation steps, largest surviving layer of the brick DP) of

@@ -35,11 +35,13 @@ from ndsolve.algorithms import (
 )
 
 from helpers import (
+    cds_served_count_convex,
     complete_graph,
     cycle_graph,
     dump_model,
     empty_graph,
     path_graph,
+    pinned_cds_instances,
     random_graph,
     star_graph,
 )
@@ -104,6 +106,22 @@ class TestCdsModels:
         a = solve_boxed(build_cds_convex(t))
         b = solve_boxed(build_cds_ilp(t))
         assert a.value == b.value == cds_brute(g).size
+
+
+    def test_convex_model_is_k_dimensional(self):
+        t = type_graph(self.star())
+        m = build_cds_convex(t)
+        assert (m.n_vars, m.lower, m.upper, m.rows) == (t.k, (0,) * t.k, t.weights, ())
+        assert [row.name for row in m.convex_rows] == ["hall"]
+
+    def test_convex_model_is_the_served_count_model_projected(self):
+        # the same value, and the x part of the old model's lexicographically
+        # smallest optimum, on the acceptance gate's 100 pinned instances
+        for t, g in pinned_cds_instances():
+            new = solve_boxed(build_cds_convex(t))
+            old = solve_boxed(cds_served_count_convex(t))
+            assert new.optimal and old.optimal, g
+            assert (new.value, new.point) == (old.value, old.point[:t.k]), g
 
 
 class TestDecodeCds:
