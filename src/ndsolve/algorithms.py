@@ -10,22 +10,15 @@ COLORING_SIZE_GUARD, CUT_SIZE_GUARD).
 
 On top of the LP relaxation of the linear domination model (relax_model:
 the model's own integer rows over its finite boxes, minimized, which
-lp.solve_lp answers as optimal or infeasible) sit the polynomial-time
-routines: a proximity search for the smallest decodable class sizes in the
-box around the fractional optimum (each coordinate within k^2, clamped to
-the class size), and a rounding scheme that rounds the served-counts up,
-takes per class the cheapest prefix with enough capacity, pins a class to
-its full size whenever its capacity cannot keep up, and re-solves; after
-at most k pins the rounding succeeds.
-
-These two are the CDS routes that run in f(k) poly(n).  Each LP has O(k^2)
-variables and k rows plus one per distinct capacity of a class.  Proximity
-searches its box with backends.solve_boxed on the k-variable convex model
-(models.build_cds_convex, whose one convex row is the Hall conditions,
-O(2^k) per test) and decodes only the optimum it returns; rounding decodes
-once, so each makes one vertex-level matching.  The ilp model under
-solve_boxed is an exact cross-check, not such a route: its branch-and-bound
-branches over the served counts y, whose boxes grow with the class sizes.
+lp.solve_lp answers as optimal or infeasible) sit the CDS routes that run
+in f(k) poly(n): a proximity search for the smallest class sizes that pass
+the Hall conditions in the box around the fractional optimum, and a
+rounding of the served counts.  Each LP has O(k^2) variables and k rows
+plus one per distinct capacity of a class.  Both return class sizes, which
+cli.Route decodes at type level (models.decode_cds); only the domination
+oracle matches vertices to dominators.  The ilp model under solve_boxed is
+an exact cross-check, not such a route: its branch-and-bound branches over
+the served counts y, whose boxes grow with the class sizes.
 """
 
 from __future__ import annotations
@@ -44,12 +37,11 @@ from .lp import LpProblem, solve_lp
 from .matching import max_bipartite_matching
 from .models import (
     CdsSolution,
-    _match_subset,
     build_cds_convex,
     build_cds_ilp,
     cds_pairs,
     check_coloring,
-    decode_cds,
+    decode_cds,  # noqa: F401  (bench/spans.py hooks this name)
 )
 
 CDS_SIZE_GUARD = 10
@@ -112,6 +104,16 @@ def coloring_cost(coloring) -> int:
 def _guard(g, limit, what):
     if g.n > limit:
         raise ValueError(f"{what} oracle guard: {g.n} > {limit}")
+
+
+def _match_subset(g: Graph, dominators):
+    """Assignment for an explicit dominator set, or None."""
+    outside = [v for v in range(g.n) if v not in dominators]
+    nbrs = g.neighbors
+    adj = {v: [u for u in nbrs[v] if u in dominators] for v in outside}
+    cap = {v: g.capacity[v] for v in dominators}
+    size, assignment = max_bipartite_matching(outside, adj, cap)
+    return assignment if size == len(outside) else None
 
 
 def cds_brute(g: Graph) -> CdsSolution:
@@ -220,20 +222,21 @@ def proximity_box(t: TypeGraph, lp_point):
     return lo, hi
 
 
-def cds_proximity_solve(t: TypeGraph, g: Graph, budget=None) -> CdsSolution:
-    """The smallest class sizes inside the proximity box around the
-    relaxation optimum that pass the Hall conditions, decoded.
+def cds_proximity_solve(t: TypeGraph, budget=None):
+    """(x, nodes): the smallest class sizes x inside the proximity box
+    around the relaxation optimum that pass the Hall conditions, and the
+    nodes of the search that found them.
 
     solve_boxed searches models.build_cds_convex with its class box cut
     down to the proximity box, and returns the lexicographically smallest
     optimum there, certified.  Candidates are tested on the type graph,
-    O(2^k) each; only the optimum goes through decode_cds.  Its cost is one
-    LP over O(k^2) variables and a search of at most (2k^2 + 2)^k points,
-    so f(k) poly(n).  The search runs under budget (a backends.Budget, the
-    default when None).  The answer is optimal only if an optimum lies in
-    the box: that k^2 proximity bound is tested (acceptance criterion 5),
-    not proved.  The convex/boxed route searches the whole class box and
-    is exact by the proof in models.cds_hall_row.
+    O(2^k) each.  Its cost is one LP over O(k^2) variables and a search of
+    at most (2k^2 + 2)^k points, so f(k) poly(n).  The search runs under
+    budget (a backends.Budget, the default when None).  The answer is
+    optimal only if an optimum lies in the box: that k^2 proximity bound is
+    tested (acceptance criterion 5), not proved.  The convex/boxed route
+    searches the whole class box and is exact by the proof in
+    models.cds_hall_row.
     """
     res = solve_lp(relax_model(build_cds_ilp(t)))
     if not res.optimal:
@@ -242,14 +245,12 @@ def cds_proximity_solve(t: TypeGraph, g: Graph, budget=None) -> CdsSolution:
     found = solve_boxed(dataclasses.replace(build_cds_convex(t), lower=lo, upper=hi), budget)
     if not found.optimal:
         raise RuntimeError("no valid point inside the proximity box")
-    sol = decode_cds(t, g, found.point)
-    if sol is None:
-        raise RuntimeError(f"class sizes {list(found.point)} pass the Hall conditions but do not decode")
-    return sol
+    return found.point, found.nodes
 
 
-def cds_rounding_approx(t: TypeGraph, g: Graph) -> CdsSolution:
-    """Round the relaxation: served counts go up, class sizes follow.
+def cds_rounding_approx(t: TypeGraph):
+    """(x, 0): round the relaxation, served counts go up and class sizes x
+    follow; no search, so no nodes.
 
     x_hat_i is the smallest prefix whose capacity covers the rounded-up
     demand served by class i, then raised so every class is fully covered.
@@ -268,16 +269,12 @@ def cds_rounding_approx(t: TypeGraph, g: Graph) -> CdsSolution:
         y_hat = {p: math.ceil(res.point[k + idx]) for idx, p in enumerate(pairs)}
         need = [sum(y_hat[(i, j)] for j in sorted(t.neighbors(i))) for i in range(k)]
         fails = {i for i in range(k) if prefix[i][-1] < need[i]}
-        new_pins = pins | fails
-        if fails and new_pins != pins and len(pins) < k:
-            pins = new_pins
+        if not fails <= pins:
+            pins |= fails
             continue
         # the shortest prefix covering need[i] (f_i is non-decreasing), or all of class i
         x_hat = [min(bisect_left(prefix[i], need[i]), t.weights[i]) for i in range(k)]
         for j in range(k):
             cover = sum(y_hat[(i, j)] for i in sorted(t.neighbors(j)))
             x_hat[j] = max(x_hat[j], t.weights[j] - cover)
-        sol = decode_cds(t, g, tuple(x_hat))
-        if sol is None:
-            raise RuntimeError(f"rounded class sizes {x_hat} do not decode to a dominating set")
-        return sol
+        return tuple(x_hat), 0

@@ -76,20 +76,17 @@ def _read(path, problem=None):
     return inst, t
 
 
-def _dominators(sol):
-    return "D={" + ",".join(str(v + 1) for v in sorted(sol.dominators)) + "}"
-
-
 @dataclass(frozen=True)
 class Route:
     """One way to answer a problem.  ``build(inst, t)`` makes the model of a
     MODEL route, which the backend ``SOLVERS[method]`` solves, or runs the
-    ORACLE (brute force); ``build(inst, t, budget)`` runs an ALGORITHM (a
-    dominating set from the type graph) under the budget.  ``model`` and
-    ``method`` fill a CSV row's model and backend columns.  Every model
+    ORACLE (brute force); ``build(inst, t, budget)`` runs an ALGORITHM
+    (class sizes of a dominating set, and nodes) under the budget.  ``model``
+    and ``method`` fill a CSV row's model and backend columns.  Every model
     minimizes, so a problem that maximizes is modelled by its negation and
     its route's ``sign`` of -1 turns the model's value back into the answer.
-    An answer is at most ``gap(t)`` above the optimum."""
+    An answer is at most ``gap(t)`` above the optimum.  ``_report`` decodes
+    every witness, and checks it on the graph and against the value."""
 
     kind: str
     model: str
@@ -98,44 +95,56 @@ class Route:
     gap: Callable = lambda t: 0
     sign: int = 1
 
+    @property
+    def name(self):
+        return f"{self.model}/{self.method}" if self.kind == MODEL else self.method
+
     def solve(self, inst, t, budget=None):
         """(value, nodes, the report lines of `ndsolve solve`); the value is
-        None on an infeasible model, whose witness is decoded only when the
-        lines are iterated."""
-        if self.kind == MODEL:
-            model = self.build(inst, t)
-            res = SOLVERS[self.method](model, budget=budget)
-            if not res.optimal:
-                return None, res.nodes, ["infeasible"]
-            value = self.sign * res.value
-            return value, res.nodes, self._report(inst, t, model, res.point, value)
+        None on an infeasible model.  The witness is decoded and checked only
+        when the lines are iterated."""
         if self.kind == ORACLE:
             found = self.build(inst, t)
             return found, 0, [f"algo: {self.method} value: {found}"]
-        found = self.build(inst, t, budget)
-        if not check_cds(inst.graph, found):
-            raise RuntimeError(f"{self.method} returned an invalid dominating set")
-        return found.size, 0, [f"algo: {self.method} value: {found.size} witness: {_dominators(found)}"]
+        if self.kind == ALGORITHM:
+            x, nodes = self.build(inst, t, budget)
+            return sum(x), nodes, self._report(inst, t, x, sum(x))
+        model = self.build(inst, t)
+        res = SOLVERS[self.method](model, budget=budget)
+        if not res.optimal:
+            return None, res.nodes, ["infeasible"]
+        value = self.sign * res.value
+        return value, res.nodes, self._report(inst, t, res.point, value, model.tag)
 
-    def _report(self, inst, t, model, x, value):
-        yield f"model: {inst.problem}/{self.model} backend: {self.method}"
-        yield f"value: {value}"
+    def _report(self, inst, t, x, value, tag=None):
         g = inst.graph
-        if inst.problem != "cds":
-            sumcol = inst.problem == "sumcol"
-            labels = decode_coloring(t, g, x, model.tag) if sumcol else decode_partition(t, g, x)
-            yield "witness: " + " ".join(f"{v + 1}:{labels[v]}" for v in range(g.n))
-        elif (sol := decode_cds(t, g, x)) is None:
-            # a point of either cds model meets the Hall conditions, so it decodes
-            raise RuntimeError(f"{self.model}/{self.method} optimum {list(x[:t.k])} does not decode")
+        if inst.problem == "cds":
+            # a point of either cds model, and an algorithm's class sizes,
+            # meet the Hall conditions, so each decodes
+            sol = decode_cds(t, x)
+            if sol is None or not check_cds(g, sol):
+                raise RuntimeError(f"{self.name} returned an invalid dominating set for {list(x[:t.k])}")
+            pairs = () if self.kind == ALGORITHM else sol.assignment
+            witness = " ".join(["D={" + ",".join(str(v + 1) for v in sorted(sol.dominators)) + "}"]
+                               + [f"{a + 1}->{b + 1}" for a, b in pairs])
+            worth = sol.size
         else:
-            pairs = " ".join(f"{a + 1}->{b + 1}" for a, b in sol.assignment)
-            yield f"witness: {_dominators(sol)} {pairs}"
+            sumcol = inst.problem == "sumcol"
+            labels = decode_coloring(t, g, x, tag) if sumcol else decode_partition(t, x)
+            worth = coloring_cost(labels) if sumcol else cut_value(g, labels)
+            witness = " ".join(f"{v + 1}:{labels[v]}" for v in range(g.n))
+        if worth != value:
+            raise RuntimeError(f"{self.name} witness is worth {worth}, not {value}")
+        if self.kind == ALGORITHM:
+            yield f"algo: {self.method} value: {value} witness: {witness}"
+        else:
+            yield from (f"model: {inst.problem}/{self.model} backend: {self.method}",
+                        f"value: {value}", f"witness: {witness}")
 
 
 def _table(default, *routes):
-    """A model route is named "model/backend", any other by its method."""
-    return default, {f"{r.model}/{r.method}" if r.kind == MODEL else r.method: r for r in routes}
+    """The default route's name and each route under its name."""
+    return default, {r.name: r for r in routes}
 
 
 # problem -> (default route name, {name: route}), in the order in which
@@ -147,9 +156,9 @@ ROUTES = {
         Route(MODEL, "convex", "boxed", lambda inst, t: build_cds_convex(t)),
         Route(MODEL, "ilp", "boxed", lambda inst, t: build_cds_ilp(t)),
         Route(ALGORITHM, "-", "proximity",
-              lambda inst, t, budget=None: cds_proximity_solve(t, inst.graph, budget)),
+              lambda inst, t, budget=None: cds_proximity_solve(t, budget)),
         Route(ALGORITHM, "-", "rounding",
-              lambda inst, t, budget=None: cds_rounding_approx(t, inst.graph),
+              lambda inst, t, budget=None: cds_rounding_approx(t),
               gap=lambda t: t.k * t.k),
         Route(ORACLE, "-", "brute", lambda inst, t: cds_brute(inst.graph).size),
     ),
@@ -227,7 +236,8 @@ def run_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Cross-check every route but the oracle against the oracle."""
+    """Cross-check every route but the oracle against the oracle; each
+    route's witness is checked as solve checks it."""
     inst, t = _read(args.file)
     routes = ROUTES[inst.problem][1]
     expected = routes["brute"].solve(inst, t)[0]
@@ -235,7 +245,8 @@ def cmd_verify(args) -> int:
     ok = True
     for name, route in routes.items():
         if route.kind != ORACLE:
-            value = route.solve(inst, t)[0]
+            value, _, report = route.solve(inst, t)
+            list(report)
             agree = value is not None and 0 <= value - expected <= route.gap(t)
             ok = ok and agree
             print(f"{name}: {value} {'ok' if agree else 'MISMATCH'}")

@@ -4,7 +4,8 @@ Capacitated domination comes in two equivalent flavors: the paper's convex
 program in dimension k, whose one convex row is the Hall conditions of the
 class sizes x (cds_hall_row), and a fully linear model that adds served
 counts y_ij and replaces each concave capacity bound f_i(x_i) by its
-tangents, one per distinct capacity of the class.
+tangents, one per distinct capacity of the class.  Either model's point
+decodes at type level (decode_cds), by the proof of the Hall row.
 
 Sum coloring comes in three.  The color-indexed model has one 0/1 variable
 per (class, color) pair and an n-fold row layout (bricks = colors).  The
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import getitem, mul, sub
 
 from .graphs import CLIQUE, Graph, TypeGraph
 from .ipmodel import (
@@ -91,10 +92,8 @@ def build_cds_convex(t: TypeGraph) -> IpModel:
     meets each demand w_j - x_j exactly, and is then the class-level flow of
     cds_hall_row's proof, which lies in y's box.  So both models have the
     same optimal x, and the lexicographically smallest optimum here is the x
-    part of the one there, x coming first.  Its witness is decode_cds(x).
+    part of the one there, x coming first.  Its witness is decode_cds(t, x).
     """
-    if t.sorted_capacities is None:
-        raise ValueError("domination models need vertex capacities")
     return IpModel(
         objective=Linear((1,) * t.k),
         n_vars=t.k,
@@ -116,13 +115,12 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
     so only the first l of each run of equal capacities gets a row: one per
     distinct capacity of the class, however large the class.
     """
-    if t.sorted_capacities is None:
-        raise ValueError("domination models need vertex capacities")
+    prefix = t.capacity_prefix  # a type graph without capacities raises here
     k = t.k
     pairs = cds_pairs(t)
     pos = {p: k + idx for idx, p in enumerate(pairs)}
     upper = list(t.weights) + [
-        min(t.weights[j], t.capacity_prefix[i][t.weights[i]]) for i, j in pairs
+        min(t.weights[j], prefix[i][t.weights[i]]) for i, j in pairs
     ]
     rows = []
     for j in range(k):
@@ -138,7 +136,7 @@ def build_cds_ilp(t: TypeGraph) -> IpModel:
                 continue  # the tangent at ell - 1 is this row
             coeffs = {p: 1 for p in served}
             coeffs[i] = coeffs.get(i, 0) - c_l
-            rhs = t.capacity_prefix[i][ell - 1] - c_l * (ell - 1)
+            rhs = prefix[i][ell - 1] - c_l * (ell - 1)
             rows.append(LinearRow.make(coeffs, "<=", rhs))
     return IpModel(
         objective=Linear(tuple([1] * k + [0] * len(pairs))),
@@ -170,34 +168,27 @@ class CdsSolution:
         return cls(frozenset(dominators), tuple(sorted(assignment.items())))
 
 
-def _match_subset(g: Graph, dominators):
-    """Assignment for an explicit dominator set, or None."""
-    outside = [v for v in range(g.n) if v not in dominators]
-    nbrs = g.neighbors
-    adj = {v: [u for u in nbrs[v] if u in dominators] for v in outside}
-    cap = {v: g.capacity[v] for v in dominators}
-    size, assignment = max_bipartite_matching(outside, adj, cap)
-    return assignment if size == len(outside) else None
+def decode_cds(t: TypeGraph, point) -> CdsSolution | None:
+    """The first x_i vertices of each class i in capacity order, with an
+    assignment of every other vertex; None when the Hall row of x fails.
 
-
-def decode_cds(t: TypeGraph, g: Graph, point) -> CdsSolution | None:
-    """Materialize x into capacity-ordered prefixes and check by matching.
-
-    Every vertex outside D must be matched to an adjacent dominator, each
-    dominator v absorbing at most c(v).  Returns None when that fails.
+    This is the split in cds_hall_row's proof: the outside vertices are
+    matched to the k classes, class i absorbing f_i(x_i) of them and a
+    vertex of class j going to any class of N_t(j); each class's share then
+    fills its dominators in prefix order, each up to its capacity.
     """
-    if t.sorted_capacities is None:
-        raise ValueError("decode_cds needs capacities")
-    dominators = set()
-    for i in range(t.k):
-        x_i = point[i]
-        if not 0 <= x_i <= t.weights[i]:
-            raise DecodeError(f"x_{i}={x_i} outside class bounds")
-        dominators.update(t.classes[i][:x_i])
-    assignment = _match_subset(g, dominators)
-    if assignment is None:
+    x = point[:t.k]
+    if not all(0 <= x_i <= w_i for x_i, w_i in zip(x, t.weights)):
+        raise DecodeError(f"class sizes {list(x)} outside class bounds")
+    served_by = {v: t.neighbors(j) for j, x_j in enumerate(x) for v in t.classes[j][x_j:]}
+    absorb = dict(enumerate(map(getitem, t.capacity_prefix, x)))
+    size, to_class = max_bipartite_matching(served_by, served_by, absorb)
+    if size < len(served_by):
         return None
-    return CdsSolution.make(dominators, assignment)
+    slots = [(d for d, c in zip(members[:x_i], caps) for _ in range(c))
+             for members, caps, x_i in zip(t.classes, t.sorted_capacities, x)]
+    assignment = {v: next(slots[to_class[v]]) for v in sorted(to_class)}
+    return CdsSolution.make((v for members, x_i in zip(t.classes, x) for v in members[:x_i]), assignment)
 
 
 def cds_hall_sets(t: TypeGraph):
@@ -221,8 +212,8 @@ def cds_hall_row(t: TypeGraph) -> ConvexRow:
     k class variables: fn(x) is the largest violation, over every set S of
     classes (cds_hall_sets(t)), of
     sum_{j in S} (w_j - x_j) <= sum_{i in N_t(S)} f_i(x_i),
-    0 for the empty set, so fn(x) <= 0 iff decode_cds(t, g, x) finds an
-    assignment.
+    0 for the empty set, so fn(x) <= 0 iff decode_cds(t, x) finds an
+    assignment, which is the split below.
 
     Proof.  An outside vertex of class j and a dominator of class i are
     adjacent iff i is in N_t(j): across classes by the type edge, inside a
@@ -838,7 +829,7 @@ def decode_coloring(t: TypeGraph, g: Graph, point, model_tag: str) -> dict:
     return coloring
 
 
-def decode_partition(t: TypeGraph, g: Graph, point) -> dict:
+def decode_partition(t: TypeGraph, point) -> dict:
     """Materialize a max-q-cut point: the first x_{i,1} vertices of class i
     go to part 1, and so on."""
     q = len(point) // t.k if t.k else 0

@@ -6,9 +6,9 @@ criterion 5), path decompositions of a model's dual graph (criterion 6, the
 paper's bounded-dual-treewidth claim for the stacked model), twins and a
 type graph built from a partition that is checked first, the domination
 capacity f_i(l) with its argument checks, the y-variable convex CDS model
-that the k-variable one replaced, the Graver basis' infinity norm
-and normal form, and a canonical serialization of a model for golden-file
-comparisons.
+that the k-variable one replaced, the decoded witness of a CDS algorithm,
+the Graver basis' infinity norm and normal form, and a canonical
+serialization of a model for golden-file comparisons.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from ndsolve.graver import GraverBasis, _entry, _normal_form, conformal
 from ndsolve.ipmodel import ConvexRow, GeneralConvex, IpModel, Linear, Quadratic, SeparableConvex
 from ndsolve.instances import PROBLEMS, Instance, ParseError, generate_blowup, random_template
 from ndsolve.matrices import IntMatrix
-from ndsolve.models import CdsSolution, build_cds_ilp, cds_pairs
+from ndsolve.models import CdsSolution, build_cds_ilp, cds_pairs, decode_cds
 
 
 def complete_graph(n, capacity=None):
@@ -70,6 +70,14 @@ def pinned_cds_instances():
         g = generate_blowup(template, seed=rng.randrange(2**30))
         out.append((type_graph(g), g))
     return out
+
+
+def decoded(t, found):
+    """The dominating set of a CDS algorithm's (class sizes, nodes), decoded
+    as cli.Route decodes it; the class sizes must decode."""
+    sol = decode_cds(t, found[0])
+    assert sol is not None, f"class sizes {list(found[0])} do not decode"
+    return sol
 
 
 def set_partitions(items):

@@ -52,6 +52,7 @@ from ndsolve.models import (
 
 from helpers import (
     capacity_reorder,
+    decoded,
     dual_graph,
     is_capacity_ordered,
     stacked_path_decomposition,
@@ -116,8 +117,8 @@ def test_criterion_1_cds_oracle_agreement():
         opt = rec["brute"].size
         m1 = solve_boxed(build_cds_convex(t)).value
         m2 = solve_boxed(build_cds_ilp(t)).value
-        prox = cds_proximity_solve(t, g).size
-        if not (m1 == m2 == prox == opt):
+        prox = decoded(t, cds_proximity_solve(t))
+        if not (m1 == m2 == prox.size == opt and check_cds(g, prox)):
             bad += 1
     _report(1, bad == 0, f"{len(cds_results())} instances, {bad} disagreements")
 
@@ -166,7 +167,7 @@ def test_criterion_4_rounding_bound():
     witness = None
     for rec in cds_results():
         g, t = rec["g"], rec["t"]
-        sol = cds_rounding_approx(t, g)
+        sol = decoded(t, cds_rounding_approx(t))
         gap = sol.size - rec["brute"].size
         if not (0 <= gap <= t.k * t.k) or not check_cds(g, sol):
             bad += 1
@@ -184,7 +185,7 @@ def test_criterion_5_proximity_box_contains_ordered_optimum():
         lo, hi = proximity_box(t, rec["lp"].point)
         found = False
         for xhat in itertools.product(*map(range, lo, (h + 1 for h in hi))):
-            if sum(xhat) == opt and decode_cds(t, g, xhat) is not None:
+            if sum(xhat) == opt and decode_cds(t, xhat) is not None:
                 found = True
                 break
         if not found:

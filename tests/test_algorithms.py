@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ndsolve import algorithms
+from ndsolve import algorithms, cli
 from ndsolve.algorithms import (
     cds_brute,
     cds_proximity_solve,
@@ -23,7 +23,7 @@ from ndsolve.algorithms import (
 from ndsolve.backends import solve_boxed
 from ndsolve.graphs import Graph, type_graph
 from ndsolve.lp import solve_lp
-from ndsolve.instances import generate_blowup, random_template
+from ndsolve.instances import Instance, generate_blowup, random_template
 from ndsolve.models import (
     CdsSolution,
     build_cds_ilp,
@@ -36,6 +36,7 @@ import helpers
 from helpers import (
     capacity_reorder,
     complete_graph,
+    decoded,
     empty_graph,
     is_capacity_ordered,
     path_graph,
@@ -45,10 +46,11 @@ from helpers import (
 )
 
 
-# sha256 over repr((sorted dominators, assignment)) of cds_proximity_solve
-# on each pinned instance, as computed when every candidate was decoded by
-# a vertex-level matching.
-PINNED_PROXIMITY_WITNESSES = "dfab6d0c55dbb2b441d53af12c38e992bc1b70ee84f3968bfb20c0cb79dd12fd"
+# sha256 over repr(sorted dominators) of the proximity route's witness on
+# each pinned instance, which the vertex-level decode gave as well.  The
+# route prints no assignment, so only the dominators are pinned, and the
+# assignment is checked by check_cds.
+PINNED_PROXIMITY_WITNESSES = "a6aa0504d6ba125a5a712487d95545591454dbd027b591b4d7625768fc3576d6"
 
 
 # sha256 over repr((size, sorted(assignment.items()))) of max_bipartite_matching
@@ -303,22 +305,28 @@ class TestRelaxation:
         assert res.point[center_class] == 1
 
 
+def route_lines(name, g):
+    """The report lines of the CDS route named name on g."""
+    return list(cli.ROUTES["cds"][1][name].solve(Instance(g, "cds"), type_graph(g))[2])
+
+
 class TestProximity:
     def test_star(self):
         g = star_graph(3, capacity=[3, 0, 0, 0])
         t = type_graph(g)
-        assert cds_proximity_solve(t, g).size == 1
+        assert cds_proximity_solve(t) == ((1, 0), 3)
+        assert decoded(t, cds_proximity_solve(t)).dominators == {0}
 
     def test_zero_capacity_clique(self):
         g = complete_graph(5, capacity=[0] * 5)
         t = type_graph(g)
-        assert cds_proximity_solve(t, g).size == 5
+        assert decoded(t, cds_proximity_solve(t)).size == 5
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_and_boxed(self, seed):
         g = random_cds_graph(seed)
         t = type_graph(g)
-        sol = cds_proximity_solve(t, g)
+        sol = decoded(t, cds_proximity_solve(t))
         assert check_cds(g, sol)
         assert sol.size == cds_brute(g).size
         assert sol.size == solve_boxed(build_cds_ilp(t)).value
@@ -332,41 +340,44 @@ class TestProximity:
         opt = cds_brute(g).size
         found = False
         for xhat in itertools.product(*map(range, lo, (h + 1 for h in hi))):
-            if sum(xhat) == opt and decode_cds(t, g, xhat) is not None:
+            if sum(xhat) == opt and decode_cds(t, xhat) is not None:
                 found = True
                 break
         assert found
 
 
     def test_pinned_witnesses_with_one_decode_each(self, monkeypatch):
-        calls = []
-        real = algorithms.decode_cds
+        decodes = []
+        real = cli.decode_cds
 
-        def decode(t, g, point):
-            calls.append(point)
-            return real(t, g, point)
+        def decode(t, point):
+            decodes.append(real(t, point))
+            return decodes[-1]
 
-        monkeypatch.setattr(algorithms, "decode_cds", decode)
+        monkeypatch.setattr(cli, "decode_cds", decode)
         h = hashlib.sha256()
         for t, g in pinned_cds_instances():
-            calls.clear()
-            sol = cds_proximity_solve(t, g)
-            assert len(calls) == 1
-            h.update(repr((sorted(sol.dominators), sol.assignment)).encode())
+            decodes.clear()
+            [line] = route_lines("proximity", g)
+            [sol] = decodes
+            assert check_cds(g, sol)
+            dominators = ",".join(str(v + 1) for v in sorted(sol.dominators))
+            assert line == f"algo: proximity value: {sol.size} witness: D={{{dominators}}}"
+            h.update(repr(sorted(sol.dominators)).encode())
         assert h.hexdigest() == PINNED_PROXIMITY_WITNESSES
 
     def test_type_check_disagreeing_with_decode_is_loud(self, monkeypatch):
         g = star_graph(3, capacity=[3, 0, 0, 0])
-        t = type_graph(g)
-        monkeypatch.setattr(algorithms, "decode_cds", lambda t, g, x: None)
-        with pytest.raises(RuntimeError, match="do not decode"):
-            cds_proximity_solve(t, g)
+        monkeypatch.setattr(cli, "decode_cds", lambda t, x: None)
+        with pytest.raises(RuntimeError, match=r"proximity returned an invalid dominating set for \[1, 0\]"):
+            route_lines("proximity", g)
 
     def test_empty_instance_takes_the_empty_point(self):
         g = Graph.from_edges(0, [], [])
         t = type_graph(g)
         assert t.k == 0 and proximity_box(t, ()) == ((), ())
-        sol = cds_proximity_solve(t, g)
+        assert cds_proximity_solve(t) == ((), 1)
+        sol = decoded(t, cds_proximity_solve(t))
         assert sol.dominators == frozenset() and sol.assignment == ()
 
     def test_box_search_is_the_first_smallest_decodable_point(self):
@@ -382,10 +393,10 @@ class TestProximity:
             lo, hi = proximity_box(t, solve_lp(relax_model(build_cds_ilp(t))).point)
             want = min(
                 (x for x in itertools.product(*map(range, lo, (h + 1 for h in hi)))
-                 if decode_cds(t, g, x) is not None),
+                 if decode_cds(t, x) is not None),
                 key=sum,
             )
-            assert cds_proximity_solve(t, g) == decode_cds(t, g, want), (g, want)
+            assert cds_proximity_solve(t)[0] == want, (g, want)
         assert sum(sizes.values()) == 240 and sizes[5] >= 20
 
     def test_hall_row_box_min_is_admissible(self):
@@ -408,8 +419,9 @@ class TestProximity:
 
 
 class TestTypeLevelCheck:
-    """The Hall row of cds_hall_row against the vertex-level matching of
-    decode_cds."""
+    """The Hall row of cds_hall_row and the type-level decode of decode_cds
+    against each other and against the domination oracle's vertex-level
+    matching."""
 
     def test_agrees_with_decode_on_every_point(self):
         vectors = outcomes = 0
@@ -424,11 +436,30 @@ class TestTypeLevelCheck:
             fn = cds_hall_row(t).fn
             for x in itertools.product(*(range(w + 1) for w in t.weights)):
                 ok = fn(x) <= 0
-                assert ok == (decode_cds(t, g, x) is not None), (g, x)
+                assert ok == (decode_cds(t, x) is not None), (g, x)
                 vectors += 1
                 outcomes += ok
         assert vectors >= 7_000 and 0 < outcomes < vectors
         assert zero_capacity >= 100 and self_serving >= 100
+
+    def test_decode_agrees_with_the_vertex_matching(self):
+        # decode_cds matches outside vertices to classes, the oracle's
+        # _match_subset matches them to the dominators themselves
+        points = decodable = 0
+        for seed in range(300):
+            rng = random.Random(9_000 + seed)
+            template = random_template(rng, max_k=4, max_n=9, with_capacities=True, max_capacity=4)
+            g = generate_blowup(template, seed=rng.randrange(2**30))
+            t = type_graph(g)
+            for x in itertools.product(*(range(w + 1) for w in t.weights)):
+                prefixes = {v for members, x_i in zip(t.classes, x) for v in members[:x_i]}
+                sol = decode_cds(t, x)
+                assert (sol is None) == (algorithms._match_subset(g, prefixes) is None), (g, x)
+                if sol is not None:
+                    assert sol.dominators == prefixes and check_cds(g, sol), (g, x)
+                    decodable += 1
+                points += 1
+        assert points >= 5_000 and 0 < decodable < points
 
     def test_hall_sets_are_the_type_neighbourhoods(self):
         # classes: clique {0, 1} (looped), then 2 and 3, each joined to it
@@ -455,21 +486,21 @@ class TestRounding:
     def test_integral_relaxation_is_exact(self):
         g = star_graph(3, capacity=[3, 0, 0, 0])
         t = type_graph(g)
-        sol = cds_rounding_approx(t, g)
+        assert cds_rounding_approx(t) == ((1, 0), 0)
+        sol = decoded(t, cds_rounding_approx(t))
         assert check_cds(g, sol) and sol.size == 1
 
     @pytest.mark.parametrize("seed", range(25))
     def test_additive_gap_within_k_squared(self, seed):
         g = random_cds_graph(seed)
         t = type_graph(g)
-        sol = cds_rounding_approx(t, g)
+        sol = decoded(t, cds_rounding_approx(t))
         assert check_cds(g, sol)
         gap = sol.size - cds_brute(g).size
         assert 0 <= gap <= t.k * t.k
 
     def test_undecodable_rounding_is_loud(self, monkeypatch):
         g = star_graph(3, capacity=[3, 0, 0, 0])
-        t = type_graph(g)
-        monkeypatch.setattr("ndsolve.algorithms.decode_cds", lambda t, g, x: None)
-        with pytest.raises(RuntimeError, match="do not decode"):
-            cds_rounding_approx(t, g)
+        monkeypatch.setattr(cli, "decode_cds", lambda t, x: None)
+        with pytest.raises(RuntimeError, match=r"rounding returned an invalid dominating set for \[1, 0\]"):
+            route_lines("rounding", g)

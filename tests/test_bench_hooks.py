@@ -112,14 +112,21 @@ def test_traced_cds_ops_count_their_lps(tmp_path):
     """The traced benchmark reads every LpProblem it counts (its boxes, its
     rows and their relations) in ``spans._tableau_cells``: the ``desk``
     proximity and rounding ops of one CDS case solve one LP each, and the
-    tracer counts both and their tableau cells."""
+    tracer counts both and their tableau cells.  Each of the case's four
+    ops, model or algorithm route, decodes its answer once (``cli.Route``),
+    so ``models.decode`` counts one call per op."""
     cases, ops = workloads.desk(5, tmp_path, per_problem=1)
     case = next(c for c in cases if c.inst.problem == "cds")
     tracer = spans.Tracer()
+    lps, decodes, cells = {}, {}, 0
     with tracer:
-        for route in ("proximity", "rounding"):
-            op = next(o for o in ops if o.case == case.name and o.route == route)
+        for op in (o for o in ops if o.case == case.name):
+            tracer.reset()
             assert run.call(tracer.main, op.argv)[0] == 0, op.argv
-    metrics = tracer.layer_metrics()
-    assert metrics["lp.in_algorithms.calls"] == 2
-    assert metrics["lp.tableau_cells"] > 0
+            metrics = tracer.layer_metrics()
+            lps[op.route] = metrics["lp.in_algorithms.calls"]
+            decodes[op.route] = metrics["models.decode.calls"]
+            cells += metrics["lp.tableau_cells"]
+    assert decodes == dict.fromkeys(("convex/boxed", "ilp/boxed", "proximity", "rounding"), 1)
+    assert lps["proximity"] == lps["rounding"] == 1
+    assert cells > 0

@@ -128,8 +128,8 @@ class TestSolve:
     @pytest.mark.parametrize("model", ["convex", "ilp"])
     def test_undecodable_model_optimum_raises(self, star_cds, model, monkeypatch, capsys):
         # a cds model optimum always decodes, so a failure is an internal fault
-        monkeypatch.setattr(cli, "decode_cds", lambda t, g, x: None)
-        with pytest.raises(RuntimeError, match=f"{model}/boxed optimum .* does not decode"):
+        monkeypatch.setattr(cli, "decode_cds", lambda t, x: None)
+        with pytest.raises(RuntimeError, match=rf"{model}/boxed returned an invalid dominating set for \[1, 0\]"):
             main(["solve", "--model", model, star_cds])
         assert "witness" not in capsys.readouterr().out
 
@@ -137,6 +137,27 @@ class TestSolve:
         monkeypatch.setattr(cli, "check_cds", lambda g, sol: False)
         with pytest.raises(RuntimeError, match="proximity returned an invalid dominating set"):
             main(["solve", "--algo", "proximity", star_cds])
+
+    def test_invalid_model_witness_raises(self, star_cds, monkeypatch, capsys):
+        # a model route's witness is checked as an algorithm route's is
+        monkeypatch.setattr(cli, "check_cds", lambda g, sol: False)
+        with pytest.raises(RuntimeError, match="convex/boxed returned an invalid dominating set"):
+            main(["solve", "--model", "convex", star_cds])
+        assert "value" not in capsys.readouterr().out
+
+    def test_wrong_partition_raises(self, k4_cut, monkeypatch, capsys):
+        # every vertex in part 1 cuts no edge of K4, whose 2-cut is 4
+        monkeypatch.setattr(cli, "decode_partition", lambda t, x: dict.fromkeys(range(4), 1))
+        with pytest.raises(RuntimeError, match="quadratic/boxed witness is worth 0, not 4"):
+            main(["solve", k4_cut])
+        assert "witness" not in capsys.readouterr().out
+
+    def test_costlier_colouring_raises(self, p3_sumcol, monkeypatch, capsys):
+        # a proper colouring of the path 1-2-3 that costs 6, where the optimum is 4
+        monkeypatch.setattr(cli, "decode_coloring", lambda t, g, x, tag: {0: 1, 1: 2, 2: 3})
+        with pytest.raises(RuntimeError, match="graver/augment witness is worth 6, not 4"):
+            main(["solve", p3_sumcol])
+        assert "witness" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("route", [["--algo", "proximity"], ["--model", "ilp"], []])
     def test_same_run_without_asserts(self, star_cds, route):
@@ -340,9 +361,9 @@ class TestRoutes:
 
     @pytest.mark.parametrize("name", [n for n, r in cli.ROUTES["cds"][1].items() if r.kind != cli.ORACLE])
     def test_cds_routes_need_no_recursion_on_a_clique(self, clique_400, name):
-        # k = 1, 400 vertices of capacity 1: 200 dominate, and the matching
-        # of the i-th outside vertex walks an augmenting path through i
-        # dominators, past the lowered limit
+        # k = 1, 400 vertices of capacity 1: 200 dominate; matched to the
+        # dominators themselves, the i-th outside vertex's augmenting path
+        # would run through i of them, past the lowered limit
         inst, t = clique_400
         g = inst.graph
         route = cli.ROUTES["cds"][1][name]
@@ -351,10 +372,11 @@ class TestRoutes:
         try:
             if route.kind == cli.MODEL:
                 res = cli.SOLVERS[route.method](route.build(inst, t))
-                value, sol = res.value, decode_cds(t, g, res.point)
+                value, x = res.value, res.point
             else:
-                sol = route.build(inst, t)
-                value = sol.size
+                x = route.build(inst, t)[0]
+                value = sum(x)
+            sol = decode_cds(t, x)
         finally:
             sys.setrecursionlimit(limit)
         assert value == sol.size == 200 and check_cds(g, sol)

@@ -48,6 +48,8 @@ from ndsolve.models import (
     decode_partition,
 )
 
+from helpers import decoded
+
 GATE_INSTANCES = 400
 GATE_BUDGET = Budget(max_nodes=5_000)
 # at this budget ilp/boxed answers 396 of the 400 instances
@@ -67,7 +69,7 @@ def convex_boxed(t, g):
     """The convex/boxed route's result, with no budget stop, once its
     decoded witness has passed check_cds and has the result's size."""
     res = solve_boxed(build_cds_convex(t))
-    sol = decode_cds(t, g, res.point)
+    sol = decode_cds(t, res.point)
     assert res.optimal and sol is not None and check_cds(g, sol) and sol.size == res.value, g
     return res
 
@@ -76,8 +78,8 @@ def test_cds_routes_agree_at_medium_n():
     answered = large = 0
     for t, g in gate_instances():
         large += g.n > 8
-        proximity = cds_proximity_solve(t, g)
-        rounding = cds_rounding_approx(t, g)
+        proximity = decoded(t, cds_proximity_solve(t))
+        rounding = decoded(t, cds_rounding_approx(t))
         assert check_cds(g, proximity) and check_cds(g, rounding), g
         convex = convex_boxed(t, g)
         assert convex.value == proximity.size, g
@@ -86,7 +88,7 @@ def test_cds_routes_agree_at_medium_n():
         except BudgetError:
             continue
         answered += 1
-        sol = decode_cds(t, g, res.point)
+        sol = decode_cds(t, res.point)
         assert sol is not None and check_cds(g, sol) and sol.size == res.value, g
         assert convex.value == res.value, g
         assert res.value <= rounding.size <= res.value + t.k * t.k, g
@@ -99,8 +101,8 @@ K5_INSTANCES = 100
 
 def test_cds_convex_meets_proximity_at_k5():
     for t, g in gate_instances(base=45_000, count=K5_INSTANCES, max_k=5, max_capacity=4):
-        proximity = cds_proximity_solve(t, g)
-        rounding = cds_rounding_approx(t, g)
+        proximity = decoded(t, cds_proximity_solve(t))
+        rounding = decoded(t, cds_rounding_approx(t))
         assert check_cds(g, proximity) and check_cds(g, rounding), g
         convex = convex_boxed(t, g)
         assert convex.value == proximity.size <= rounding.size <= convex.value + t.k * t.k, g
@@ -187,7 +189,7 @@ def test_maxqcut_route_meets_the_oracle_at_medium_n():
             answered += 1
             cut = -res.value  # the model minimizes -cut
             assert cut == cut_value(g, maxqcut_brute(g, q)), (g, q)
-            partition = decode_partition(t, g, res.point)
+            partition = decode_partition(t, res.point)
             assert set(partition) == set(range(g.n)), (g, q)
             assert set(partition.values()) <= set(range(1, q + 1)), (g, q)
             assert cut_value(g, partition) == cut, (g, q)

@@ -15,8 +15,8 @@ import io
 
 import pytest
 
-from ndsolve import algorithms, backends
-from ndsolve.algorithms import cds_proximity_solve, check_cds, cut_value, maxqcut_brute
+from ndsolve import algorithms, backends, cli, models
+from ndsolve.algorithms import cds_proximity_solve, cds_rounding_approx, check_cds, cut_value, maxqcut_brute
 from ndsolve.backends import Budget, solve_boxed, solve_nfold
 from ndsolve.cli import main
 from ndsolve.errors import BudgetError
@@ -166,7 +166,7 @@ def test_cds_convex_boxed_nodes(n):
     ceiling, value = CONVEX_BOXED[n]
     assert res.nodes <= ceiling
     assert res.value == value == PROXIMITY[n][1]
-    sol = decode_cds(t, g, res.point)
+    sol = decode_cds(t, res.point)
     assert sol is not None and sol.size == value and check_cds(g, sol)
 
 
@@ -216,17 +216,47 @@ def record_calls(monkeypatch, owner, *names):
 
 @pytest.mark.parametrize("n", sorted(PROXIMITY))
 def test_cds_proximity_tests_candidates_on_the_type_graph(n, monkeypatch):
-    calls = record_calls(monkeypatch, algorithms, "solve_boxed", "decode_cds")
+    calls = record_calls(monkeypatch, algorithms, "solve_boxed")
     g = ladder_graph(n, capacities=(2, 1, 3))
     t = type_graph(g)
-    sol = cds_proximity_solve(t, g)
+    x, nodes = cds_proximity_solve(t)
     ceiling, value = PROXIMITY[n]
-    assert len(calls["decode_cds"]) == 1
     [search] = calls["solve_boxed"]
-    assert search.nodes <= ceiling and search.value == value
+    assert nodes == search.nodes <= ceiling and search.value == value
+    sol = decode_cds(t, x)
     assert sol.size == value and check_cds(g, sol)
     if n <= 30:
         assert solve_boxed(build_cds_ilp(t), LADDER_BUDGET).value == value
+
+
+# (n, capacities, None for the k = 1 clique of capacity-1 vertices) of the
+# rungs where the decode runs at rounding's class sizes.  With the outside
+# vertices matched to the dominators themselves, cubic on a clique, it took
+# 5.3 s on the ladder at n = 2400 and 5.0 s on the clique of 2,000 (2-core
+# Xeon host, Python 3.11.7); matched to the k classes, 11 ms and 2 ms.
+DECODE_RUNGS = [(2400, (2, 1, 3)), (2000, None)]
+
+
+@pytest.mark.parametrize("n,capacities", DECODE_RUNGS)
+def test_cds_decode_matches_at_type_level(n, capacities, monkeypatch):
+    if capacities is None:
+        template = BlowupTemplate((n,), (CLIQUE,), frozenset(), ((1,) * n,))
+        g = generate_blowup(template, seed=1)
+    else:
+        g = ladder_graph(n, capacities)
+    t = type_graph(g)
+    x, nodes = cds_rounding_approx(t)
+    rights = []
+    real = models.max_bipartite_matching
+
+    def matching(left, adj, capacity):
+        rights.append(set(capacity).union(*adj.values()))
+        return real(left, adj, capacity)
+
+    monkeypatch.setattr(models, "max_bipartite_matching", matching)
+    sol = decode_cds(t, x)
+    assert nodes == 0 and sol is not None and sol.size == sum(x) and check_cds(g, sol)
+    assert [len(r) <= t.k for r in rights] == [True]
 
 
 def solve_default(tmp_path, problem, capacities=None, n=150):
@@ -241,12 +271,13 @@ def solve_default(tmp_path, problem, capacities=None, n=150):
 
 def test_cds_default_route_is_proximity(tmp_path, monkeypatch):
     # the default's rung: ilp/boxed stops at a 2M-node budget on this file
-    calls = record_calls(monkeypatch, algorithms, "solve_boxed", "decode_cds")
+    calls = record_calls(monkeypatch, algorithms, "solve_boxed")
+    decodes = record_calls(monkeypatch, cli, "decode_cds")
     lines = solve_default(tmp_path, "cds", capacities=(2, 1, 3))
     assert lines[2].startswith("algo: proximity value: 42 witness: D={")
-    assert lines[3] == "nodes: 0 millis: 0"
-    assert len(calls["decode_cds"]) == 1
-    assert [res.nodes <= PROXIMITY[150][0] for res in calls["solve_boxed"]] == [True]
+    [search] = calls["solve_boxed"]
+    assert lines[3] == f"nodes: {search.nodes} millis: 0" and search.nodes <= PROXIMITY[150][0]
+    assert len(decodes["decode_cds"]) == 1
 
 
 def test_sumcol_default_route_is_graver_augment(tmp_path, monkeypatch):

@@ -497,7 +497,7 @@ def pinned_cds_lp_results():
         results.append(solve_lp(relax_model(build_cds_ilp(t))))
         algorithms.solve_lp = recording
         try:
-            cds_rounding_approx(t, g)
+            cds_rounding_approx(t)
         finally:
             algorithms.solve_lp = real
     return results

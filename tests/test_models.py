@@ -128,7 +128,7 @@ class TestDecodeCds:
     def test_full_set_trivially_valid(self):
         g = complete_graph(3, capacity=[0, 0, 0])
         t = type_graph(g)
-        sol = decode_cds(t, g, tuple(t.weights))
+        sol = decode_cds(t, tuple(t.weights))
         assert sol is not None and sol.size == 3 and sol.assignment == ()
         assert check_cds(g, sol)
 
@@ -137,7 +137,7 @@ class TestDecodeCds:
         t = type_graph(g)
         x = [0] * t.k
         x[t.classes.index((0,))] = 1
-        sol = decode_cds(t, g, tuple(x))
+        sol = decode_cds(t, tuple(x))
         assert sol is not None and sol.dominators == {0}
         assert sorted(dict(sol.assignment)) == [1, 2, 3]
         assert check_cds(g, sol)
@@ -147,7 +147,7 @@ class TestDecodeCds:
         t = type_graph(g)
         x = [0] * t.k
         x[t.classes.index((1, 2, 3))] = 1
-        assert decode_cds(t, g, tuple(x)) is None
+        assert decode_cds(t, tuple(x)) is None
 
 
 class TestDecodeMatchingCompleteness:
@@ -171,7 +171,7 @@ class TestDecodeMatchingCompleteness:
                 **{**model.__dict__, "lower": tuple(lower), "upper": tuple(upper)}
             )
             model_feasible = _solve(pinned).optimal
-            assert (decode_cds(t, g, x) is not None) == model_feasible
+            assert (decode_cds(t, x) is not None) == model_feasible
 
 
 class TestCatalog:
@@ -487,14 +487,14 @@ class TestDecoders:
         t = type_graph(g)
         m = build_maxqcut(t, 2)
         res = solve_boxed(m)
-        part = decode_partition(t, g, res.point)
+        part = decode_partition(t, res.point)
         assert cut_value(g, part) == -res.value
 
     def test_decode_partition_edgeless(self):
         g = empty_graph(3)
         t = type_graph(g)
         res = solve_boxed(build_maxqcut(t, 2))
-        part = decode_partition(t, g, res.point)
+        part = decode_partition(t, res.point)
         assert cut_value(g, part) == 0 and set(part) == {0, 1, 2}
 
     def test_bad_point_raises(self):
